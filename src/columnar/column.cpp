@@ -88,10 +88,13 @@ void Int64Column::seal(size_t dict_max) {
     // average) — near-unique columns gain nothing from codes and lose the
     // heap-ordered locality that makes materialization sequential.
     layout_ = ColumnLayout::kPlain;
+    raw_.shrink_to_fit();
+    null_words_.shrink_to_fit();
     return;
   }
   layout_ = ColumnLayout::kDictionary;
   dict_ = std::move(distinct);
+  dict_.shrink_to_fit();
   codes_.resize(raw_.size());
   const uint32_t null_code = static_cast<uint32_t>(dict_.size());
   for (size_t i = 0; i < raw_.size(); ++i) {
@@ -208,6 +211,9 @@ void BytesColumn::seal(size_t dict_max) {
     // foremost) stay packed in heap order, so materializing a scan is a
     // sequential walk instead of a per-row gather through the dictionary.
     layout_ = ColumnLayout::kPlain;
+    packed_.shrink_to_fit();
+    offsets_.shrink_to_fit();
+    null_words_.shrink_to_fit();
     return;
   }
   layout_ = ColumnLayout::kDictionary;
@@ -217,6 +223,7 @@ void BytesColumn::seal(size_t dict_max) {
     dict_packed_.insert(dict_packed_.end(), v.begin(), v.end());
     dict_offsets_.push_back(dict_packed_.size());
   }
+  dict_packed_.shrink_to_fit();
   codes_.resize(row_count_);
   const uint32_t null_code = static_cast<uint32_t>(distinct.size());
   for (size_t i = 0; i < row_count_; ++i) {

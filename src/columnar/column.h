@@ -1,9 +1,9 @@
 // Dictionary-compressed immutable column vectors for the in-memory
 // columnar ciphertext store (DESIGN.md §5.9).
 //
-// A column is built once from a heap scan (append per row, then seal) and
-// never mutated afterwards — staleness is handled a level up by the
-// ColumnStoreManager swapping whole segments. seal() picks the layout:
+// A column is built once (append per row, then seal) and never mutated
+// afterwards — new rows go into a new segment chunk, and merging chunks
+// builds a new column from the sealed ones. seal() picks the layout:
 //
 //   dictionary  distinct values <= dict_max AND each value repeated twice
 //               on average (compression must pay): a sorted dictionary
@@ -62,7 +62,7 @@ class Int64Column {
   void append_null();
 
   /// Freezes the column, choosing dictionary layout when the number of
-  /// distinct values is at most `dict_max`.
+  /// distinct values is at most `dict_max`, and trims build-time slack.
   void seal(size_t dict_max);
 
   size_t size() const { return row_count_; }
@@ -110,6 +110,8 @@ class Int64Column {
 class BytesColumn {
  public:
   explicit BytesColumn(sql::ValueType type) : type_(type) {}
+
+  void reserve(size_t rows) { offsets_.reserve(rows + 1); }
 
   void append(std::string_view v);
   void append_null();

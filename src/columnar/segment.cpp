@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <variant>
 
 #include "src/util/error.h"
 
 namespace wre::columnar {
 
 namespace {
+
+using AnyColumn = std::variant<Int64Column, BytesColumn>;
 
 /// Merge-intersects two ascending selections.
 Selection intersect(const Selection& a, const Selection& b) {
@@ -27,180 +30,173 @@ Selection unite(const Selection& a, const Selection& b) {
   return out;
 }
 
+/// TEXT and BLOB values as the byte strings a BytesColumn stores.
+std::string_view bytes_of(const sql::Value& v) {
+  if (v.type() == sql::ValueType::kText) return v.as_text();
+  const Bytes& b = v.as_blob();
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+void append_value(AnyColumn& column, const sql::Value& v) {
+  std::visit(
+      [&](auto& col) {
+        using C = std::decay_t<decltype(col)>;
+        if (v.is_null()) {
+          col.append_null();
+        } else if constexpr (std::is_same_v<C, Int64Column>) {
+          col.append(v.as_int64());
+        } else {
+          col.append(bytes_of(v));
+        }
+      },
+      column);
+}
+
+/// Appends every row of the sealed column `src` to the same-typed `dst`.
+void append_column(const AnyColumn& src, AnyColumn& dst) {
+  std::visit(
+      [&](auto& d) {
+        using C = std::decay_t<decltype(d)>;
+        const C& s = std::get<C>(src);
+        for (uint32_t row = 0; row < s.size(); ++row) {
+          if (s.is_null(row)) {
+            d.append_null();
+          } else {
+            d.append(s.at(row));
+          }
+        }
+      },
+      dst);
+}
+
+/// Point recheck of one equality/IN leaf at one row.
+bool leaf_matches(const AnyColumn& column, const sql::Expr& leaf,
+                  uint32_t row) {
+  return std::visit(
+      [&](const auto& col) {
+        using C = std::decay_t<decltype(col)>;
+        for (const sql::Value& v : leaf.values) {
+          if constexpr (std::is_same_v<C, Int64Column>) {
+            if (v.type() != sql::ValueType::kInt64) continue;
+            int64_t p = v.as_int64();
+            if (col.matches(row, &p, 1)) return true;
+          } else {
+            if (v.type() != col.value_type()) continue;
+            std::string_view p = bytes_of(v);
+            if (col.matches(row, &p, 1)) return true;
+          }
+        }
+        return false;
+      },
+      column);
+}
+
 }  // namespace
 
-std::shared_ptr<const TableSegment> TableSegment::build(
-    const sql::Table& t, uint64_t version, const SegmentOptions& opt) {
-  auto seg = std::shared_ptr<TableSegment>(new TableSegment());
-  seg->version_ = version;
-  seg->schema_ = t.schema();
-  const sql::Schema& schema = seg->schema_;
-  seg->hidden_pk_ = !schema.primary_key_index().has_value();
-
-  const size_t cols = schema.column_count();
-  const size_t rows_hint = static_cast<size_t>(t.row_count());
-  seg->columns_.reserve(cols);
-  for (size_t c = 0; c < cols; ++c) {
-    if (schema.column(c).type == sql::ValueType::kInt64) {
-      seg->columns_.emplace_back(std::in_place_type<Int64Column>);
-      std::get<Int64Column>(seg->columns_.back()).reserve(rows_hint);
-    } else {
-      seg->columns_.emplace_back(std::in_place_type<BytesColumn>,
-                                 schema.column(c).type);
-    }
-  }
-  if (!seg->hidden_pk_) seg->pks_.reserve(rows_hint);
-
-  t.scan([&](int64_t pk, const sql::Row& row) {
-    if (!seg->hidden_pk_) seg->pks_.push_back(pk);
-    for (size_t c = 0; c < cols; ++c) {
-      const sql::Value& v = row[c];
-      std::visit(
-          [&](auto& col) {
-            using C = std::decay_t<decltype(col)>;
-            if (v.is_null()) {
-              col.append_null();
-            } else if constexpr (std::is_same_v<C, Int64Column>) {
-              col.append(v.as_int64());
-            } else {
-              if (col.value_type() == sql::ValueType::kText) {
-                col.append(v.as_text());
-              } else {
-                const Bytes& b = v.as_blob();
-                col.append(std::string_view(
-                    reinterpret_cast<const char*>(b.data()), b.size()));
-              }
-            }
-          },
-          seg->columns_[c]);
-    }
-    ++seg->row_count_;
-  });
-
-  for (auto& col : seg->columns_) {
-    std::visit([&](auto& c) { c.seal(opt.dict_max); }, col);
-  }
-  if (!seg->hidden_pk_) {
-    seg->pk_sorted_.reserve(seg->pks_.size());
-    for (uint32_t i = 0; i < seg->pks_.size(); ++i) {
-      seg->pk_sorted_.emplace_back(seg->pks_[i], i);
-    }
-    std::sort(seg->pk_sorted_.begin(), seg->pk_sorted_.end());
-  }
-  return seg;
-}
-
-Selection TableSegment::select_all() const {
-  Selection out(row_count_);
-  for (uint32_t i = 0; i < row_count_; ++i) out[i] = i;
-  return out;
-}
-
-Selection TableSegment::select(const sql::Expr& expr) const {
-  switch (expr.kind) {
-    case sql::Expr::Kind::kEquals:
-    case sql::Expr::Kind::kIn: {
-      auto idx = schema_.index_of(expr.column);
-      if (!idx) throw SqlError("unknown column " + expr.column);
-      Selection out;
-      std::visit(
-          [&](const auto& col) {
-            using C = std::decay_t<decltype(col)>;
-            if constexpr (std::is_same_v<C, Int64Column>) {
-              // Only INTEGER probes can match an INTEGER column
-              // (sql_equals is false across types and for NULL).
-              std::vector<int64_t> probes;
-              probes.reserve(expr.values.size());
-              for (const sql::Value& v : expr.values) {
-                if (v.type() == sql::ValueType::kInt64) {
-                  probes.push_back(v.as_int64());
-                }
-              }
-              col.scan_in(probes.data(), probes.size(), &out);
-            } else {
-              std::vector<std::string_view> probes;
-              probes.reserve(expr.values.size());
-              for (const sql::Value& v : expr.values) {
-                if (v.type() != col.value_type()) continue;
-                if (v.type() == sql::ValueType::kText) {
-                  probes.push_back(v.as_text());
-                } else {
-                  const Bytes& b = v.as_blob();
-                  probes.push_back(std::string_view(
-                      reinterpret_cast<const char*>(b.data()), b.size()));
-                }
-              }
-              col.scan_in(probes.data(), probes.size(), &out);
-            }
-          },
-          columns_[*idx]);
-      return out;
-    }
-    case sql::Expr::Kind::kAnd: {
-      Selection out = select(expr.children.front());
-      for (size_t i = 1; i < expr.children.size() && !out.empty(); ++i) {
-        out = intersect(out, select(expr.children[i]));
+/// Rows [first_row, first_row + rows) of the table, sealed. Immutable once
+/// built; segments share chunks through shared_ptr.
+class TableSegment::Chunk {
+ public:
+  Chunk(const sql::Schema& schema, uint32_t first, size_t rows_hint)
+      : first_row(first) {
+    columns.reserve(schema.column_count());
+    for (size_t c = 0; c < schema.column_count(); ++c) {
+      if (schema.column(c).type == sql::ValueType::kInt64) {
+        columns.emplace_back(std::in_place_type<Int64Column>);
+      } else {
+        columns.emplace_back(std::in_place_type<BytesColumn>,
+                             schema.column(c).type);
       }
-      return out;
+      std::visit([&](auto& col) { col.reserve(rows_hint); }, columns.back());
     }
-    case sql::Expr::Kind::kOr: {
-      Selection out;
-      for (const sql::Expr& child : expr.children) {
-        out = unite(out, select(child));
+  }
+
+  /// The table's rows from `*cursor` on; advances `*cursor` past them.
+  static std::shared_ptr<const Chunk> from_heap(const sql::Table& t,
+                                                sql::Table::ScanCursor* cursor,
+                                                const SegmentOptions& opt) {
+    auto chunk = std::make_shared<Chunk>(
+        t.schema(), static_cast<uint32_t>(cursor->row),
+        static_cast<size_t>(t.row_count() - cursor->row));
+    *cursor = t.scan_from(*cursor, [&](int64_t, const sql::Row& row) {
+      for (size_t c = 0; c < chunk->columns.size(); ++c) {
+        append_value(chunk->columns[c], row[c]);
       }
-      return out;
+      ++chunk->rows;
+    });
+    for (auto& col : chunk->columns) {
+      std::visit([&](auto& c) { c.seal(opt.dict_max); }, col);
     }
+    chunk->index_pks(t.schema());
+    return chunk;
   }
-  throw SqlError("columnar select: corrupt expression");
-}
 
-bool TableSegment::row_matches(const sql::Expr& expr, uint32_t row) const {
-  switch (expr.kind) {
-    case sql::Expr::Kind::kEquals:
-    case sql::Expr::Kind::kIn: {
-      auto idx = schema_.index_of(expr.column);
-      if (!idx) throw SqlError("unknown column " + expr.column);
-      return std::visit(
-          [&](const auto& col) {
-            using C = std::decay_t<decltype(col)>;
-            if constexpr (std::is_same_v<C, Int64Column>) {
-              for (const sql::Value& v : expr.values) {
-                if (v.type() != sql::ValueType::kInt64) continue;
-                int64_t p = v.as_int64();
-                if (col.matches(row, &p, 1)) return true;
-              }
-              return false;
-            } else {
-              for (const sql::Value& v : expr.values) {
-                if (v.type() != col.value_type()) continue;
-                std::string_view p;
-                if (v.type() == sql::ValueType::kText) {
-                  p = v.as_text();
-                } else {
-                  const Bytes& b = v.as_blob();
-                  p = std::string_view(
-                      reinterpret_cast<const char*>(b.data()), b.size());
-                }
-                if (col.matches(row, &p, 1)) return true;
-              }
-              return false;
-            }
-          },
-          columns_[*idx]);
+  /// One chunk holding `older`'s rows followed by `newer`'s, rebuilt from
+  /// their column data. Each column is sealed as soon as it is filled, so
+  /// build slack is held for one column at a time.
+  static std::shared_ptr<const Chunk> merge(const Chunk& older,
+                                            const Chunk& newer,
+                                            const sql::Schema& schema,
+                                            const SegmentOptions& opt) {
+    auto chunk = std::make_shared<Chunk>(schema, older.first_row,
+                                         older.rows + newer.rows);
+    for (size_t c = 0; c < chunk->columns.size(); ++c) {
+      append_column(older.columns[c], chunk->columns[c]);
+      append_column(newer.columns[c], chunk->columns[c]);
+      std::visit([&](auto& col) { col.seal(opt.dict_max); },
+                 chunk->columns[c]);
     }
-    case sql::Expr::Kind::kAnd:
-      return std::all_of(
-          expr.children.begin(), expr.children.end(),
-          [&](const sql::Expr& c) { return row_matches(c, row); });
-    case sql::Expr::Kind::kOr:
-      return std::any_of(
-          expr.children.begin(), expr.children.end(),
-          [&](const sql::Expr& c) { return row_matches(c, row); });
+    chunk->rows = older.rows + newer.rows;
+    chunk->index_pks(schema);
+    return chunk;
   }
-  throw SqlError("columnar row_matches: corrupt expression");
-}
 
-sql::Value TableSegment::value_at(size_t col, uint32_t row) const {
+  sql::Value value_at(size_t col, uint32_t row) const;
+  void materialize_rows(const Selection& sel,
+                        const std::vector<size_t>& projection,
+                        sql::Row* out) const;
+  void wire_encode_rows(const Selection& sel,
+                        const std::vector<size_t>& projection,
+                        Bytes* out) const;
+
+  std::optional<uint32_t> row_of_pk(int64_t pk) const {
+    auto it = std::lower_bound(
+        pk_sorted.begin(), pk_sorted.end(), pk,
+        [](const std::pair<int64_t, uint32_t>& e, int64_t key) {
+          return e.first < key;
+        });
+    if (it == pk_sorted.end() || it->first != pk) return std::nullopt;
+    return it->second;
+  }
+
+  size_t bytes() const {
+    size_t total =
+        pk_sorted.capacity() * sizeof(std::pair<int64_t, uint32_t>);
+    for (const auto& col : columns) {
+      total += std::visit([](const auto& c) { return c.bytes(); }, col);
+    }
+    return total;
+  }
+
+  uint32_t first_row = 0;
+  uint32_t rows = 0;
+  std::vector<AnyColumn> columns;
+  // (pk, row) sorted by pk, for the record-fetch phase. Tables with a
+  // hidden pk use position == pk and keep it empty.
+  std::vector<std::pair<int64_t, uint32_t>> pk_sorted;
+
+ private:
+  void index_pks(const sql::Schema& schema) {
+    auto pk_col = schema.primary_key_index();
+    if (!pk_col) return;
+    const auto& pks = std::get<Int64Column>(columns[*pk_col]);
+    pk_sorted.reserve(rows);
+    for (uint32_t i = 0; i < rows; ++i) pk_sorted.emplace_back(pks.at(i), i);
+    std::sort(pk_sorted.begin(), pk_sorted.end());
+  }
+};
+
+sql::Value TableSegment::Chunk::value_at(size_t col, uint32_t row) const {
   return std::visit(
       [&](const auto& c) -> sql::Value {
         using C = std::decay_t<decltype(c)>;
@@ -216,33 +212,20 @@ sql::Value TableSegment::value_at(size_t col, uint32_t row) const {
           return sql::Value::blob(Bytes(p, p + v.size()));
         }
       },
-      columns_[col]);
+      columns[col]);
 }
 
-sql::Row TableSegment::materialize(
-    uint32_t row, const std::vector<size_t>& projection) const {
-  sql::Row out;
-  out.reserve(projection.size());
-  for (size_t col : projection) out.push_back(value_at(col, row));
-  return out;
-}
-
-void TableSegment::materialize_rows(const Selection& sel,
-                                    const std::vector<size_t>& projection,
-                                    std::vector<sql::Row>* out) const {
-  const size_t base = out->size();
-  const size_t nproj = projection.size();
-  out->resize(base + sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) (*out)[base + i].resize(nproj);
-
-  for (size_t c = 0; c < nproj; ++c) {
+void TableSegment::Chunk::materialize_rows(
+    const Selection& sel, const std::vector<size_t>& projection,
+    sql::Row* out) const {
+  for (size_t c = 0; c < projection.size(); ++c) {
     std::visit(
         [&](const auto& col) {
           using C = std::decay_t<decltype(col)>;
           for (size_t i = 0; i < sel.size(); ++i) {
             const uint32_t row = sel[i];
             if (col.has_nulls() && col.is_null(row)) continue;  // stays NULL
-            sql::Value& cell = (*out)[base + i][c];
+            sql::Value& cell = out[i][c];
             if constexpr (std::is_same_v<C, Int64Column>) {
               cell = sql::Value::int64(col.at(row));
             } else {
@@ -256,13 +239,13 @@ void TableSegment::materialize_rows(const Selection& sel,
             }
           }
         },
-        columns_[projection[c]]);
+        columns[projection[c]]);
   }
 }
 
-void TableSegment::wire_encode_rows(const Selection& sel,
-                                    const std::vector<size_t>& projection,
-                                    Bytes* out) const {
+void TableSegment::Chunk::wire_encode_rows(
+    const Selection& sel, const std::vector<size_t>& projection,
+    Bytes* out) const {
   // Resolve each projected column's encoder once; both passes below are
   // then flat runs over dense arrays with no dispatch.
   struct Cell {
@@ -275,12 +258,12 @@ void TableSegment::wire_encode_rows(const Selection& sel,
   cells.reserve(projection.size());
   for (size_t col : projection) {
     Cell cell;
-    if (const auto* i = std::get_if<Int64Column>(&columns_[col])) {
+    if (const auto* i = std::get_if<Int64Column>(&columns[col])) {
       cell.i64 = i;
       cell.type = static_cast<uint8_t>(sql::ValueType::kInt64);
       cell.nulls = i->has_nulls();
     } else {
-      cell.bytes = &std::get<BytesColumn>(columns_[col]);
+      cell.bytes = &std::get<BytesColumn>(columns[col]);
       cell.type = static_cast<uint8_t>(cell.bytes->value_type());
       cell.nulls = cell.bytes->has_nulls();
     }
@@ -340,8 +323,186 @@ void TableSegment::wire_encode_rows(const Selection& sel,
   }
 }
 
+// ------------------------------------------------------------ TableSegment
+
+std::shared_ptr<const TableSegment> TableSegment::build(
+    const sql::Table& t, const SegmentOptions& opt) {
+  auto seg = std::shared_ptr<TableSegment>(new TableSegment());
+  seg->schema_ = t.schema();
+  seg->hidden_pk_ = !seg->schema_.primary_key_index().has_value();
+  seg->chunks_.push_back(Chunk::from_heap(t, &seg->cursor_, opt));
+  seg->row_count_ = static_cast<uint32_t>(seg->cursor_.row);
+  return seg;
+}
+
+std::shared_ptr<const TableSegment> TableSegment::extend(
+    const sql::Table& t, const SegmentOptions& opt) const {
+  auto seg = std::shared_ptr<TableSegment>(new TableSegment(*this));
+  auto tail = Chunk::from_heap(t, &seg->cursor_, opt);
+  if (tail->rows == 0) return seg;
+  seg->row_count_ = static_cast<uint32_t>(seg->cursor_.row);
+  std::vector<std::shared_ptr<const Chunk>>& chunks = seg->chunks_;
+  chunks.push_back(std::move(tail));
+  while (chunks.size() >= 2) {
+    const Chunk& older = *chunks[chunks.size() - 2];
+    const Chunk& newer = *chunks.back();
+    const bool merge = chunks.size() == 2
+                           ? newer.rows >= older.rows
+                           : uint64_t{2} * newer.rows > older.rows;
+    if (!merge) break;
+    auto merged = Chunk::merge(older, newer, schema_, opt);
+    chunks.pop_back();
+    chunks.back() = std::move(merged);
+  }
+  return seg;
+}
+
+std::pair<const TableSegment::Chunk*, uint32_t> TableSegment::locate(
+    uint32_t row) const {
+  if (chunks_.size() == 1) return {chunks_.front().get(), row};
+  auto it = std::upper_bound(
+      chunks_.begin(), chunks_.end(), row,
+      [](uint32_t r, const std::shared_ptr<const Chunk>& c) {
+        return r < c->first_row;
+      });
+  const Chunk* chunk = std::prev(it)->get();
+  return {chunk, row - chunk->first_row};
+}
+
+template <typename Fn>
+void TableSegment::for_each_run(const Selection& sel, Fn&& fn) const {
+  if (chunks_.size() == 1) {
+    fn(*chunks_.front(), sel);
+    return;
+  }
+  Selection local;
+  size_t i = 0;
+  for (const auto& chunk : chunks_) {
+    const uint32_t end = chunk->first_row + chunk->rows;
+    local.clear();
+    for (; i < sel.size() && sel[i] < end; ++i) {
+      local.push_back(sel[i] - chunk->first_row);
+    }
+    if (!local.empty()) fn(*chunk, local);
+  }
+}
+
+Selection TableSegment::select_all() const {
+  Selection out(row_count_);
+  for (uint32_t i = 0; i < row_count_; ++i) out[i] = i;
+  return out;
+}
+
+Selection TableSegment::select(const sql::Expr& expr) const {
+  switch (expr.kind) {
+    case sql::Expr::Kind::kEquals:
+    case sql::Expr::Kind::kIn: {
+      auto idx = schema_.index_of(expr.column);
+      if (!idx) throw SqlError("unknown column " + expr.column);
+      // Only probes of the column's declared type can match (sql_equals is
+      // false across types and for NULL).
+      const sql::ValueType type = schema_.column(*idx).type;
+      std::vector<int64_t> ints;
+      std::vector<std::string_view> strings;
+      for (const sql::Value& v : expr.values) {
+        if (v.type() != type) continue;
+        if (type == sql::ValueType::kInt64) {
+          ints.push_back(v.as_int64());
+        } else {
+          strings.push_back(bytes_of(v));
+        }
+      }
+      Selection out;
+      for (const auto& chunk : chunks_) {
+        const size_t from = out.size();
+        const AnyColumn& column = chunk->columns[*idx];
+        if (const auto* col = std::get_if<Int64Column>(&column)) {
+          col->scan_in(ints.data(), ints.size(), &out);
+        } else {
+          std::get<BytesColumn>(column).scan_in(strings.data(),
+                                                strings.size(), &out);
+        }
+        if (chunk->first_row == 0) continue;
+        for (size_t i = from; i < out.size(); ++i) out[i] += chunk->first_row;
+      }
+      return out;
+    }
+    case sql::Expr::Kind::kAnd: {
+      Selection out = select(expr.children.front());
+      for (size_t i = 1; i < expr.children.size() && !out.empty(); ++i) {
+        out = intersect(out, select(expr.children[i]));
+      }
+      return out;
+    }
+    case sql::Expr::Kind::kOr: {
+      Selection out;
+      for (const sql::Expr& child : expr.children) {
+        out = unite(out, select(child));
+      }
+      return out;
+    }
+  }
+  throw SqlError("columnar select: corrupt expression");
+}
+
+bool TableSegment::row_matches(const sql::Expr& expr, uint32_t row) const {
+  switch (expr.kind) {
+    case sql::Expr::Kind::kEquals:
+    case sql::Expr::Kind::kIn: {
+      auto idx = schema_.index_of(expr.column);
+      if (!idx) throw SqlError("unknown column " + expr.column);
+      auto [chunk, local] = locate(row);
+      return leaf_matches(chunk->columns[*idx], expr, local);
+    }
+    case sql::Expr::Kind::kAnd:
+      return std::all_of(
+          expr.children.begin(), expr.children.end(),
+          [&](const sql::Expr& c) { return row_matches(c, row); });
+    case sql::Expr::Kind::kOr:
+      return std::any_of(
+          expr.children.begin(), expr.children.end(),
+          [&](const sql::Expr& c) { return row_matches(c, row); });
+  }
+  throw SqlError("columnar row_matches: corrupt expression");
+}
+
+sql::Row TableSegment::materialize(
+    uint32_t row, const std::vector<size_t>& projection) const {
+  auto [chunk, local] = locate(row);
+  sql::Row out;
+  out.reserve(projection.size());
+  for (size_t col : projection) out.push_back(chunk->value_at(col, local));
+  return out;
+}
+
+void TableSegment::materialize_rows(const Selection& sel,
+                                    const std::vector<size_t>& projection,
+                                    std::vector<sql::Row>* out) const {
+  const size_t base = out->size();
+  out->resize(base + sel.size());
+  for (size_t i = base; i < out->size(); ++i) {
+    (*out)[i].resize(projection.size());
+  }
+  sql::Row* dst = out->data() + base;
+  for_each_run(sel, [&](const Chunk& chunk, const Selection& local) {
+    chunk.materialize_rows(local, projection, dst);
+    dst += local.size();
+  });
+}
+
+void TableSegment::wire_encode_rows(const Selection& sel,
+                                    const std::vector<size_t>& projection,
+                                    Bytes* out) const {
+  for_each_run(sel, [&](const Chunk& chunk, const Selection& local) {
+    chunk.wire_encode_rows(local, projection, out);
+  });
+}
+
 int64_t TableSegment::pk_at(uint32_t row) const {
-  return hidden_pk_ ? static_cast<int64_t>(row) : pks_[row];
+  if (hidden_pk_) return static_cast<int64_t>(row);
+  auto [chunk, local] = locate(row);
+  return std::get<Int64Column>(chunk->columns[*schema_.primary_key_index()])
+      .at(local);
 }
 
 std::optional<uint32_t> TableSegment::row_of_pk(int64_t pk) const {
@@ -351,31 +512,16 @@ std::optional<uint32_t> TableSegment::row_of_pk(int64_t pk) const {
     }
     return static_cast<uint32_t>(pk);
   }
-  auto it = std::lower_bound(
-      pk_sorted_.begin(), pk_sorted_.end(), pk,
-      [](const std::pair<int64_t, uint32_t>& e, int64_t key) {
-        return e.first < key;
-      });
-  if (it == pk_sorted_.end() || it->first != pk) return std::nullopt;
-  return it->second;
+  for (const auto& chunk : chunks_) {
+    if (auto local = chunk->row_of_pk(pk)) return chunk->first_row + *local;
+  }
+  return std::nullopt;
 }
 
 size_t TableSegment::bytes() const {
-  size_t total = pks_.capacity() * sizeof(int64_t) +
-                 pk_sorted_.capacity() * sizeof(std::pair<int64_t, uint32_t>);
-  for (const auto& col : columns_) {
-    total += std::visit([](const auto& c) { return c.bytes(); }, col);
-  }
+  size_t total = 0;
+  for (const auto& chunk : chunks_) total += chunk->bytes();
   return total;
-}
-
-ColumnLayout TableSegment::column_layout(size_t col) const {
-  return std::visit([](const auto& c) { return c.layout(); }, columns_[col]);
-}
-
-size_t TableSegment::column_dictionary_size(size_t col) const {
-  return std::visit([](const auto& c) { return c.dictionary_size(); },
-                    columns_[col]);
 }
 
 }  // namespace wre::columnar

@@ -1,11 +1,14 @@
 // An immutable columnar snapshot of one table (DESIGN.md §5.9).
 //
-// A TableSegment is built from a single heap scan under the engine's
-// shared latch (writers excluded by the engine's single-writer rule) and
-// is immutable afterwards: queries hold it through a shared_ptr, so a
-// rebuild triggered by a later mutation never invalidates a scan already
-// in flight — readers drain on their own snapshot while new queries see
-// the fresh one.
+// A TableSegment is a list of sealed chunks over consecutive heap ranges:
+// chunk 0 (the base) starts at the first row, and each later chunk starts
+// where the one before it ends. Chunks never change once sealed. The heap
+// is append-only, so a segment can fall behind its table but never
+// disagree with it. extend() catches up by building a tail chunk from only
+// the rows appended since; the result shares every older chunk and keeps
+// the chunk count logarithmic with an inline size-tiered merge (see
+// extend()). Queries hold a segment through a shared_ptr, so an extension
+// triggered by a later reader never invalidates a scan already in flight.
 //
 // Row positions are heap order, the order Table::scan emits and the row
 // path's sequential scan preserves — so a columnar scan's selection
@@ -14,11 +17,13 @@
 // phase: row_of_pk() replaces the pk-index descent + heap read + record
 // decode with a binary search and a column gather (late materialization:
 // only selected rows ever touch the packed payload bytes).
+//
+// Build and extend scan the heap, so callers hold the engine's shared
+// latch (writers excluded) exactly as a sequential scan requires.
 #pragma once
 
 #include <memory>
 #include <optional>
-#include <variant>
 #include <vector>
 
 #include "src/columnar/column.h"
@@ -35,15 +40,23 @@ struct SegmentOptions {
 
 class TableSegment {
  public:
-  /// Scans `t` and freezes the result. `version` is the table's mutation
-  /// version at build time (captured by the caller before the scan; the
-  /// engine excludes writers for the duration).
+  /// Scans all of `t` into a single-chunk segment.
   static std::shared_ptr<const TableSegment> build(const sql::Table& t,
-                                                   uint64_t version,
                                                    const SegmentOptions& opt);
 
-  uint64_t build_version() const { return version_; }
+  /// This segment caught up with `t`: every chunk shared, plus one tail
+  /// chunk built from only the rows appended since this segment was
+  /// built. Then, while the newest chunk holds more than half the rows of
+  /// the one before it (at least as many, when that one is the base), the
+  /// two merge from their column data — the heap is never re-read. Chunk
+  /// sizes therefore at least halve from the base outward, so a segment
+  /// of n rows has at most ⌈log2 n⌉ + 1 chunks, and the base is rewritten
+  /// only once the tail has grown to the base's size.
+  std::shared_ptr<const TableSegment> extend(const sql::Table& t,
+                                             const SegmentOptions& opt) const;
+
   uint32_t row_count() const { return row_count_; }
+  size_t chunk_count() const { return chunks_.size(); }
   const sql::Schema& schema() const { return schema_; }
 
   /// Evaluates a predicate over every row: ascending selection of the
@@ -84,24 +97,25 @@ class TableSegment {
 
   /// Resident size (memory accounting / stats).
   size_t bytes() const;
-  ColumnLayout column_layout(size_t col) const;
-  size_t column_dictionary_size(size_t col) const;
 
  private:
+  class Chunk;
+
   TableSegment() = default;
 
-  sql::Value value_at(size_t col, uint32_t row) const;
+  /// The chunk holding `row`, and the row's position inside it.
+  std::pair<const Chunk*, uint32_t> locate(uint32_t row) const;
+  /// Calls fn(chunk, local) once per chunk that `sel` selects rows of,
+  /// with `local` the selected positions rebased to the chunk. A
+  /// single-chunk segment passes `sel` through untouched.
+  template <typename Fn>
+  void for_each_run(const Selection& sel, Fn&& fn) const;
 
-  uint64_t version_ = 0;
   uint32_t row_count_ = 0;
   sql::Schema schema_;
-  std::vector<std::variant<Int64Column, BytesColumn>> columns_;
-  // Primary keys in heap order, plus a pk-sorted lookup table for the
-  // record-fetch phase. Tables with a hidden pk use position == pk and
-  // keep both empty.
-  std::vector<int64_t> pks_;
-  std::vector<std::pair<int64_t, uint32_t>> pk_sorted_;
   bool hidden_pk_ = false;
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  sql::Table::ScanCursor cursor_;  // where the next tail chunk starts
 };
 
 }  // namespace wre::columnar

@@ -4,52 +4,38 @@ namespace wre::columnar {
 
 std::shared_ptr<const TableSegment> ColumnStoreManager::snapshot(
     const sql::Table& t) {
-  if (t.row_count() < options_.min_rows) return nullptr;
-
-  // The version is captured before the build scan. Writers are excluded by
-  // the caller's latch, so the table cannot advance mid-build; a version
-  // captured after the scan could miss a mutation that raced an
-  // (incorrectly unlatched) build and mask it forever.
-  const uint64_t version = t.mutation_version();
+  const uint64_t rows = t.row_count();
+  if (rows < options_.min_rows) return nullptr;
+  SegmentOptions opt;
+  opt.dict_max = options_.dict_max;
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = segments_.find(t.name());
-  if (it != segments_.end() && it->second->build_version() == version) {
+  const TableSegment* cached =
+      it == segments_.end() ? nullptr : it->second.get();
+  if (cached != nullptr && cached->row_count() == rows) {
     ++hits_;
     return it->second;
   }
-  SegmentOptions opt;
-  opt.dict_max = options_.dict_max;
-  auto seg = TableSegment::build(t, version, opt);
-  ++builds_;
-  if (it != segments_.end()) {
-    ++rebuilds_;
-    it->second = seg;  // old segment stays alive for in-flight readers
+  std::shared_ptr<const TableSegment> seg;
+  if (cached != nullptr && cached->row_count() < rows) {
+    seg = cached->extend(t, opt);
+    ++appends_;
+    merges_ += cached->chunk_count() + 1 - seg->chunk_count();
   } else {
-    segments_.emplace(t.name(), seg);
+    // Nothing cached — or a segment with more rows than the table, which
+    // an append-only heap cannot produce for the table it was built from.
+    seg = TableSegment::build(t, opt);
+    ++builds_;
+    if (cached != nullptr) ++rebuilds_;
   }
+  segments_[t.name()] = seg;  // a replaced segment stays alive for readers
   return seg;
-}
-
-std::shared_ptr<const TableSegment> ColumnStoreManager::cached(
-    const std::string& table) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = segments_.find(table);
-  return it == segments_.end() ? nullptr : it->second;
 }
 
 void ColumnStoreManager::drop_all() {
   std::lock_guard<std::mutex> lock(mu_);
   segments_.clear();
-}
-
-void ColumnStoreManager::prune(const std::string& table,
-                               uint64_t current_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = segments_.find(table);
-  if (it != segments_.end() && it->second->build_version() != current_version) {
-    segments_.erase(it);
-  }
 }
 
 ColumnStoreManager::Stats ColumnStoreManager::stats() const {
@@ -58,6 +44,8 @@ ColumnStoreManager::Stats ColumnStoreManager::stats() const {
   s.builds = builds_;
   s.hits = hits_;
   s.rebuilds = rebuilds_;
+  s.appends = appends_;
+  s.merges = merges_;
   s.segments = segments_.size();
   for (const auto& [name, seg] : segments_) s.bytes += seg->bytes();
   return s;

@@ -1,25 +1,26 @@
-// ColumnStoreManager: epoch-versioned columnar snapshots of hot tables
+// ColumnStoreManager: catch-up columnar snapshots of hot tables
 // (DESIGN.md §5.9).
 //
-// The manager caches at most one TableSegment per table. snapshot()
-// compares the cached segment's build version against the table's current
-// mutation version (sql::Table::mutation_version, bumped by every insert /
-// batch / index change): a match is a hit, a mismatch triggers a rebuild,
-// and the old segment is only unreferenced — queries already scanning it
-// keep their shared_ptr, so readers never observe a segment mutate and
-// never block behind a rebuild triggered elsewhere.
+// The manager caches at most one TableSegment per table. Freshness is the
+// row count: the heap is append-only, so a cached segment whose row count
+// equals the table's is current, and one with fewer rows is a prefix of
+// it. snapshot() serves the first case from cache and the second by
+// TableSegment::extend (a tail chunk of only the new rows, merged inline);
+// only the first use of a table, or the first after drop_all(), scans the
+// whole heap. A replaced segment is only unreferenced — queries already
+// scanning it keep their shared_ptr, so readers never observe a segment
+// mutate.
 //
 // Synchronization contract: snapshot() may be called concurrently from
-// any number of readers (they serialize on an internal mutex only for the
-// cache lookup / the build itself); callers must hold the engine's shared
-// latch so writers are excluded for the duration of a build, exactly as a
-// sequential scan requires. drop_all() / prune() are writer-side calls.
+// any number of readers (they serialize on an internal mutex for the
+// cache lookup and any build or extension); callers must hold the
+// engine's shared latch so writers are excluded while the heap is read,
+// exactly as a sequential scan requires.
 //
-// Staleness across the durability path is handled by construction:
+// Durability composes by construction: segments live only in memory, and
 // crash-recovery replay (storage::Wal::recover) runs in the Database
 // constructor before any manager exists, so a post-recovery instance
-// starts with no segments, and checkpoint() prunes any segment whose
-// build version no longer matches its table.
+// starts with no segments.
 #pragma once
 
 #include <map>
@@ -44,25 +45,21 @@ class ColumnStoreManager {
   explicit ColumnStoreManager(ColumnStoreOptions options = {})
       : options_(options) {}
 
-  /// A fresh snapshot of `t`: the cached segment when its build version
-  /// matches the table's mutation version, a newly built one otherwise.
-  /// Returns null when the table is below min_rows.
+  /// A snapshot of `t` holding every row it has: the cached segment when
+  /// it is current, the cached segment extended by a tail chunk when rows
+  /// were appended since, a full build when nothing is cached. Returns
+  /// null when the table is below min_rows.
   std::shared_ptr<const TableSegment> snapshot(const sql::Table& t);
-
-  /// The cached segment, fresh or not — no build. Null when absent.
-  std::shared_ptr<const TableSegment> cached(const std::string& table) const;
 
   /// Drops every cached segment (cold-cache reproduction; clear_cache).
   void drop_all();
 
-  /// Drops `table`'s segment if its build version differs from
-  /// `current_version` (checkpoint-time staleness sweep).
-  void prune(const std::string& table, uint64_t current_version);
-
   struct Stats {
-    uint64_t builds = 0;    // segments built (epoch counter)
-    uint64_t hits = 0;      // snapshot() served from cache
-    uint64_t rebuilds = 0;  // builds that replaced a stale segment
+    uint64_t builds = 0;    // full heap builds
+    uint64_t hits = 0;      // snapshot() served from cache as is
+    uint64_t rebuilds = 0;  // full builds that replaced a cached segment
+    uint64_t appends = 0;   // tail chunks built from newly appended rows
+    uint64_t merges = 0;    // chunk merges those appends triggered
     size_t segments = 0;    // currently cached
     size_t bytes = 0;       // resident bytes across cached segments
   };
@@ -75,6 +72,8 @@ class ColumnStoreManager {
   uint64_t builds_ = 0;
   uint64_t hits_ = 0;
   uint64_t rebuilds_ = 0;
+  uint64_t appends_ = 0;
+  uint64_t merges_ = 0;
 };
 
 }  // namespace wre::columnar

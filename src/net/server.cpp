@@ -137,11 +137,12 @@ void Server::stop() {
   draining_.store(true);
   checkpoint_cv_.notify_all();
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
-  listener_.close();
   wake_event_thread();
-  // The event thread finishes requests already received, flushes their
+  // The event thread accepts connections already in the backlog, closes
+  // the listener, finishes every request already sent, flushes the
   // responses, closes every connection, then exits.
   if (event_thread_.joinable()) event_thread_.join();
+  listener_.close();  // already closed unless the event loop failed
   // Workers may still be finishing batches whose connections died; the
   // pool destructor drains them (their completions go nowhere).
   pool_.reset();
@@ -274,7 +275,7 @@ int Server::next_timeout_ms() const {
   return static_cast<int>(std::min(best, 60000L));
 }
 
-void Server::accept_ready() {
+bool Server::accept_ready() {
   // Bounded burst per readiness event; level-triggered epoll re-reports
   // whatever is still pending.
   for (int burst = 0; burst < 64; ++burst) {
@@ -285,7 +286,7 @@ void Server::accept_ready() {
     } catch (const NetworkError&) {
       accept_retries_.fetch_add(1);
       pause_accept();
-      return;
+      return false;
     }
     switch (st) {
       case Listener::AcceptStatus::kAccepted: {
@@ -311,14 +312,14 @@ void Server::accept_ready() {
         continue;
       }
       case Listener::AcceptStatus::kWouldBlock:
-        return;
+        return false;
       case Listener::AcceptStatus::kRetryLater:
         // Transient failure (ECONNABORTED storm, injected fault): the one
         // thing the accept path must never do is hot-spin or die. Pause
         // the listener briefly; pending connections park in the backlog.
         accept_retries_.fetch_add(1);
         pause_accept();
-        return;
+        return false;
       case Listener::AcceptStatus::kFdExhausted: {
         accept_retries_.fetch_add(1);
         if (reserve_.held()) {
@@ -338,16 +339,17 @@ void Server::accept_ready() {
           reserve_.reacquire();
         }
         pause_accept();
-        return;
+        return false;
       }
       case Listener::AcceptStatus::kClosed:
         if (listener_registered_) {
           ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_.fd(), nullptr);
           listener_registered_ = false;
         }
-        return;
+        return false;
     }
   }
+  return true;
 }
 
 void Server::shed_connection(Socket sock, const std::string& reason) {
@@ -412,15 +414,21 @@ void Server::kill_conn(Conn* c) {
   if (!c->worker_active) doomed_.push_back(c->id);
 }
 
+bool Server::wants_input(const Conn* c) const {
+  if (c->parse_dead || c->saw_eof || c->read_done) return false;
+  // Backpressure: a connection with a full pipeline queue is not read
+  // until it drains — except in a drain, which reads until the socket
+  // holds nothing more (parse_frames still queues at most the cap).
+  return drain_started_ ||
+         c->pending.size() < options_.max_pipelined_requests;
+}
+
 void Server::update_interest(Conn* c) {
   if (c->dead || !c->registered) return;
   uint32_t want = 0;
-  // Backpressure: a connection with a full pipeline queue is not read
-  // until it drains (EPOLLRDHUP is dropped too, or a half-closed peer
-  // would busy-wake the loop while its pipeline executes).
-  const bool can_read = !c->parse_dead && !c->saw_eof && !drain_started_ &&
-                        c->pending.size() < options_.max_pipelined_requests;
-  if (can_read) want |= EPOLLIN | EPOLLRDHUP;
+  // EPOLLRDHUP goes with EPOLLIN, or a half-closed peer would busy-wake
+  // the loop while its pipeline executes.
+  if (wants_input(c)) want |= EPOLLIN | EPOLLRDHUP;
   if (c->outbuf_off < c->outbuf.size()) want |= EPOLLOUT;
   if (want == c->interest) return;
   epoll_event ev{};
@@ -436,8 +444,7 @@ void Server::conn_readable(Conn* c) {
   uint8_t buf[64 * 1024];
   size_t budget = kReadBudgetBytes;
   bool got_any = false;
-  while (budget > 0 && !c->parse_dead && !c->saw_eof &&
-         c->pending.size() < options_.max_pipelined_requests) {
+  while (budget > 0 && wants_input(c)) {
     ssize_t n;
     try {
       n = c->sock.recv_some(buf, std::min(sizeof(buf), budget));
@@ -445,7 +452,10 @@ void Server::conn_readable(Conn* c) {
       kill_conn(c);  // peer reset (or injected fault): nothing to answer
       return;
     }
-    if (n < 0) break;  // EAGAIN: drained the socket
+    if (n < 0) {  // EAGAIN: drained the socket
+      c->read_done = drain_started_;
+      break;
+    }
     if (n == 0) {
       c->saw_eof = true;
       break;
@@ -631,6 +641,7 @@ void Server::drain_completions() {
     c->outbuf.insert(c->outbuf.end(), comp.bytes.begin(), comp.bytes.end());
     frames_served_.fetch_add(comp.frames);
     touch(c);
+    parse_frames(c);  // frames already read but held back by the cap
     maybe_dispatch(c);
     flush_outbuf(c);
     if (c->dead) continue;
@@ -657,7 +668,7 @@ void Server::flush_outbuf(Conn* c) {
     c->outbuf.clear();
     c->outbuf_off = 0;
     if (c->close_after_flush ||
-        ((drain_started_ || c->saw_eof) && c->pending.empty() &&
+        ((c->read_done || c->saw_eof) && c->pending.empty() &&
          !c->worker_active)) {
       kill_conn(c);
     }
@@ -687,26 +698,26 @@ void Server::reap_idle() {
 
 void Server::begin_drain() {
   drain_started_ = true;
+  // A connection still in the backlog is already open on the client's
+  // side and may carry a whole pipeline: accept it before the listener
+  // closes (closing would reset it).
+  while (accept_ready()) {
+  }
   if (listener_registered_) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_.fd(), nullptr);
     listener_registered_ = false;
   }
-  // One final read pass: requests already on the wire — including a whole
-  // pipelined burst — get parsed, executed and answered before the close.
+  listener_.close();
+  // Final reads: every request already on the wire — including a whole
+  // pipelined burst — gets parsed, executed and answered before the close.
+  // Each connection is read until its socket has nothing buffered
+  // (read_done); one held back by the pipeline cap resumes reading once
+  // its queue drains. An idle one closes right away (flush_outbuf), so
+  // its client sees the close promptly.
   std::vector<Conn*> all;
   all.reserve(conns_.size());
   for (auto& [id, conn] : conns_) all.push_back(conn.get());
-  for (Conn* c : all) {
-    if (c->dead) continue;
-    conn_readable(c);
-    if (c->dead) continue;
-    if (c->pending.empty() && !c->worker_active &&
-        c->outbuf_off >= c->outbuf.size()) {
-      kill_conn(c);  // idle: the client sees the close promptly
-    } else {
-      update_interest(c);  // stops reading; drain finishes what it has
-    }
-  }
+  for (Conn* c : all) conn_readable(c);
 }
 
 Bytes Server::process_request(const PendingRequest& req) {

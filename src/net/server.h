@@ -46,10 +46,12 @@
 // each endpoint agrees on the map; routing itself is client-side
 // (src/net/shard.h).
 //
-// Shutdown (stop(), also wired to SIGTERM in wre_server): the listener
-// stops accepting, idle connections are closed, requests already received
-// — including a whole pipelined burst — run to completion and their
-// responses are flushed, then the workers join.
+// Shutdown (stop(), also wired to SIGTERM in wre_server): connections
+// already in the accept backlog are accepted, then the listener closes.
+// Every connection is read until its socket holds nothing more, so each
+// request a client sent before the drain — including a whole pipelined
+// burst — runs to completion and its response is flushed; idle
+// connections close at once. Then the workers join.
 #pragma once
 
 #include <atomic>
@@ -207,6 +209,9 @@ class Server {
     bool close_after_flush = false;
     /// Stream is unrecoverable — stop parsing inbuf entirely.
     bool parse_dead = false;
+    /// Draining: the socket was read until it had nothing more buffered;
+    /// finish pending work, flush, then close.
+    bool read_done = false;
     /// Counted in live_sessions_ (shed connections are not).
     bool counted = false;
     /// Torn down mid-batch; destroyed when the batch completes.
@@ -230,13 +235,16 @@ class Server {
   void checkpoint_loop();
 
   // --- event-thread helpers (all run on the event thread only) ---
-  void accept_ready();
+  /// Accepts a bounded burst; true when the burst ran out before the
+  /// backlog did.
+  bool accept_ready();
   void register_conn(std::unique_ptr<Conn> conn);
   void conn_readable(Conn* c);
   void conn_writable(Conn* c);
   void parse_frames(Conn* c);
   void maybe_dispatch(Conn* c);
   void flush_outbuf(Conn* c);
+  bool wants_input(const Conn* c) const;
   void update_interest(Conn* c);
   void touch(Conn* c);
   void kill_conn(Conn* c);

@@ -672,15 +672,6 @@ storage::CommitHandle Database::commit_async() {
 void Database::commit() { commit_async().wait(); }
 
 void Database::checkpoint() {
-  // Staleness sweep: a checkpoint is the durability path's natural segment
-  // boundary, so drop any column segment whose build version no longer
-  // matches its table (fresh ones stay — the server checkpoints on a
-  // timer, and dropping valid segments would cold-start every scan).
-  if (columnar_mgr_ != nullptr) {
-    for (const auto& [name, t] : tables_) {
-      columnar_mgr_->prune(name, t->mutation_version());
-    }
-  }
   if (wal_ == nullptr) {
     pool_->flush_all();
     return;

@@ -67,7 +67,9 @@ struct DatabaseOptions {
   /// scans and non-indexed predicates run against dictionary-compressed
   /// column segments, and index-probe plans materialize selected rows from
   /// them instead of chasing the heap. Results stay byte-identical to the
-  /// row path; segments rebuild lazily after mutations. Off by default.
+  /// row path. A segment is built from the heap on first use; after
+  /// inserts, the next query appends only the new rows to it as a tail
+  /// chunk. Off by default.
   bool columnar = false;
   /// Per-column dictionary cardinality cap for column segments; columns
   /// with more distinct values fall back to the plain dense layout.

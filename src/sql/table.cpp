@@ -67,7 +67,6 @@ int64_t Table::insert(const Row& row) {
     if (row[idx].is_null()) continue;
     tree->insert(index_key_for(row[idx]), static_cast<uint64_t>(pk));
   }
-  bump_version();
   return pk;
 }
 
@@ -120,7 +119,6 @@ std::vector<int64_t> Table::insert_batch(const std::vector<Row>& rows) {
     std::sort(entries.begin(), entries.end());
     for (const auto& [key, pk] : entries) tree->insert(key, pk);
   }
-  if (!rows.empty()) bump_version();
   return pks;
 }
 
@@ -156,7 +154,6 @@ void Table::create_index(const std::string& column_name) {
   });
 
   indexes_.emplace(col, std::move(tree));
-  bump_version();
 }
 
 void Table::attach_index(const std::string& column_name) {
@@ -197,13 +194,23 @@ std::vector<int64_t> Table::probe_index(const std::string& column_name,
 }
 
 void Table::scan(const std::function<void(int64_t, const Row&)>& fn) const {
+  scan_from(ScanCursor{}, fn);
+}
+
+Table::ScanCursor Table::scan_from(
+    const ScanCursor& from,
+    const std::function<void(int64_t, const Row&)>& fn) const {
   auto pk_col = schema_.primary_key_index();
-  int64_t hidden_pk = 0;
-  heap_->scan([&](storage::RecordId, ByteView record) {
-    Row row = schema_.decode_row(record);
-    int64_t pk = pk_col ? row[*pk_col].as_int64() : hidden_pk++;
-    fn(pk, row);
-  });
+  ScanCursor at = from;
+  at.next =
+      heap_->scan_from(from.next, [&](storage::RecordId, ByteView record) {
+        Row row = schema_.decode_row(record);
+        int64_t pk = pk_col ? row[*pk_col].as_int64()
+                            : static_cast<int64_t>(at.row);
+        ++at.row;
+        fn(pk, row);
+      });
+  return at;
 }
 
 uint64_t Table::data_size_bytes() const {

@@ -15,7 +15,6 @@
 // fetches the full row anyway.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -79,6 +78,21 @@ class Table {
   /// other readers.
   void scan(const std::function<void(int64_t, const Row&)>& fn) const;
 
+  /// Where a heap-order scan stopped: the next record's heap position and
+  /// its row ordinal (hidden primary keys are positional). The default
+  /// cursor is the start of the table.
+  struct ScanCursor {
+    storage::RecordId next = storage::HeapFile::kFirstRecord;
+    uint64_t row = 0;
+  };
+
+  /// scan() of only the rows at or after `from`; returns the cursor past
+  /// the last row visited. The heap is append-only, so resuming at the
+  /// returned cursor later visits exactly the rows inserted in between.
+  ScanCursor scan_from(
+      const ScanCursor& from,
+      const std::function<void(int64_t, const Row&)>& fn) const;
+
   uint64_t row_count() const { return heap_->record_count(); }
 
   /// On-disk sizes, for the Table I reproduction.
@@ -88,17 +102,7 @@ class Table {
   /// Names of columns with secondary indexes.
   std::vector<std::string> indexed_columns() const;
 
-  /// Monotonic mutation counter: bumped by every insert, batch insert and
-  /// index build. The columnar store compares it against a segment's build
-  /// version to decide freshness (DESIGN.md §5.9); it does not persist —
-  /// a reopened table restarts at 0 with no segments in existence.
-  uint64_t mutation_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
  private:
-  void bump_version() { version_.fetch_add(1, std::memory_order_release); }
-
   std::string index_path(const std::string& column_name) const;
   const storage::BPlusTree& index_for(const std::string& column_name) const;
   storage::BPlusTree& index_for(const std::string& column_name);
@@ -111,7 +115,6 @@ class Table {
   std::unique_ptr<storage::BPlusTree> pk_index_;  // pk -> packed RecordId
   std::map<std::string, std::unique_ptr<storage::BPlusTree>> indexes_;
   int64_t next_hidden_pk_ = 0;
-  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace wre::sql

@@ -137,18 +137,26 @@ Bytes HeapFile::read(const RecordId& rid) const {
 }
 
 void HeapFile::scan(const std::function<void(RecordId, ByteView)>& fn) const {
+  scan_from(kFirstRecord, fn);
+}
+
+RecordId HeapFile::scan_from(
+    RecordId from, const std::function<void(RecordId, ByteView)>& fn) const {
+  RecordId next = from;
   PageNumber pages = pool_.disk().page_count(file_);
-  for (PageNumber pn = 1; pn < pages; ++pn) {
+  for (PageNumber pn = from.page; pn < pages; ++pn) {
     PageGuard page = pool_.fetch(PageId{file_, pn}, LatchMode::kShared);
     const uint8_t* p = page.data();
     uint16_t count = load_u16(p);
-    for (uint16_t s = 0; s < count; ++s) {
+    for (uint16_t s = pn == from.page ? from.slot : 0; s < count; ++s) {
       const uint8_t* slot = p + kPageHeader + kSlotSize * s;
       uint16_t offset = load_u16(slot);
       uint16_t length = load_u16(slot + 2);
       fn(RecordId{pn, s}, ByteView(p + offset, length));
+      next = RecordId{pn, static_cast<uint16_t>(s + 1)};
     }
   }
+  return next;
 }
 
 PageNumber HeapFile::page_count() const {

@@ -57,9 +57,20 @@ class HeapFile {
   /// Thread-safe against other readers (shared page latches).
   Bytes read(const RecordId& rid) const;
 
+  /// Position of the first record a fresh heap will hold (page 0 is
+  /// metadata).
+  static constexpr RecordId kFirstRecord{1, 0};
+
   /// Invokes fn(rid, record_bytes) for every record in file order.
   /// Thread-safe against other readers.
   void scan(const std::function<void(RecordId, ByteView)>& fn) const;
+
+  /// scan() restricted to the records at or after `from`; returns the
+  /// position just past the last record visited (`from` when none was).
+  /// Appends fill the tail page and then fresh pages, so resuming at the
+  /// returned position later visits exactly the records appended since.
+  RecordId scan_from(RecordId from,
+                     const std::function<void(RecordId, ByteView)>& fn) const;
 
   uint64_t record_count() const { return record_count_; }
 

@@ -1,11 +1,14 @@
 // Unit tests for the in-memory columnar ciphertext store (DESIGN.md §5.9):
 // column layouts and scan kernels, segment build/select/materialization,
-// the ColumnStoreManager's snapshot/staleness machinery, and the planner
-// integration including the wire-protocol fast path — every columnar
-// answer checked against the row path it must be indistinguishable from.
+// the ColumnStoreManager's snapshot and tail-chunk catch-up, and the
+// planner integration including the wire-protocol fast path — every
+// columnar answer checked against the row path it must be
+// indistinguishable from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -200,7 +203,7 @@ class SegmentTest : public ::testing::Test {
 
   std::shared_ptr<const TableSegment> build() {
     const sql::Table& t = db_.table("t");
-    return TableSegment::build(t, t.mutation_version(), SegmentOptions{});
+    return TableSegment::build(t, SegmentOptions{});
   }
 
   TempDir dir_;
@@ -281,7 +284,7 @@ TEST_F(SegmentTest, PkLookup) {
 TEST_F(SegmentTest, EmptyTableSegment) {
   db_.execute("CREATE TABLE empty (id INTEGER PRIMARY KEY, v TEXT)");
   const sql::Table& t = db_.table("empty");
-  auto seg = TableSegment::build(t, t.mutation_version(), SegmentOptions{});
+  auto seg = TableSegment::build(t, SegmentOptions{});
   EXPECT_EQ(seg->row_count(), 0u);
   EXPECT_TRUE(seg->select_all().empty());
   EXPECT_TRUE(seg->select(sql::Expr::equals("v", Value::text("x"))).empty());
@@ -289,7 +292,7 @@ TEST_F(SegmentTest, EmptyTableSegment) {
 
 // ----------------------------------------------------- ColumnStoreManager
 
-TEST(ColumnStoreManager, SnapshotCachesUntilMutation) {
+TEST(ColumnStoreManager, SnapshotAppendsTailAfterInsert) {
   TempDir dir("wre_colmgr");
   sql::Database db(dir.str());
   db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
@@ -306,22 +309,42 @@ TEST(ColumnStoreManager, SnapshotCachesUntilMutation) {
   EXPECT_EQ(st.segments, 1u);
   EXPECT_GT(st.bytes, 0u);
 
+  // One row after two: a tail chunk smaller than the base stays separate.
   db.insert_batch("t", {{Value::int64(3), Value::int64(30)}});
   auto s3 = mgr.snapshot(db.table("t"));
   EXPECT_NE(s1.get(), s3.get());
   EXPECT_EQ(s3->row_count(), 3u);
+  EXPECT_EQ(s3->chunk_count(), 2u);
+  EXPECT_EQ(s3->materialize(2, {0, 1}),
+            (sql::Row{Value::int64(3), Value::int64(30)}));
+  EXPECT_EQ(s3->row_of_pk(3), std::optional<uint32_t>(2));
   // The old snapshot is still readable: in-flight scans drain on it.
   EXPECT_EQ(s1->row_count(), 2u);
+  EXPECT_EQ(s1->select_all(), (Selection{0, 1}));
+  EXPECT_EQ(s1->materialize(1, {0, 1}),
+            (sql::Row{Value::int64(2), Value::int64(20)}));
+  EXPECT_FALSE(s1->row_of_pk(3).has_value());
   st = mgr.stats();
-  EXPECT_EQ(st.builds, 2u);
-  EXPECT_EQ(st.rebuilds, 1u);
+  EXPECT_EQ(st.builds, 1u);
+  EXPECT_EQ(st.rebuilds, 0u);
+  EXPECT_EQ(st.appends, 1u);
+  EXPECT_EQ(st.merges, 0u);
 
-  mgr.prune("t", db.table("t").mutation_version());
-  EXPECT_NE(mgr.cached("t"), nullptr);  // fresh: prune keeps it
-  mgr.prune("t", db.table("t").mutation_version() + 1);
-  EXPECT_EQ(mgr.cached("t"), nullptr);  // stale: dropped
+  // Two more rows: the tails merge, then grow to the base's size and fold
+  // into it — from column data, leaving s3 untouched.
+  db.insert_batch("t", {{Value::int64(4), Value::int64(40)},
+                        {Value::int64(5), Value::int64(50)}});
+  auto s4 = mgr.snapshot(db.table("t"));
+  EXPECT_EQ(s4->row_count(), 5u);
+  EXPECT_EQ(s4->chunk_count(), 1u);
+  EXPECT_EQ(s4->select(sql::Expr::equals("v", Value::int64(30))),
+            (Selection{2}));
+  EXPECT_EQ(s3->chunk_count(), 2u);
+  st = mgr.stats();
+  EXPECT_EQ(st.builds, 1u);
+  EXPECT_EQ(st.appends, 2u);
+  EXPECT_EQ(st.merges, 2u);
 
-  mgr.snapshot(db.table("t"));
   mgr.drop_all();
   EXPECT_EQ(mgr.stats().segments, 0u);
 }
@@ -405,15 +428,23 @@ TEST_F(ColumnarDbTest, ExplainNamesTheColumnarPlan) {
             std::string::npos);
 }
 
-TEST_F(ColumnarDbTest, MutationInvalidatesSegment) {
-  db_->execute("SELECT * FROM t");  // builds the segment
+TEST_F(ColumnarDbTest, InsertAppendsTailChunk) {
+  auto before_insert = db_->column_store()->snapshot(db_->table("t"));
   auto before = db_->column_store()->stats();
   db_->execute("INSERT INTO t VALUES (100, 'rome', 10000)");
   sql::ResultSet rs = db_->execute("SELECT * FROM t WHERE id = 100");
+  EXPECT_TRUE(rs.used_columnar);
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(rs.rows[0][1].as_text(), "rome");
   auto after = db_->column_store()->stats();
-  EXPECT_GT(after.rebuilds, before.rebuilds);
+  EXPECT_EQ(after.builds, before.builds);
+  EXPECT_EQ(after.rebuilds, 0u);
+  EXPECT_EQ(after.appends, before.appends + 1);
+  // The pre-insert snapshot is still whole and readable.
+  EXPECT_EQ(before_insert->row_count(), 40u);
+  EXPECT_EQ(before_insert->select(sql::Expr::equals("id", Value::int64(39))),
+            (Selection{39}));
+  check_both_paths("SELECT * FROM t");
 }
 
 TEST_F(ColumnarDbTest, ClearCacheDropsSegments) {
@@ -470,6 +501,196 @@ TEST_F(ColumnarDbTest, WireFastPathDeclinesWhatItCannotServe) {
   EXPECT_FALSE(db_->execute_sql_wire("SELECT * FROM t", &out));
   db_->set_columnar_enabled(true);
   EXPECT_TRUE(out.empty());  // every decline left the buffer untouched
+}
+
+// ------------------------------------------ Interleaved writes and reads
+
+// A seeded mix of writes — batches of 1-64 rows (pk ranges landing out of
+// order, many straddling a heap page), single-row INSERTs, and a
+// hidden-pk table — with a row-path vs columnar comparison after every
+// step. Segments must catch up by appending tail chunks: one full build
+// per table, no rebuilds, and a logarithmic chunk count.
+class InterleavedWritesTest : public ::testing::Test {
+ protected:
+  InterleavedWritesTest() : dir_("wre_col_interleave"), rng_(20190624) {
+    sql::DatabaseOptions opt;
+    opt.columnar = true;
+    db_ = std::make_unique<sql::Database>(dir_.str(), opt);
+    db_->execute(
+        "CREATE TABLE p (id INTEGER PRIMARY KEY, k INTEGER, city TEXT, "
+        "payload BLOB)");
+    db_->execute("CREATE INDEX i_pk ON p (k)");
+    db_->execute("CREATE TABLE h (k INTEGER, city TEXT, payload BLOB)");
+    db_->execute("CREATE INDEX i_hk ON h (k)");
+  }
+
+  uint64_t uniform(uint64_t lo, uint64_t hi) {
+    return std::uniform_int_distribution<uint64_t>(lo, hi)(rng_);
+  }
+
+  /// Cells after the primary key: an indexed key, a low-cardinality city
+  /// (sometimes NULL) and a 100-600 byte payload, so pages fill after a
+  /// handful of rows.
+  sql::Row cells() {
+    sql::Row row{Value::int64(static_cast<int64_t>(uniform(0, 9)))};
+    row.push_back(uniform(0, 9) == 0
+                      ? Value::null()
+                      : Value::text("c" + std::to_string(uniform(0, 4))));
+    row.push_back(Value::blob(Bytes(uniform(100, 600),
+                                    static_cast<uint8_t>(uniform(0, 255)))));
+    return row;
+  }
+
+  sql::Row p_row(int64_t id) {
+    sql::Row row{Value::int64(id)};
+    for (Value& v : cells()) row.push_back(std::move(v));
+    return row;
+  }
+
+  /// Inserts `rows` into `table`, noting batches that began on a
+  /// partly filled heap page and ended on a later one.
+  void insert(const std::string& table, const std::vector<sql::Row>& rows) {
+    const sql::Table& t = db_->table(table);
+    const uint64_t heap_bytes = t.data_size_bytes();
+    const bool partly_filled = t.row_count() > 0;
+    db_->insert_batch(table, rows);
+    if (partly_filled && rows.size() > 1 && t.data_size_bytes() > heap_bytes) {
+      ++straddles_;
+    }
+  }
+
+  void insert_one(const std::string& table, const sql::Row& row) {
+    std::string sql = "INSERT INTO " + table + " VALUES (";
+    for (size_t i = 0; i < row.size(); ++i) {
+      sql += (i ? ", " : "") + row[i].to_sql_literal();
+    }
+    db_->execute(sql + ")");
+  }
+
+  /// One seeded write step.
+  void write_step() {
+    switch (uniform(0, 4)) {
+      case 0: {  // a batch of fresh ids, in order
+        std::vector<sql::Row> rows;
+        for (uint64_t n = uniform(1, 64); n > 0; --n) {
+          rows.push_back(p_row(next_id_++));
+        }
+        insert("p", rows);
+        break;
+      }
+      case 1: {  // two clients' reserved id ranges landing in reverse
+        std::vector<sql::Row> first, second;
+        for (uint64_t n = uniform(1, 32); n > 0; --n) {
+          first.push_back(p_row(next_id_++));
+        }
+        for (uint64_t n = uniform(1, 32); n > 0; --n) {
+          second.push_back(p_row(next_id_++));
+        }
+        insert("p", second);
+        check_all();
+        insert("p", first);
+        break;
+      }
+      case 2:
+        insert_one("p", p_row(next_id_++));
+        break;
+      case 3: {
+        std::vector<sql::Row> rows;
+        for (uint64_t n = uniform(1, 64); n > 0; --n) rows.push_back(cells());
+        insert("h", rows);
+        break;
+      }
+      default:
+        insert_one("h", cells());
+        break;
+    }
+  }
+
+  /// Runs `sql` on the row path and the columnar path.
+  void check(const std::string& sql, bool expect_index) {
+    db_->set_columnar_enabled(false);
+    sql::ResultSet row = db_->execute(sql);
+    db_->set_columnar_enabled(true);
+    sql::ResultSet col = db_->execute(sql);
+    EXPECT_TRUE(col.used_columnar) << sql;
+    EXPECT_EQ(col.used_index, expect_index) << sql;
+    EXPECT_EQ(col.heap_fetches, 0u) << sql;
+    EXPECT_EQ(row.columns, col.columns) << sql;
+    EXPECT_EQ(row.rows, col.rows) << sql;
+    // The wire fast path serves exactly the scan plans, byte-identically.
+    Bytes fast;
+    const bool served = db_->execute_sql_wire(sql, &fast);
+    EXPECT_EQ(served, !expect_index) << sql;
+    if (served) {
+      net::WireWriter w;
+      net::encode_result_set(col, w);
+      EXPECT_EQ(fast, w.bytes()) << sql;
+    }
+  }
+
+  void check_all() {
+    const std::string city = "'c" + std::to_string(uniform(0, 4)) + "'";
+    const std::string k1 = std::to_string(uniform(0, 9));
+    const std::string k2 = std::to_string(uniform(0, 9));
+    for (const char* table : {"p", "h"}) {
+      const std::string from = std::string(" FROM ") + table;
+      check("SELECT *" + from, false);
+      check("SELECT *" + from + " WHERE city = " + city, false);
+      check("SELECT payload, k" + from + " WHERE city IN (" + city +
+                ", 'c0') OR k = " + k1,
+            false);
+      check("SELECT *" + from + " WHERE k IN (" + k1 + ", " + k2 + ")", true);
+      check("SELECT city, payload" + from + " WHERE k = " + k1 +
+                " AND city = " + city,
+            true);
+
+      const sql::Table& t = db_->table(table);
+      auto seg = db_->column_store()->snapshot(t);
+      ASSERT_EQ(seg->row_count(), t.row_count());
+      size_t bound = 1;  // ⌈log2 rows⌉ + 1
+      while ((uint64_t{1} << (bound - 1)) < t.row_count()) ++bound;
+      EXPECT_LE(seg->chunk_count(), bound) << table << " rows "
+                                           << t.row_count();
+    }
+    EXPECT_EQ(db_->column_store()->stats().rebuilds, 0u);
+  }
+
+  TempDir dir_;
+  std::mt19937_64 rng_;
+  std::unique_ptr<sql::Database> db_;
+  int64_t next_id_ = 0;
+  int straddles_ = 0;
+};
+
+TEST_F(InterleavedWritesTest, EveryStepMatchesRowPathWithoutRebuilds) {
+  for (int step = 0; step < 60; ++step) {
+    write_step();
+    check_all();
+    ASSERT_EQ(db_->column_store()->stats().builds, 2u) << "step " << step;
+  }
+  auto st = db_->column_store()->stats();
+  EXPECT_GT(st.appends, 0u);
+  EXPECT_GT(st.merges, 0u);
+  EXPECT_GT(straddles_, 5);
+
+  // Cold cache: one more full build per table, then appends again.
+  db_->clear_cache();
+  check_all();
+  EXPECT_EQ(db_->column_store()->stats().builds, 4u);
+  for (int step = 0; step < 10; ++step) {
+    write_step();
+    check_all();
+  }
+
+  // Writes while the store is off leave the cached segments behind; the
+  // first query after re-enabling catches up with a tail chunk.
+  db_->set_columnar_enabled(false);
+  for (int step = 0; step < 5; ++step) write_step();
+  db_->set_columnar_enabled(true);
+  check_all();
+  st = db_->column_store()->stats();
+  EXPECT_EQ(st.builds, 4u);
+  EXPECT_EQ(st.rebuilds, 0u);
 }
 
 }  // namespace
