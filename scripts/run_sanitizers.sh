@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Builds and runs the test suite under ThreadSanitizer and AddressSanitizer
-# (bench/ is excluded from sanitized builds; see the top-level CMakeLists).
+# Builds and runs the test suite under ThreadSanitizer and AddressSanitizer,
+# or UndefinedBehaviorSanitizer on request (bench/ is excluded from
+# sanitized builds; see the top-level CMakeLists).
 #
-#   scripts/run_sanitizers.sh                 # full suite under both sanitizers
-#   scripts/run_sanitizers.sh thread          # ThreadSanitizer only
-#   scripts/run_sanitizers.sh address -L fast # ASan, fast-labelled tests only
-#   scripts/run_sanitizers.sh -L fast         # both sanitizers, fast tests
+#   scripts/run_sanitizers.sh                   # full suite, TSan then ASan
+#   scripts/run_sanitizers.sh thread            # ThreadSanitizer only
+#   scripts/run_sanitizers.sh address -L fast   # ASan, fast-labelled tests only
+#   scripts/run_sanitizers.sh undefined -L fast # UBSan, fast-labelled tests
+#   scripts/run_sanitizers.sh -L fast           # TSan and ASan, fast tests
 #
-# An optional first argument of `thread` or `address` selects a single
-# sanitizer (used by CI to split the two runs across jobs); all remaining
-# arguments are forwarded to ctest.
+# An optional first argument of `thread`, `address` or `undefined` selects a
+# single sanitizer (used by CI to split the runs across jobs); all remaining
+# arguments are forwarded to ctest. UBSan builds make every finding fatal
+# (-fno-sanitize-recover), so a report fails its test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +37,8 @@ export WRE_SCALE_SECONDS=${WRE_SCALE_SECONDS:-1}
 export WRE_SCALE_RATE=${WRE_SCALE_RATE:-150}
 
 SANITIZERS="thread address"
-if [[ $# -gt 0 && ( "$1" == "thread" || "$1" == "address" ) ]]; then
+if [[ $# -gt 0 && ( "$1" == "thread" || "$1" == "address" ||
+                    "$1" == "undefined" ) ]]; then
   SANITIZERS="$1"
   shift
 fi

@@ -376,14 +376,15 @@ void TableSegment::for_each_run(const Selection& sel, Fn&& fn) const {
     return;
   }
   Selection local;
-  size_t i = 0;
-  for (const auto& chunk : chunks_) {
-    const uint32_t end = chunk->first_row + chunk->rows;
+  for (size_t i = 0; i < sel.size();) {
+    const Chunk* chunk = locate(sel[i]).first;
+    const uint32_t first = chunk->first_row;
+    const uint32_t end = first + chunk->rows;
     local.clear();
-    for (; i < sel.size() && sel[i] < end; ++i) {
-      local.push_back(sel[i] - chunk->first_row);
+    for (; i < sel.size() && sel[i] >= first && sel[i] < end; ++i) {
+      local.push_back(sel[i] - first);
     }
-    if (!local.empty()) fn(*chunk, local);
+    fn(*chunk, local);
   }
 }
 

@@ -75,7 +75,8 @@ class TableSegment {
   sql::Row materialize(uint32_t row,
                        const std::vector<size_t>& projection) const;
 
-  /// Bulk variant: appends one Row per selection entry to `out`,
+  /// Bulk variant: appends one Row per selection entry, in selection order
+  /// (which need not be ascending), to `out`,
   /// column-at-a-time so the type dispatch happens once per column rather
   /// than once per cell. Identical output to calling materialize() per row.
   void materialize_rows(const Selection& sel,
@@ -83,10 +84,11 @@ class TableSegment {
                         std::vector<sql::Row>* out) const;
 
   /// Late materialization straight to the network: appends the wire
-  /// encoding of every selected row (u32 value count, then each projected
-  /// cell in sql::Value::wire_encode layout) directly from the packed
-  /// columns — no sql::Value or Row is ever built. Byte-identical to
-  /// wire-encoding the rows materialize_rows() would produce.
+  /// encoding of every selected row, in selection order (which need not be
+  /// ascending) — u32 value count, then each projected cell in
+  /// sql::Value::wire_encode layout — directly from the packed columns; no
+  /// sql::Value or Row is ever built. Byte-identical to wire-encoding the
+  /// rows materialize_rows() would produce.
   void wire_encode_rows(const Selection& sel,
                         const std::vector<size_t>& projection,
                         Bytes* out) const;
@@ -105,9 +107,11 @@ class TableSegment {
 
   /// The chunk holding `row`, and the row's position inside it.
   std::pair<const Chunk*, uint32_t> locate(uint32_t row) const;
-  /// Calls fn(chunk, local) once per chunk that `sel` selects rows of,
-  /// with `local` the selected positions rebased to the chunk. A
-  /// single-chunk segment passes `sel` through untouched.
+  /// Splits `sel` into maximal runs of positions in one chunk and calls
+  /// fn(chunk, local) per run, in selection order, with `local` the run's
+  /// positions rebased to the chunk. Any order works: an ascending
+  /// selection gives one run per chunk. A single-chunk segment passes
+  /// `sel` through untouched.
   template <typename Fn>
   void for_each_run(const Selection& sel, Fn&& fn) const;
 

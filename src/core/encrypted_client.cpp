@@ -456,7 +456,7 @@ std::string EncryptedConnection::rewrite_select(const std::string& table,
 }
 
 Row EncryptedConnection::decrypt_row(const TableState& ts,
-                                     const Row& physical) const {
+                                     Row&& physical) const {
   Row logical;
   logical.reserve(ts.logical.column_count());
   for (size_t i = 0; i < ts.logical.column_count(); ++i) {
@@ -480,7 +480,7 @@ Row EncryptedConnection::decrypt_row(const TableState& ts,
 
     auto it = ts.encrypted.find(col.name);
     if (it == ts.encrypted.end()) {
-      logical.push_back(physical[off]);
+      logical.push_back(std::move(physical[off]));
       continue;
     }
     const Value& enc = physical[off + 1];
@@ -569,8 +569,8 @@ EncryptedQueryResult EncryptedConnection::select_star_and(
   sql::ResultSet rs = transport_->execute(sql);
   result.server_rows_returned = rs.rows.size();
 
-  for (const Row& physical : rs.rows) {
-    Row logical = decrypt_row(ts, physical);
+  for (Row& physical : rs.rows) {
+    Row logical = decrypt_row(ts, std::move(physical));
     bool keep = true;
     for (const Conjunct& c : conjuncts) {
       std::string col = sql::to_lower(c.column);
@@ -620,8 +620,8 @@ EncryptedQueryResult EncryptedConnection::select_star_range(
   result.server_rows_returned = server.rows.size();
 
   size_t col_idx = rs.logical_index;
-  for (const Row& physical : server.rows) {
-    Row logical = decrypt_row(ts, physical);
+  for (Row& physical : server.rows) {
+    Row logical = decrypt_row(ts, std::move(physical));
     const Value& v = logical[col_idx];
     if (!v.is_null() && v.as_int64() >= lo && v.as_int64() <= hi) {
       result.rows.push_back(std::move(logical));
@@ -647,8 +647,8 @@ EncryptedQueryResult EncryptedConnection::select_star(
   result.server_rows_returned = rs.rows.size();
 
   size_t col_idx = *ts.logical.index_of(column);
-  for (const Row& physical : rs.rows) {
-    Row logical = decrypt_row(ts, physical);
+  for (Row& physical : rs.rows) {
+    Row logical = decrypt_row(ts, std::move(physical));
     // Client-side filtering: drop bucketized false positives (and the
     // cryptographically negligible tag-collision ones) by comparing the
     // decrypted value against the query.
@@ -718,7 +718,7 @@ void EncryptedConnection::migrate_table(
   std::vector<Row> rows;
   rows.reserve(transport_->row_count(source));
   transport_->scan(source, [&](const Row& physical) {
-    rows.push_back(decrypt_row(src, physical));
+    rows.push_back(decrypt_row(src, Row(physical)));
   });
 
   // Estimate any missing distribution from the data itself.

@@ -300,7 +300,9 @@ class EncryptedConnection {
   std::unique_ptr<WreScheme> build_scheme(
       const std::string& table, const EncryptedColumnSpec& spec,
       const PlaintextDistribution* dist) const;
-  sql::Row decrypt_row(const TableState& ts, const sql::Row& physical) const;
+  /// The logical row of a physical one. Plaintext cells are moved out of
+  /// `physical`, so callers that keep the physical row pass a copy.
+  sql::Row decrypt_row(const TableState& ts, sql::Row&& physical) const;
 
   std::unique_ptr<DbTransport> owned_transport_;  // only the Database& ctor
   DbTransport* transport_;

@@ -9,7 +9,7 @@ HmacSha256::Key::Key(ByteView key) {
   if (key.size() > Sha256::kBlockSize) {
     auto digest = Sha256::digest(key);
     std::memcpy(block.data(), digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key's data() may be null
     std::memcpy(block.data(), key.data(), key.size());
   }
 

@@ -103,6 +103,8 @@ void Sha256::process_blocks(const uint8_t* blocks, size_t nblocks) {
 }
 
 void Sha256::update(ByteView data) {
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_len_ += data.size();
   size_t offset = 0;
 

@@ -4,7 +4,7 @@
 
 namespace wre::net {
 
-sql::ResultSet QueryBatcher::run(const sql::SelectStmt& stmt,
+Bytes QueryBatcher::run(const sql::SelectStmt& stmt,
                                  const ExecuteFn& execute) {
   if (!enabled()) {
     // Un-batched fast path: execute alone, same callback contract.
@@ -13,7 +13,7 @@ sql::ResultSet QueryBatcher::run(const sql::SelectStmt& stmt,
     std::vector<Item*> solo{&item};
     execute(solo);
     if (item.error) std::rethrow_exception(item.error);
-    return std::move(item.result);
+    return std::move(item.payload);
   }
 
   Item item;
@@ -62,7 +62,7 @@ sql::ResultSet QueryBatcher::run(const sql::SelectStmt& stmt,
     cv_.wait(lock, [&item] { return item.done; });
   }
   if (item.error) std::rethrow_exception(item.error);
-  return std::move(item.result);
+  return std::move(item.payload);
 }
 
 uint64_t QueryBatcher::batches() const {

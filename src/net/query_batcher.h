@@ -54,10 +54,11 @@ class QueryBatcher {
   };
 
   /// One query riding in a batch. The caller's execute callback fills
-  /// either `result` or `error` for every item it is handed.
+  /// either `payload` (the encoded kOkResult body) or `error` for every
+  /// item it is handed.
   struct Item {
     const sql::SelectStmt* stmt = nullptr;
-    sql::ResultSet result;
+    Bytes payload;
     std::exception_ptr error;
     bool done = false;
   };
@@ -73,8 +74,8 @@ class QueryBatcher {
 
   /// Submits `stmt` and blocks until it has been executed — by this thread
   /// (leader, or batching disabled) or by another query's leader. Returns
-  /// the result set or rethrows the execution error.
-  sql::ResultSet run(const sql::SelectStmt& stmt, const ExecuteFn& execute);
+  /// the encoded result or rethrows the execution error.
+  Bytes run(const sql::SelectStmt& stmt, const ExecuteFn& execute);
 
   /// Batch executions so far (each covers >= 1 query).
   uint64_t batches() const;

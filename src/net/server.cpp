@@ -852,10 +852,8 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       sql::ResultSet rs;
       if (is_read_sql(sql)) {
         auto lock = lock_shared(deadline_ms);
-        // Columnar late materialization: a scan-planned SELECT encodes its
-        // response straight from the column segment — the rows never exist
-        // as sql::Value objects on the server. Falls through to the
-        // ResultSet path for every other plan.
+        // Every SELECT plan encodes its response straight from the heap
+        // records or column segment; no sql::Row is built on the server.
         Bytes payload;
         if (db_.execute_sql_wire(sql, &payload)) {
           return Frame{Opcode::kOkResult, std::move(payload)};
@@ -970,44 +968,31 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       stmt.where = sql::Expr::in_list(tag_column, std::move(tags));
       // With batching enabled, scans landing in the same window execute
       // under ONE shared-lock acquisition (the batch leader's); each item
-      // still gets its own result (or error). Disabled, run() degenerates
+      // still gets its own response (or error). Disabled, run() degenerates
       // to exactly the old lock-and-execute path.
-      sql::ResultSet rs = batcher_.run(
+      Bytes response = batcher_.run(
           stmt, [this, deadline_ms](std::vector<QueryBatcher::Item*>& batch) {
             auto lock = lock_shared(deadline_ms);
             for (QueryBatcher::Item* it : batch) {
               try {
-                it->result = db_.execute_select(*it->stmt);
+                db_.execute_select_wire(*it->stmt, &it->payload);
               } catch (...) {
                 it->error = std::current_exception();
               }
             }
           });
-      encode_result_set(rs, w);
-      return Frame{Opcode::kOkResult, std::move(w.bytes())};
+      return Frame{Opcode::kOkResult, std::move(response)};
     }
     case Opcode::kScanTable: {
-      std::string table = r.string();
-      r.expect_end();
-      auto lock = lock_shared(deadline_ms);
-      // A table scan is SELECT * with no predicate — the columnar wire
-      // fast path applies whenever a segment is available.
+      // A table scan is SELECT * with no predicate.
       sql::SelectStmt star_stmt;
       star_stmt.star = true;
-      star_stmt.table = sql::to_lower(table);
+      star_stmt.table = r.string();
+      r.expect_end();
+      auto lock = lock_shared(deadline_ms);
       Bytes payload;
-      if (db_.execute_select_wire(star_stmt, &payload)) {
-        return Frame{Opcode::kOkResult, std::move(payload)};
-      }
-      sql::Table& t = db_.table(table);
-      sql::ResultSet rs;
-      for (const sql::Column& c : t.schema().columns()) {
-        rs.columns.push_back(c.name);
-      }
-      rs.rows.reserve(t.row_count());
-      t.scan([&](int64_t, const sql::Row& row) { rs.rows.push_back(row); });
-      encode_result_set(rs, w);
-      return Frame{Opcode::kOkResult, std::move(w.bytes())};
+      db_.execute_select_wire(star_stmt, &payload);
+      return Frame{Opcode::kOkResult, std::move(payload)};
     }
     default:
       throw NetworkError("wire: opcode " + std::string(opcode_name(op)) +

@@ -77,28 +77,6 @@ std::string basename_of(const std::string& path) {
 
 }  // namespace
 
-bool eval_expr(const Expr& expr, const Schema& schema, const Row& row) {
-  switch (expr.kind) {
-    case Expr::Kind::kEquals:
-    case Expr::Kind::kIn: {
-      auto idx = schema.index_of(expr.column);
-      if (!idx) throw SqlError("unknown column " + expr.column);
-      const Value& cell = row[*idx];
-      return std::any_of(expr.values.begin(), expr.values.end(),
-                         [&](const Value& v) { return cell.sql_equals(v); });
-    }
-    case Expr::Kind::kAnd:
-      return std::all_of(
-          expr.children.begin(), expr.children.end(),
-          [&](const Expr& c) { return eval_expr(c, schema, row); });
-    case Expr::Kind::kOr:
-      return std::any_of(
-          expr.children.begin(), expr.children.end(),
-          [&](const Expr& c) { return eval_expr(c, schema, row); });
-  }
-  throw SqlError("eval_expr: corrupt expression");
-}
-
 std::optional<std::pair<std::string, std::vector<Value>>>
 extract_single_column_disjunction(const Expr& expr) {
   std::string column;
@@ -253,22 +231,57 @@ ResultSet Database::execute_insert(const InsertStmt& stmt) {
 
 namespace {
 
-// Plan-time validation: every column referenced by the predicate must exist,
-// even if the scan never evaluates it (e.g. empty tables).
-void validate_expr_columns(const Expr& expr, const Schema& schema) {
-  switch (expr.kind) {
-    case Expr::Kind::kEquals:
-    case Expr::Kind::kIn:
-      if (!schema.index_of(expr.column)) {
-        throw SqlError("unknown column in WHERE clause: " + expr.column);
+/// A WHERE clause with every column resolved to its schema position once
+/// per query, evaluated on a record's encoded cells with sql_equals
+/// semantics: NULL and cross-type probes never match.
+class BoundExpr {
+ public:
+  BoundExpr(const Expr& expr, const Schema& schema)
+      : kind_(expr.kind), values_(&expr.values) {
+    switch (expr.kind) {
+      case Expr::Kind::kEquals:
+      case Expr::Kind::kIn: {
+        auto idx = schema.index_of(expr.column);
+        if (!idx) {
+          throw SqlError("unknown column in WHERE clause: " + expr.column);
+        }
+        column_ = *idx;
+        return;
       }
-      return;
-    case Expr::Kind::kAnd:
-    case Expr::Kind::kOr:
-      for (const Expr& c : expr.children) validate_expr_columns(c, schema);
-      return;
+      case Expr::Kind::kAnd:
+      case Expr::Kind::kOr:
+        children_.reserve(expr.children.size());
+        for (const Expr& c : expr.children) children_.emplace_back(c, schema);
+        return;
+    }
   }
-}
+
+  /// `cells` holds one view per schema column (Schema::split_record).
+  bool matches(const CellView* cells) const {
+    switch (kind_) {
+      case Expr::Kind::kEquals:
+      case Expr::Kind::kIn:
+        return std::any_of(
+            values_->begin(), values_->end(),
+            [&](const Value& v) { return cells[column_].sql_equals(v); });
+      case Expr::Kind::kAnd:
+        return std::all_of(
+            children_.begin(), children_.end(),
+            [&](const BoundExpr& c) { return c.matches(cells); });
+      case Expr::Kind::kOr:
+        return std::any_of(
+            children_.begin(), children_.end(),
+            [&](const BoundExpr& c) { return c.matches(cells); });
+    }
+    return false;
+  }
+
+ private:
+  Expr::Kind kind_;
+  const std::vector<Value>* values_;  // the statement's; it outlives this
+  size_t column_ = 0;
+  std::vector<BoundExpr> children_;
+};
 
 /// Resolves the SELECT list to column positions, appending the output
 /// column names to `names`. COUNT(*) yields an empty projection.
@@ -294,8 +307,7 @@ std::vector<size_t> resolve_projection(const SelectStmt& stmt,
   return projection;
 }
 
-/// The planner's probe choice, shared by execute_select and the wire fast
-/// path so both agree on when a multi-probe index plan wins:
+/// The planner's probe choice:
 ///  1. the whole WHERE is a single-column disjunction -> probe it (the
 ///     caller still checks the column is indexed);
 ///  2. WHERE is a conjunction with at least one indexed such child ->
@@ -320,290 +332,448 @@ std::optional<std::pair<std::string, std::vector<Value>>> choose_probe(
   return probe;
 }
 
-}  // namespace
-
-ResultSet Database::execute_select(const SelectStmt& stmt) {
-  Table& t = table(stmt.table);
-  const Schema& schema = t.schema();
-  if (stmt.where) validate_expr_columns(*stmt.where, schema);
-  ResultSet rs;
-
-  std::vector<size_t> projection =
-      resolve_projection(stmt, schema, &rs.columns);
-
-  uint64_t limit = stmt.limit.value_or(UINT64_MAX);
-  uint64_t count = 0;
-
-  auto emit_row = [&](int64_t pk, const Row* row) -> bool {
-    // Returns false once the limit is reached.
-    if (count >= limit) return false;
-    ++count;
-    if (stmt.count_star) return count < limit;
-    Row out;
-    out.reserve(projection.size());
-    for (size_t idx : projection) {
-      if (row == nullptr) {
-        // Index-only path: the only projectable column is the primary key.
-        out.push_back(Value::int64(pk));
-      } else {
-        out.push_back((*row)[idx]);
-      }
-    }
-    rs.rows.push_back(std::move(out));
-    return count < limit;
+/// One SELECT's plan, built once per statement. EXPLAIN renders it, and
+/// execute_select and execute_select_wire both run it (execute_plan), so
+/// what EXPLAIN reports is what runs, on either output.
+struct SelectPlan {
+  enum class Access {
+    kIndexOnly,   // probe the index; the pks are the answer
+    kIndexFetch,  // probe, then fetch and recheck each row
+    kScan,        // no usable probe: scan the table
   };
 
-  // Plan selection (see choose_probe): multi-probe index scan when the
-  // predicate offers an indexed probe set, sequential/columnar scan
-  // otherwise.
-  bool probe_is_whole_predicate = true;
-  std::optional<std::pair<std::string, std::vector<Value>>> probe =
-      choose_probe(stmt, t, &probe_is_whole_predicate);
+  const SelectStmt* stmt = nullptr;
+  const Table* table = nullptr;
+  std::vector<std::string> columns;
+  std::vector<size_t> projection;
+  /// The projection is every column in order: a heap record is then
+  /// byte for byte the body of its wire row.
+  bool whole_record = false;
+  std::optional<BoundExpr> where;
+  uint64_t limit = UINT64_MAX;
 
-  // Columnar routing (DESIGN.md §5.9): with the store enabled and the
-  // table above the size floor, a segment serves (a) the scan path
-  // outright — vectorized predicate kernels + late materialization — and
-  // (b) the record-fetch phase of index-probe plans, replacing the
-  // pk-index descent + heap read + record decode per selected row.
-  // Results are byte-identical to the row path in both uses: the scan
-  // emits heap order like the sequential scan, the fetch emits sorted-pk
-  // order like the serial fetch loop.
-  const bool columnar_route =
-      columnar_enabled_ && columnar_mgr_ != nullptr &&
-      t.row_count() >= columnar_min_rows_;
+  Access access = Access::kScan;
+  std::string probe_column;
+  size_t probe_terms = 0;            // probe values as written (EXPLAIN)
+  std::vector<Value> probe_values;   // sorted, deduplicated
+  bool residual = false;             // the probe covers only part of WHERE
 
-  if (stmt.explain) {
-    rs.columns = {"plan"};
-    std::string plan;
-    if (probe && t.has_index(probe->first)) {
-      auto pk_col = schema.primary_key_index();
-      bool pk_only =
-          !stmt.star && pk_col.has_value() &&
-          std::all_of(projection.begin(), projection.end(),
-                      [&](size_t i) { return i == *pk_col; });
-      bool idx_only =
-          (pk_only || stmt.count_star) && probe_is_whole_predicate;
-      plan = "multi-probe index scan on " + stmt.table + " using index(" +
-             probe->first + "), " + std::to_string(probe->second.size()) +
-             " probe(s)";
-      if (idx_only) plan += ", index-only";
-      if (!probe_is_whole_predicate) plan += ", recheck residual predicate";
-      if (!idx_only && columnar_route) plan += ", columnar materialization";
-    } else if (columnar_route) {
-      plan = "columnar scan on " + stmt.table;
-      if (stmt.where) plan += ", filter";
-    } else {
-      plan = "sequential scan on " + stmt.table;
-      if (stmt.where) plan += ", filter";
-    }
-    if (stmt.limit) plan += ", limit " + std::to_string(*stmt.limit);
-    rs.rows.push_back({Value::text(std::move(plan))});
-    return rs;
+  /// Non-null when the column store serves this table (DESIGN.md §5.9):
+  /// it then runs the scan outright, and the record fetch of index plans.
+  columnar::ColumnStoreManager* columnar = nullptr;
+  util::ThreadPool* pool = nullptr;  // null = serial
+  unsigned threads = 1;
+};
+
+SelectPlan make_plan(const SelectStmt& stmt, const Table& t,
+                     columnar::ColumnStoreManager* columnar,
+                     util::ThreadPool* pool, unsigned threads) {
+  const Schema& schema = t.schema();
+  SelectPlan p;
+  p.stmt = &stmt;
+  p.table = &t;
+  p.columnar = columnar;
+  p.pool = pool;
+  p.threads = threads;
+  // Plan-time validation: every column the predicate names must exist,
+  // even if the plan never evaluates it (e.g. empty tables).
+  if (stmt.where) p.where.emplace(*stmt.where, schema);
+  p.projection = resolve_projection(stmt, schema, &p.columns);
+  if (stmt.explain) p.columns = {"plan"};
+  p.whole_record = p.projection.size() == schema.column_count();
+  for (size_t i = 0; i < p.projection.size() && p.whole_record; ++i) {
+    p.whole_record = p.projection[i] == i;
   }
+  p.limit = stmt.limit.value_or(UINT64_MAX);
 
-  if (probe && t.has_index(probe->first)) {
-    rs.used_index = true;
-    auto pk_col = schema.primary_key_index();
+  bool whole_predicate = true;
+  auto probe = choose_probe(stmt, t, &whole_predicate);
+  if (!probe || !t.has_index(probe->first)) return p;
 
-    // Deduplicate probe values so `x = 1 OR x = 1` probes once.
-    std::vector<Value> values = probe->second;
-    std::sort(values.begin(), values.end(), [](const Value& a, const Value& b) {
-      return a.to_sql_literal() < b.to_sql_literal();
-    });
-    values.erase(std::unique(values.begin(), values.end()), values.end());
+  p.probe_column = std::move(probe->first);
+  p.probe_terms = probe->second.size();
+  p.residual = !whole_predicate;
+  // Deduplicate probe values so `x = 1 OR x = 1` probes once.
+  p.probe_values = std::move(probe->second);
+  std::sort(p.probe_values.begin(), p.probe_values.end());
+  p.probe_values.erase(
+      std::unique(p.probe_values.begin(), p.probe_values.end()),
+      p.probe_values.end());
 
-    // An index probe never needs the heap when the projection touches only
-    // the primary-key column (or COUNT(*)). Text-keyed indexes are
-    // hash-reduced to 64 bits, so an index-only answer carries a ~2^-64
-    // per-pair false-positive probability — the same trade a production
-    // hash index makes; projections that materialize rows recheck exactly.
-    bool pk_only_projection =
-        !stmt.star && pk_col.has_value() &&
-        std::all_of(projection.begin(), projection.end(),
-                    [&](size_t i) { return i == *pk_col; });
-    // A conjunction's residual predicates require the row, so index-only
-    // answers are possible only when the probe covers the whole WHERE.
-    bool index_only =
-        (pk_only_projection || stmt.count_star) && probe_is_whole_predicate;
+  // An index probe never needs the heap when the projection touches only
+  // the primary-key column (or COUNT(*)). Text-keyed indexes are
+  // hash-reduced to 64 bits, so an index-only answer carries a ~2^-64
+  // per-pair false-positive probability — the same trade a production
+  // hash index makes; projections that materialize rows recheck exactly.
+  // A conjunction's residual predicates require the row, so index-only
+  // answers are possible only when the probe covers the whole WHERE.
+  auto pk_col = schema.primary_key_index();
+  const bool pk_only =
+      !stmt.star && pk_col.has_value() &&
+      std::all_of(p.projection.begin(), p.projection.end(),
+                  [&](size_t i) { return i == *pk_col; });
+  p.access = (pk_only || stmt.count_star) && whole_predicate
+                 ? SelectPlan::Access::kIndexOnly
+                 : SelectPlan::Access::kIndexFetch;
+  return p;
+}
 
-    // Probe phase. With a worker pool the probes fan out in contiguous
-    // value slices; each slice collects its own pks and probe count, and
-    // the slice-ordered concatenation below feeds the same sort+unique as
-    // the serial path — parallel and serial runs produce identical pk
-    // lists. Below the threshold the fan-out overhead beats the win.
-    constexpr size_t kMinItemsPerTask = 8;
-    std::vector<int64_t> pks;
-    if (query_pool_ && values.size() >= 2 * kMinItemsPerTask) {
-      auto bounds = slice_bounds(values.size(), query_threads_);
-      size_t slices = bounds.size() - 1;
-      std::vector<std::vector<int64_t>> slice_pks(slices);
-      std::vector<uint64_t> slice_probes(slices, 0);
-      run_tasks(*query_pool_, slices, [&](size_t s) {
-        for (size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-          const Value& v = values[i];
-          if (v.is_null()) continue;
-          ++slice_probes[s];
-          auto matches = t.probe_index(probe->first, v);
-          slice_pks[s].insert(slice_pks[s].end(), matches.begin(),
-                              matches.end());
-        }
-      });
-      for (size_t s = 0; s < slices; ++s) {
-        rs.index_probes += slice_probes[s];
-        pks.insert(pks.end(), slice_pks[s].begin(), slice_pks[s].end());
-      }
-    } else {
-      for (const Value& v : values) {
-        if (v.is_null()) continue;
-        ++rs.index_probes;
-        auto matches = t.probe_index(probe->first, v);
-        pks.insert(pks.end(), matches.begin(), matches.end());
-      }
+std::string explain(const SelectPlan& p) {
+  const SelectStmt& stmt = *p.stmt;
+  std::string plan;
+  if (p.access != SelectPlan::Access::kScan) {
+    plan = "multi-probe index scan on " + stmt.table + " using index(" +
+           p.probe_column + "), " + std::to_string(p.probe_terms) +
+           " probe(s)";
+    if (p.access == SelectPlan::Access::kIndexOnly) {
+      plan += ", index-only";
     }
-    std::sort(pks.begin(), pks.end());
-    pks.erase(std::unique(pks.begin(), pks.end()), pks.end());
-
-    if (index_only) {
-      for (int64_t pk : pks) {
-        if (!emit_row(pk, nullptr)) break;
-      }
-    } else if (std::shared_ptr<const columnar::TableSegment> seg =
-                   columnar_route ? columnar_mgr_->snapshot(t) : nullptr) {
-      // Record-fetch phase from the column segment: binary-search the pk,
-      // recheck the predicate directly on the compressed columns, and
-      // materialize only the projected cells of surviving rows. Same
-      // sorted-pk emission order and limit semantics as the loops below.
-      rs.used_columnar = true;
-      for (int64_t pk : pks) {
-        if (count >= limit) break;
-        auto row_pos = seg->row_of_pk(pk);
-        if (!row_pos) {
-          // Defensive only: a fresh segment contains every indexed pk.
-          auto row = t.find_by_pk(pk);
-          if (!row) continue;
-          ++rs.heap_fetches;
-          if (!eval_expr(*stmt.where, schema, *row)) continue;
-          if (!emit_row(pk, &*row)) break;
-          continue;
-        }
-        if (!seg->row_matches(*stmt.where, *row_pos)) continue;  // recheck
-        ++count;
-        if (!stmt.count_star) {
-          ++rs.columnar_rows;
-          rs.rows.push_back(seg->materialize(*row_pos, projection));
-        }
-      }
-    } else if (query_pool_ && limit == UINT64_MAX &&
-               pks.size() >= 2 * kMinItemsPerTask) {
-      // Record-fetch phase, parallel variant: materialize all rows first
-      // (no LIMIT means every pk is needed), then recheck and emit in pk
-      // order exactly as the serial loop would.
-      std::vector<std::optional<Row>> fetched(pks.size());
-      auto bounds = slice_bounds(pks.size(), query_threads_);
-      run_tasks(*query_pool_, bounds.size() - 1, [&](size_t s) {
-        for (size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-          fetched[i] = t.find_by_pk(pks[i]);
-        }
-      });
-      for (size_t i = 0; i < pks.size(); ++i) {
-        if (!fetched[i]) continue;  // cannot happen in the append-only engine
-        ++rs.heap_fetches;
-        if (!eval_expr(*stmt.where, schema, *fetched[i])) continue;  // recheck
-        if (!emit_row(pks[i], &*fetched[i])) break;
-      }
-    } else {
-      for (int64_t pk : pks) {
-        auto row = t.find_by_pk(pk);
-        if (!row) continue;  // cannot happen in the append-only engine
-        ++rs.heap_fetches;
-        if (!eval_expr(*stmt.where, schema, *row)) continue;  // recheck
-        if (!emit_row(pk, &*row)) break;
-      }
-    }
-  } else if (std::shared_ptr<const columnar::TableSegment> seg =
-                 columnar_route ? columnar_mgr_->snapshot(t) : nullptr) {
-    // Columnar scan: one vectorized predicate pass over the compressed
-    // columns yields the selection vector (ascending row positions = heap
-    // order, the sequential scan's emission order); only selected rows are
-    // materialized, and COUNT(*) materializes none at all.
-    rs.used_columnar = true;
-    if (stmt.count_star && !stmt.where) {
-      count = std::min<uint64_t>(seg->row_count(), limit);
-    } else {
-      columnar::Selection sel =
-          stmt.where ? seg->select(*stmt.where) : seg->select_all();
-      if (sel.size() > limit) sel.resize(limit);
-      count = sel.size();
-      if (!stmt.count_star) {
-        rs.columnar_rows = sel.size();
-        seg->materialize_rows(sel, projection, &rs.rows);
-      }
+    if (p.residual) plan += ", recheck residual predicate";
+    if (p.access == SelectPlan::Access::kIndexFetch && p.columnar) {
+      plan += ", columnar materialization";
     }
   } else {
-    // Sequential scan. Table::scan has no early-exit channel; a LIMIT that
-    // is hit simply stops emitting.
-    t.scan([&](int64_t pk, const Row& row) {
-      if (count >= limit) return;
-      if (stmt.where && !eval_expr(*stmt.where, schema, row)) return;
-      ++rs.heap_fetches;
-      emit_row(pk, &row);
-    });
+    plan = (p.columnar ? "columnar scan on " : "sequential scan on ") +
+           stmt.table;
+    if (stmt.where) plan += ", filter";
+  }
+  if (stmt.limit) plan += ", limit " + std::to_string(*stmt.limit);
+  return plan;
+}
+
+/// What one execution did: the matched-row count and the executor
+/// counters ResultSet reports.
+struct ExecStats {
+  uint64_t rows = 0;  // rows matched within LIMIT (COUNT(*)'s answer)
+  uint64_t index_probes = 0;
+  uint64_t heap_fetches = 0;
+  uint64_t columnar_rows = 0;
+  bool used_index = false;
+  bool used_columnar = false;
+
+};
+
+/// Row sink for execute_select_wire: appends each result row as
+/// net::encode_result_set lays it out (u32 cell count, then the cells in
+/// Value::wire_encode layout). Heap records and their cells are copied
+/// as they are stored — that layout is the wire layout.
+class WireRows {
+ public:
+  explicit WireRows(const SelectPlan& p) : plan_(&p) {}
+
+  Bytes bytes;
+
+  void join(WireRows&& o) { append(bytes, o.bytes); }
+
+  void pk(int64_t pk) {
+    store_le32(bytes, static_cast<uint32_t>(plan_->projection.size()));
+    for (size_t i = 0; i < plan_->projection.size(); ++i) {
+      bytes.push_back(static_cast<uint8_t>(ValueType::kInt64));
+      store_le64(bytes, static_cast<uint64_t>(pk));
+    }
+  }
+  void record(const CellView* cells, ByteView record) {
+    store_le32(bytes, static_cast<uint32_t>(plan_->projection.size()));
+    if (plan_->whole_record) {
+      append(bytes, record);
+      return;
+    }
+    for (size_t idx : plan_->projection) append(bytes, cells[idx].encoded());
+  }
+  void segment_rows(const columnar::TableSegment& seg,
+                    const columnar::Selection& sel) {
+    seg.wire_encode_rows(sel, plan_->projection, &bytes);
+  }
+  void value(const Value& v) {
+    store_le32(bytes, 1);
+    v.wire_encode(bytes);
   }
 
-  if (stmt.count_star) {
-    rs.rows.push_back({Value::int64(static_cast<int64_t>(count))});
+ private:
+  const SelectPlan* plan_;
+};
+
+/// Row sink for execute_select: builds ResultSet rows, decoding only the
+/// projected cells of each record.
+class ResultRows {
+ public:
+  explicit ResultRows(const SelectPlan& p) : plan_(&p) {}
+
+  std::vector<Row> rows;
+
+  void join(ResultRows&& o) {
+    rows.insert(rows.end(), std::make_move_iterator(o.rows.begin()),
+                std::make_move_iterator(o.rows.end()));
   }
+
+  void pk(int64_t pk) {
+    rows.emplace_back(plan_->projection.size(), Value::int64(pk));
+  }
+  void record(const CellView* cells, ByteView) {
+    Row& out = rows.emplace_back();
+    out.reserve(plan_->projection.size());
+    for (size_t idx : plan_->projection) out.push_back(cells[idx].value());
+  }
+  void segment_rows(const columnar::TableSegment& seg,
+                    const columnar::Selection& sel) {
+    seg.materialize_rows(sel, plan_->projection, &rows);
+  }
+  void value(Value v) { rows.push_back({std::move(v)}); }
+
+ private:
+  const SelectPlan* plan_;
+};
+
+/// Below this many items per task, fan-out overhead beats the win.
+constexpr size_t kMinItemsPerTask = 8;
+
+/// Probe phase: the matching pks, sorted and unique. With a worker pool
+/// the probes fan out in contiguous value slices; each slice collects its
+/// own pks and probe count, and the slice-ordered concatenation feeds the
+/// same sort+unique as the serial path — parallel and serial runs produce
+/// identical pk lists.
+std::vector<int64_t> probe_pks(const SelectPlan& p, ExecStats& st) {
+  const std::vector<Value>& values = p.probe_values;
+  std::vector<int64_t> pks;
+  auto probe_range = [&](size_t from, size_t to, uint64_t* probes,
+                         std::vector<int64_t>* out) {
+    for (size_t i = from; i < to; ++i) {
+      if (values[i].is_null()) continue;
+      ++*probes;
+      auto matches = p.table->probe_index(p.probe_column, values[i]);
+      out->insert(out->end(), matches.begin(), matches.end());
+    }
+  };
+  if (p.pool != nullptr && values.size() >= 2 * kMinItemsPerTask) {
+    auto bounds = slice_bounds(values.size(), p.threads);
+    size_t slices = bounds.size() - 1;
+    std::vector<std::vector<int64_t>> slice_pks(slices);
+    std::vector<uint64_t> slice_probes(slices, 0);
+    run_tasks(*p.pool, slices, [&](size_t s) {
+      probe_range(bounds[s], bounds[s + 1], &slice_probes[s], &slice_pks[s]);
+    });
+    for (size_t s = 0; s < slices; ++s) {
+      st.index_probes += slice_probes[s];
+      pks.insert(pks.end(), slice_pks[s].begin(), slice_pks[s].end());
+    }
+  } else {
+    probe_range(0, values.size(), &st.index_probes, &pks);
+  }
+  std::sort(pks.begin(), pks.end());
+  pks.erase(std::unique(pks.begin(), pks.end()), pks.end());
+  return pks;
+}
+
+/// Runs `p` (not EXPLAIN), writing result rows to `sink` — none for
+/// COUNT(*), whose answer is the returned `rows`.
+template <typename Sink>
+ExecStats execute_plan(const SelectPlan& p, Sink& sink) {
+  const SelectStmt& stmt = *p.stmt;
+  const Table& t = *p.table;
+  const Schema& schema = t.schema();
+  const bool emit = !stmt.count_star;
+  ExecStats st;
+
+  // Fetches the record of `pk` from the heap, rechecks the predicate on
+  // its encoded cells and emits it — no Row, no record copy.
+  auto fetch = [&](int64_t pk, CellView* cells, Sink& out, ExecStats& s) {
+    t.visit_by_pk(pk, [&](ByteView record) {
+      schema.split_record(record, cells);
+      ++s.heap_fetches;
+      if (!p.where->matches(cells)) return;
+      ++s.rows;
+      if (emit) out.record(cells, record);
+    });
+  };
+  std::vector<CellView> cells(schema.column_count());
+  // Index-only plans never read rows, so they leave the segment alone: a
+  // snapshot would make it catch up with every insert.
+  std::shared_ptr<const columnar::TableSegment> seg =
+      p.columnar != nullptr && p.access != SelectPlan::Access::kIndexOnly
+          ? p.columnar->snapshot(t)
+          : nullptr;
+
+  if (p.access == SelectPlan::Access::kScan) {
+    if (seg != nullptr) {
+      // Columnar scan: one vectorized predicate pass over the compressed
+      // columns yields the selection vector (ascending row positions =
+      // heap order, the sequential scan's emission order); only selected
+      // rows are materialized, and COUNT(*) materializes none at all.
+      st.used_columnar = true;
+      if (stmt.count_star && !stmt.where) {
+        st.rows = std::min<uint64_t>(seg->row_count(), p.limit);
+        return st;
+      }
+      columnar::Selection sel =
+          stmt.where ? seg->select(*stmt.where) : seg->select_all();
+      if (sel.size() > p.limit) sel.resize(p.limit);
+      st.rows = sel.size();
+      if (emit) {
+        st.columnar_rows = sel.size();
+        sink.segment_rows(*seg, sel);
+      }
+      return st;
+    }
+    // Sequential scan in heap order. The heap scan has no early-exit
+    // channel; a LIMIT that is hit simply stops emitting.
+    t.scan_records([&](ByteView record) {
+      if (st.rows >= p.limit) return;
+      schema.split_record(record, cells.data());
+      if (p.where && !p.where->matches(cells.data())) return;
+      ++st.heap_fetches;
+      ++st.rows;
+      if (emit) sink.record(cells.data(), record);
+    });
+    return st;
+  }
+
+  st.used_index = true;
+  const std::vector<int64_t> pks = probe_pks(p, st);
+
+  if (p.access == SelectPlan::Access::kIndexOnly) {
+    for (int64_t pk : pks) {
+      if (st.rows >= p.limit) break;
+      ++st.rows;
+      if (emit) sink.pk(pk);
+    }
+  } else if (seg != nullptr) {
+    // Record fetch from the column segment: binary-search each pk, recheck
+    // the predicate on the compressed columns, and materialize the
+    // survivors' projected cells in one pass, in pk order.
+    st.used_columnar = true;
+    columnar::Selection sel;
+    auto flush = [&] {
+      if (emit && !sel.empty()) {
+        st.columnar_rows += sel.size();
+        sink.segment_rows(*seg, sel);
+      }
+      sel.clear();
+    };
+    for (int64_t pk : pks) {
+      if (st.rows >= p.limit) break;
+      auto row_pos = seg->row_of_pk(pk);
+      if (!row_pos) {
+        // Defensive only: a fresh segment contains every indexed pk.
+        flush();
+        fetch(pk, cells.data(), sink, st);
+        continue;
+      }
+      if (!seg->row_matches(*stmt.where, *row_pos)) continue;  // recheck
+      ++st.rows;
+      sel.push_back(*row_pos);
+    }
+    flush();
+  } else if (p.pool != nullptr && p.limit == UINT64_MAX &&
+             pks.size() >= 2 * kMinItemsPerTask) {
+    // Parallel record fetch (no LIMIT, so every pk is needed): each slice
+    // of the pk list fetches, rechecks and encodes into its own sink; the
+    // slices join in pk order, exactly the serial loop's output.
+    auto bounds = slice_bounds(pks.size(), p.threads);
+    const size_t slices = bounds.size() - 1;
+    std::vector<Sink> slice_sinks;
+    slice_sinks.reserve(slices);
+    for (size_t s = 0; s < slices; ++s) slice_sinks.emplace_back(p);
+    std::vector<ExecStats> slice_stats(slices);
+    run_tasks(*p.pool, slices, [&](size_t s) {
+      std::vector<CellView> slice_cells(schema.column_count());
+      for (size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
+        fetch(pks[i], slice_cells.data(), slice_sinks[s], slice_stats[s]);
+      }
+    });
+    for (size_t s = 0; s < slices; ++s) {
+      st.rows += slice_stats[s].rows;
+      st.heap_fetches += slice_stats[s].heap_fetches;
+      sink.join(std::move(slice_sinks[s]));
+    }
+  } else {
+    for (int64_t pk : pks) {
+      if (st.rows >= p.limit) break;
+      fetch(pk, cells.data(), sink, st);
+    }
+  }
+  return st;
+}
+
+}  // namespace
+
+columnar::ColumnStoreManager* Database::columnar_for(const Table& t) const {
+  const bool routed = columnar_enabled_ && columnar_mgr_ != nullptr &&
+                      t.row_count() >= columnar_min_rows_;
+  return routed ? columnar_mgr_.get() : nullptr;
+}
+
+ResultSet Database::execute_select(const SelectStmt& stmt) {
+  const Table& t = table(stmt.table);
+  const SelectPlan plan = make_plan(stmt, t, columnar_for(t),
+                                    query_pool_.get(), query_threads_);
+  ResultSet rs;
+  rs.columns = plan.columns;
+  if (stmt.explain) {
+    rs.rows.push_back({Value::text(explain(plan))});
+    return rs;
+  }
+  ResultRows sink(plan);
+  const ExecStats st = execute_plan(plan, sink);
+  rs.rows = std::move(sink.rows);
+  if (stmt.count_star) {
+    rs.rows.push_back({Value::int64(static_cast<int64_t>(st.rows))});
+  }
+  rs.index_probes = st.index_probes;
+  rs.heap_fetches = st.heap_fetches;
+  rs.used_index = st.used_index;
+  rs.used_columnar = st.used_columnar;
+  rs.columnar_rows = st.columnar_rows;
   return rs;
 }
 
-bool Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
-  if (stmt.explain || stmt.count_star) return false;
-  if (!columnar_enabled_ || columnar_mgr_ == nullptr) return false;
-  Table& t = table(stmt.table);
-  const Schema& schema = t.schema();
-  if (t.row_count() < columnar_min_rows_) return false;
-  if (stmt.where) validate_expr_columns(*stmt.where, schema);
-
-  // Only when the planner would scan: an indexed probe set means the
-  // multi-probe index plan wins and the caller takes the ResultSet path.
-  bool whole_predicate = true;
-  auto probe = choose_probe(stmt, t, &whole_predicate);
-  if (probe && t.has_index(probe->first)) return false;
-
-  std::shared_ptr<const columnar::TableSegment> seg =
-      columnar_mgr_->snapshot(t);
-  if (seg == nullptr) return false;
-
-  std::vector<std::string> names;
-  std::vector<size_t> projection = resolve_projection(stmt, schema, &names);
-  columnar::Selection sel =
-      stmt.where ? seg->select(*stmt.where) : seg->select_all();
-  uint64_t limit = stmt.limit.value_or(UINT64_MAX);
-  if (sel.size() > limit) sel.resize(limit);
-
-  // The result-set envelope, byte-for-byte what net::encode_result_set
-  // emits for this plan: column names, rows, then the executor counters a
-  // columnar scan reports (no probes, no heap fetches, no index).
-  store_le32(*out, static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) {
-    store_le32(*out, static_cast<uint32_t>(name.size()));
-    out->insert(out->end(), name.begin(), name.end());
+void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
+  const Table& t = table(stmt.table);
+  const SelectPlan plan = make_plan(stmt, t, columnar_for(t),
+                                    query_pool_.get(), query_threads_);
+  // The rows go straight into `*out`, after the envelope's column names
+  // and a row-count slot patched once the count is known.
+  WireRows sink(plan);
+  sink.bytes.swap(*out);
+  const size_t base = sink.bytes.size();
+  try {
+    store_le32(sink.bytes, static_cast<uint32_t>(plan.columns.size()));
+    for (const std::string& name : plan.columns) {
+      store_le32(sink.bytes, static_cast<uint32_t>(name.size()));
+      sink.bytes.insert(sink.bytes.end(), name.begin(), name.end());
+    }
+    const size_t count_at = sink.bytes.size();
+    store_le32(sink.bytes, 0);
+    ExecStats st;
+    uint64_t rows = 1;
+    if (stmt.explain) {
+      sink.value(Value::text(explain(plan)));
+    } else {
+      st = execute_plan(plan, sink);
+      if (stmt.count_star) {
+        sink.value(Value::int64(static_cast<int64_t>(st.rows)));
+      } else {
+        rows = st.rows;
+      }
+    }
+    store_le32(sink.bytes.data() + count_at, static_cast<uint32_t>(rows));
+    store_le64(sink.bytes, 0);  // rows_affected
+    store_le64(sink.bytes, st.index_probes);
+    store_le64(sink.bytes, st.heap_fetches);
+    sink.bytes.push_back(st.used_index ? 1 : 0);
+  } catch (...) {
+    sink.bytes.resize(base);
+    sink.bytes.swap(*out);
+    throw;
   }
-  store_le32(*out, static_cast<uint32_t>(sel.size()));
-  seg->wire_encode_rows(sel, projection, out);
-  store_le64(*out, 0);  // rows_affected
-  store_le64(*out, 0);  // index_probes
-  store_le64(*out, 0);  // heap_fetches
-  out->push_back(0);    // used_index
-  return true;
+  sink.bytes.swap(*out);
 }
 
 bool Database::execute_sql_wire(std::string_view sql, Bytes* out) {
-  if (!columnar_enabled_ || columnar_mgr_ == nullptr) return false;
   Statement stmt = parse_statement(sql);
   auto* select = std::get_if<SelectStmt>(&stmt);
   if (select == nullptr) return false;
-  return execute_select_wire(*select, out);
+  execute_select_wire(*select, out);
+  return true;
 }
 
 void Database::clear_cache() {

@@ -30,7 +30,7 @@ struct ResultSet {
 
   /// Executor counters for the run that produced this result.
   uint64_t index_probes = 0;   // B+-tree equality probes issued
-  uint64_t heap_fetches = 0;   // full rows materialized from the heap
+  uint64_t heap_fetches = 0;   // heap records read (and rechecked)
   bool used_index = false;     // false = sequential scan
   /// Columnar-path counters (local only; not wire-encoded — the network
   /// protocol's ResultSet layout is unchanged).
@@ -116,17 +116,19 @@ class Database {
   /// Executes a parsed SELECT (lets clients pre-build ASTs).
   ResultSet execute_select(const SelectStmt& stmt);
 
-  /// Wire-protocol fast path (late materialization to the network): when
-  /// `stmt` would plan as a columnar scan, appends the result set's wire
-  /// encoding — byte-identical to net::encode_result_set applied to
-  /// execute_select(stmt) — straight from the packed column segment to
-  /// `*out` and returns true. No sql::Value or Row is materialized. Returns
-  /// false, leaving `*out` untouched, whenever the columnar store is off,
-  /// an index plan wins, or the statement is EXPLAIN/COUNT(*) — callers
-  /// fall back to execute_select(). Same locking rules as execute_select.
-  bool execute_select_wire(const SelectStmt& stmt, Bytes* out);
+  /// execute_select with the result written straight in its wire form:
+  /// appends exactly the bytes net::encode_result_set(execute_select(stmt))
+  /// would produce — counters included — to `*out`. Both run the same plan;
+  /// only the row sink differs. No plan materializes a Row: heap records
+  /// are copied as stored (the record layout is the wire row layout, see
+  /// Value::wire_encode), or cell by cell for a projection; columnar plans
+  /// encode from the packed columns; index-only plans write the pks. On
+  /// error it throws and leaves `*out` as it was. Same locking rules as
+  /// execute_select.
+  void execute_select_wire(const SelectStmt& stmt, Bytes* out);
 
-  /// execute_select_wire over SQL text; non-SELECT statements return false.
+  /// execute_select_wire over SQL text. Returns false, leaving `*out`
+  /// untouched, for statements other than SELECT.
   bool execute_sql_wire(std::string_view sql, Bytes* out);
 
   /// Drops every cached page: the next query runs cold. Reproduces the
@@ -191,6 +193,9 @@ class Database {
   void write_catalog_file(const std::string& text);
 
   ResultSet execute_insert(const InsertStmt& stmt);
+  /// The column store when it serves `t` (enabled, and `t` above the size
+  /// floor); null sends every plan on `t` to the row path.
+  columnar::ColumnStoreManager* columnar_for(const Table& t) const;
 
   std::string dir_;
   storage::DiskManager disk_;
@@ -209,9 +214,6 @@ class Database {
   size_t columnar_dict_max_ = size_t{1} << 16;
   uint64_t columnar_min_rows_ = 0;
 };
-
-/// Evaluates a predicate against a row. Unknown columns raise SqlError.
-bool eval_expr(const Expr& expr, const Schema& schema, const Row& row);
 
 /// If `expr` is a disjunction of equality/IN predicates on one single
 /// column, returns (column, values); otherwise nullopt. This is the planner

@@ -66,77 +66,26 @@ void Schema::check_row(const Row& row) const {
 Bytes Schema::encode_row(const Row& row) const {
   check_row(row);
   Bytes out;
-  for (const Value& v : row) {
-    out.push_back(static_cast<uint8_t>(v.type()));
-    switch (v.type()) {
-      case ValueType::kNull:
-        break;
-      case ValueType::kInt64:
-        store_le64(out, static_cast<uint64_t>(v.as_int64()));
-        break;
-      case ValueType::kText: {
-        const std::string& s = v.as_text();
-        store_le32(out, static_cast<uint32_t>(s.size()));
-        append(out, to_bytes(s));
-        break;
-      }
-      case ValueType::kBlob: {
-        const Bytes& b = v.as_blob();
-        store_le32(out, static_cast<uint32_t>(b.size()));
-        append(out, b);
-        break;
-      }
-    }
-  }
+  for (const Value& v : row) v.wire_encode(out);
   return out;
+}
+
+void Schema::split_record(ByteView record, CellView* cells) const {
+  size_t pos = 0;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    cells[i] = read_cell(record, pos);
+  }
+  if (pos != record.size()) throw SqlError("record: trailing bytes");
 }
 
 Row Schema::decode_row(ByteView record) const {
   Row row;
   row.reserve(columns_.size());
   size_t pos = 0;
-  auto need = [&](size_t n) {
-    if (pos + n > record.size()) throw SqlError("decode_row: truncated record");
-  };
   for (size_t i = 0; i < columns_.size(); ++i) {
-    need(1);
-    auto t = static_cast<ValueType>(record[pos++]);
-    switch (t) {
-      case ValueType::kNull:
-        row.push_back(Value::null());
-        break;
-      case ValueType::kInt64: {
-        need(8);
-        row.push_back(Value::int64(
-            static_cast<int64_t>(load_le64(record.data() + pos))));
-        pos += 8;
-        break;
-      }
-      case ValueType::kText: {
-        need(4);
-        uint32_t len = load_le32(record.data() + pos);
-        pos += 4;
-        need(len);
-        row.push_back(Value::text(std::string(
-            reinterpret_cast<const char*>(record.data() + pos), len)));
-        pos += len;
-        break;
-      }
-      case ValueType::kBlob: {
-        need(4);
-        uint32_t len = load_le32(record.data() + pos);
-        pos += 4;
-        need(len);
-        row.push_back(Value::blob(
-            Bytes(record.data() + pos, record.data() + pos + len)));
-        pos += len;
-        break;
-      }
-      default:
-        throw SqlError("decode_row: corrupt type tag");
-    }
+    row.push_back(read_cell(record, pos).value());
   }
-  if (pos != record.size()) throw SqlError("decode_row: trailing bytes");
+  if (pos != record.size()) throw SqlError("record: trailing bytes");
   return row;
 }
 

@@ -42,11 +42,18 @@ class Schema {
   /// NULL allowed in non-PK columns). Throws SqlError on mismatch.
   void check_row(const Row& row) const;
 
-  /// Serializes a row for heap storage.
+  /// Serializes a row for heap storage: its cells back to back in the
+  /// Value::wire_encode layout, so a record is the body of a wire row.
   Bytes encode_row(const Row& row) const;
 
-  /// Parses a heap record back into a row. Throws SqlError on corruption.
+  /// Parses a heap record back into a row. Throws SqlError on corruption:
+  /// a truncated cell, an unknown type byte, or trailing bytes.
   Row decode_row(ByteView record) const;
+
+  /// decode_row without materializing anything: points cells[i] at column
+  /// i's encoded cell inside `record`. Applies exactly decode_row's checks
+  /// and throws the same SqlErrors. `cells` holds column_count() entries.
+  void split_record(ByteView record, CellView* cells) const;
 
   /// Appends the wire encoding (column count, then per column: name,
   /// type byte, primary-key flag) to `out` — how CREATE TABLE requests and

@@ -123,10 +123,9 @@ std::vector<int64_t> Table::insert_batch(const std::vector<Row>& rows) {
 }
 
 std::optional<Row> Table::find_by_pk(int64_t pk) const {
-  auto rids = pk_index_->find(static_cast<uint64_t>(pk));
-  if (rids.empty()) return std::nullopt;
-  Bytes record = heap_->read(storage::RecordId::unpack(rids.front()));
-  return schema_.decode_row(record);
+  std::optional<Row> row;
+  visit_by_pk(pk, [&](ByteView record) { row = schema_.decode_row(record); });
+  return row;
 }
 
 void Table::create_index(const std::string& column_name) {
@@ -195,6 +194,10 @@ std::vector<int64_t> Table::probe_index(const std::string& column_name,
 
 void Table::scan(const std::function<void(int64_t, const Row&)>& fn) const {
   scan_from(ScanCursor{}, fn);
+}
+
+void Table::scan_records(const std::function<void(ByteView)>& fn) const {
+  heap_->scan([&](storage::RecordId, ByteView record) { fn(record); });
 }
 
 Table::ScanCursor Table::scan_from(

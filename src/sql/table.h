@@ -58,6 +58,19 @@ class Table {
   /// readers (index probes, scans); writers require exclusion.
   std::optional<Row> find_by_pk(int64_t pk) const;
 
+  /// find_by_pk without decoding or copying: calls fn(record) with the
+  /// row's encoded heap record (Schema::encode_row layout), valid only
+  /// during the call, while its page is latched. Returns false, without
+  /// calling fn, when no row has primary key `pk`. Same thread-safety as
+  /// find_by_pk.
+  template <typename Fn>
+  bool visit_by_pk(int64_t pk, Fn&& fn) const {
+    auto rids = pk_index_->find(static_cast<uint64_t>(pk));
+    if (rids.empty()) return false;
+    heap_->visit(storage::RecordId::unpack(rids.front()), fn);
+    return true;
+  }
+
   /// Creates (and backfills) a secondary index on `column_name`.
   /// Throws SqlError if the column is unknown or already indexed.
   void create_index(const std::string& column_name);
@@ -77,6 +90,10 @@ class Table {
   /// Full scan in heap order: fn(primary_key, row). Thread-safe against
   /// other readers.
   void scan(const std::function<void(int64_t, const Row&)>& fn) const;
+
+  /// scan() of the encoded heap records, undecoded: fn(record), each view
+  /// valid only during its call.
+  void scan_records(const std::function<void(ByteView)>& fn) const;
 
   /// Where a heap-order scan stopped: the next record's heap position and
   /// its row ordinal (hidden primary keys are positional). The default

@@ -86,44 +86,84 @@ void Value::wire_encode(Bytes& out) const {
   }
 }
 
-namespace {
-
-void need(ByteView data, size_t pos, size_t n) {
-  if (n > data.size() || pos > data.size() - n) {
-    throw SqlError("Value: truncated wire encoding");
-  }
-}
-
-}  // namespace
-
-Value Value::wire_decode(ByteView data, size_t& pos) {
-  need(data, pos, 1);
-  uint8_t type = data[pos++];
-  switch (static_cast<ValueType>(type)) {
-    case ValueType::kNull:
-      return Value::null();
-    case ValueType::kInt64: {
-      need(data, pos, 8);
-      int64_t v = static_cast<int64_t>(load_le64(data.data() + pos));
-      pos += 8;
-      return Value::int64(v);
+CellView read_cell(ByteView data, size_t& pos) {
+  auto need = [&](size_t n) {
+    if (n > data.size() || pos > data.size() - n) {
+      throw SqlError("cell: truncated encoding");
     }
+  };
+  need(1);
+  const size_t start = pos++;
+  switch (static_cast<ValueType>(data[start])) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64:
+      need(8);
+      pos += 8;
+      break;
     case ValueType::kText:
     case ValueType::kBlob: {
-      need(data, pos, 4);
+      need(4);
       uint32_t len = load_le32(data.data() + pos);
       pos += 4;
-      // The length check also bounds the allocation below by the frame size.
-      need(data, pos, len);
-      const uint8_t* begin = data.data() + pos;
+      // The length check also bounds any later copy by the input size.
+      need(len);
       pos += len;
-      if (static_cast<ValueType>(type) == ValueType::kText) {
-        return Value::text(std::string(begin, begin + len));
-      }
-      return Value::blob(Bytes(begin, begin + len));
+      break;
     }
+    default:
+      throw SqlError("cell: unknown type byte " +
+                     std::to_string(data[start]));
   }
-  throw SqlError("Value: unknown wire type byte " + std::to_string(type));
+  return CellView{data.data() + start, pos - start};
+}
+
+int64_t CellView::int64() const {
+  return static_cast<int64_t>(load_le64(begin + 1));
+}
+
+std::string_view CellView::bytes() const {
+  return {reinterpret_cast<const char*>(begin + 5), size - 5};
+}
+
+bool CellView::sql_equals(const Value& v) const {
+  const ValueType t = type();
+  if (t == ValueType::kNull || t != v.type()) return false;
+  switch (t) {
+    case ValueType::kInt64:
+      return int64() == v.as_int64();
+    case ValueType::kText:
+      return bytes() == v.as_text();
+    case ValueType::kBlob: {
+      const Bytes& b = v.as_blob();
+      return bytes() ==
+             std::string_view(reinterpret_cast<const char*>(b.data()),
+                              b.size());
+    }
+    case ValueType::kNull:
+      break;
+  }
+  return false;
+}
+
+Value CellView::value() const {
+  switch (type()) {
+    case ValueType::kInt64:
+      return Value::int64(int64());
+    case ValueType::kText:
+      return Value::text(std::string(bytes()));
+    case ValueType::kBlob: {
+      const uint8_t* p = begin + 5;
+      return Value::blob(Bytes(p, p + (size - 5)));
+    }
+    case ValueType::kNull:
+      break;
+  }
+  return Value::null();
+}
+
+Value Value::wire_decode(ByteView data, size_t& pos) {
+  return read_cell(data, pos).value();
 }
 
 }  // namespace wre::sql

@@ -3,8 +3,10 @@
 // (plaintext columns) and blobs (AES-CTR ciphertexts).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "src/util/bytes.h"
@@ -48,10 +50,12 @@ class Value {
   /// Renders the value as a SQL literal (NULL, 42, 'escaped text', X'hex').
   std::string to_sql_literal() const;
 
-  /// Appends the wire encoding to `out`: a type byte, then for kInt64 the
+  /// Appends the cell encoding to `out`: a type byte, then for kInt64 the
   /// 8-byte little-endian value, for kText/kBlob a 32-bit little-endian
-  /// length followed by the raw bytes (kNull has no payload). This is the
-  /// row serialization the network protocol (src/net/wire.h) traffics in.
+  /// length followed by the raw bytes (kNull has no payload). This one
+  /// codec is both the heap record layout (Schema::encode_row) and the row
+  /// serialization the network protocol (src/net/wire.h) traffics in, so a
+  /// stored record is already the body of a wire row.
   void wire_encode(Bytes& out) const;
 
   /// Decodes one value starting at `data[pos]`, advancing `pos` past it.
@@ -62,6 +66,11 @@ class Value {
 
   /// Exact structural comparison (used by tests and containers).
   friend bool operator==(const Value&, const Value&) = default;
+  /// Total order: by type (NULL < INTEGER < TEXT < BLOB), then by value
+  /// (bytewise for TEXT and BLOB). Lets callers sort and dedupe values
+  /// without rendering them.
+  friend std::strong_ordering operator<=>(const Value&,
+                                          const Value&) = default;
 
  private:
   explicit Value(int64_t v) : data_(v) {}
@@ -70,5 +79,30 @@ class Value {
 
   std::variant<std::monostate, int64_t, std::string, Bytes> data_;
 };
+
+/// One encoded cell (Value::wire_encode layout), viewed in place inside a
+/// heap record or a frame. Valid only while the underlying bytes are.
+struct CellView {
+  const uint8_t* begin = nullptr;  // the type byte
+  size_t size = 0;                 // encoded bytes, type byte included
+
+  ValueType type() const { return static_cast<ValueType>(*begin); }
+  /// The whole encoded cell, ready to append to a wire row.
+  ByteView encoded() const { return {begin, size}; }
+  /// Payload accessors; the caller has checked type().
+  int64_t int64() const;
+  std::string_view bytes() const;  // kText / kBlob payload
+
+  /// Value::sql_equals(cell, v) without materializing the cell.
+  bool sql_equals(const Value& v) const;
+  /// Materializes the cell.
+  Value value() const;
+};
+
+/// Reads the cell starting at `data[pos]` and advances `pos` past it. Every
+/// read is bounds-checked against `data`; throws SqlError on a truncated
+/// cell or an unknown type byte. The decoder half of the cell codec: both
+/// Value::wire_decode and Schema::decode_row/split_record are built on it.
+CellView read_cell(ByteView data, size_t& pos);
 
 }  // namespace wre::sql

@@ -124,16 +124,21 @@ RecordId HeapFile::append_record(ByteView record) {
   return rid;
 }
 
+ByteView HeapFile::record_in(const uint8_t* page, uint16_t slot) {
+  if (slot >= load_u16(page)) throw StorageError("HeapFile: slot out of range");
+  const uint8_t* entry = page + kPageHeader + kSlotSize * slot;
+  uint16_t offset = load_u16(entry);
+  uint16_t length = load_u16(entry + 2);
+  if (size_t{offset} + length > kPageSize) {
+    throw StorageError("HeapFile: record overruns its page");
+  }
+  return ByteView(page + offset, length);
+}
+
 Bytes HeapFile::read(const RecordId& rid) const {
-  if (rid.page == kInvalidPage) throw StorageError("HeapFile: invalid record id");
-  PageGuard page = pool_.fetch(PageId{file_, rid.page}, LatchMode::kShared);
-  const uint8_t* p = page.data();
-  uint16_t count = load_u16(p);
-  if (rid.slot >= count) throw StorageError("HeapFile: slot out of range");
-  const uint8_t* slot = p + kPageHeader + kSlotSize * rid.slot;
-  uint16_t offset = load_u16(slot);
-  uint16_t length = load_u16(slot + 2);
-  return Bytes(p + offset, p + offset + length);
+  Bytes out;
+  visit(rid, [&](ByteView record) { out.assign(record.begin(), record.end()); });
+  return out;
 }
 
 void HeapFile::scan(const std::function<void(RecordId, ByteView)>& fn) const {
@@ -149,10 +154,7 @@ RecordId HeapFile::scan_from(
     const uint8_t* p = page.data();
     uint16_t count = load_u16(p);
     for (uint16_t s = pn == from.page ? from.slot : 0; s < count; ++s) {
-      const uint8_t* slot = p + kPageHeader + kSlotSize * s;
-      uint16_t offset = load_u16(slot);
-      uint16_t length = load_u16(slot + 2);
-      fn(RecordId{pn, s}, ByteView(p + offset, length));
+      fn(RecordId{pn, s}, record_in(p, s));
       next = RecordId{pn, static_cast<uint16_t>(s + 1)};
     }
   }

@@ -13,6 +13,7 @@
 
 #include "src/storage/buffer_pool.h"
 #include "src/util/bytes.h"
+#include "src/util/error.h"
 
 namespace wre::storage {
 
@@ -57,6 +58,17 @@ class HeapFile {
   /// Thread-safe against other readers (shared page latches).
   Bytes read(const RecordId& rid) const;
 
+  /// read() without the copy: calls fn(record) with a view into the page,
+  /// valid only during the call, while the page holds a shared latch.
+  template <typename Fn>
+  void visit(const RecordId& rid, Fn&& fn) const {
+    if (rid.page == kInvalidPage) {
+      throw StorageError("HeapFile: invalid record id");
+    }
+    PageGuard page = pool_.fetch(PageId{file_, rid.page}, LatchMode::kShared);
+    fn(record_in(page.data(), rid.slot));
+  }
+
   /// Position of the first record a fresh heap will hold (page 0 is
   /// metadata).
   static constexpr RecordId kFirstRecord{1, 0};
@@ -80,6 +92,9 @@ class HeapFile {
   FileId file() const { return file_; }
 
  private:
+  /// The record in `slot` of the latched data page `page`.
+  static ByteView record_in(const uint8_t* page, uint16_t slot);
+
   void load_or_init_meta();
   void save_meta();
   /// Places one record without persisting metadata; callers save_meta().

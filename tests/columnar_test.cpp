@@ -1,7 +1,7 @@
 // Unit tests for the in-memory columnar ciphertext store (DESIGN.md §5.9):
 // column layouts and scan kernels, segment build/select/materialization,
 // the ColumnStoreManager's snapshot and tail-chunk catch-up, and the
-// planner integration including the wire-protocol fast path — every
+// planner integration including the wire-protocol path — every
 // columnar answer checked against the row path it must be
 // indistinguishable from.
 #include <gtest/gtest.h>
@@ -447,6 +447,22 @@ TEST_F(ColumnarDbTest, InsertAppendsTailChunk) {
   check_both_paths("SELECT * FROM t");
 }
 
+TEST_F(ColumnarDbTest, IndexOnlyPlansLeaveTheSegmentAlone) {
+  db_->execute("CREATE INDEX i_city ON t (city)");
+  db_->execute("SELECT * FROM t");
+  const auto before = db_->column_store()->stats();
+  db_->execute("INSERT INTO t VALUES (100, 'rome', 10000)");
+  const std::string sql = "SELECT id FROM t WHERE city = 'rome'";
+  sql::ResultSet rs = db_->execute(sql);
+  EXPECT_FALSE(rs.used_columnar);
+  EXPECT_EQ(rs.rows.size(), 11u);
+  Bytes out;
+  ASSERT_TRUE(db_->execute_sql_wire(sql, &out));
+  const auto after = db_->column_store()->stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.appends, before.appends);
+}
+
 TEST_F(ColumnarDbTest, ClearCacheDropsSegments) {
   db_->execute("SELECT * FROM t");
   EXPECT_GT(db_->column_store()->stats().segments, 0u);
@@ -485,22 +501,38 @@ TEST_F(ColumnarDbTest, WireFastPathIsByteIdenticalToEncodedResultSet) {
   }
 }
 
-TEST_F(ColumnarDbTest, WireFastPathDeclinesWhatItCannotServe) {
+TEST_F(ColumnarDbTest, WirePathServesEveryPlanByteIdentically) {
   Bytes out;
-  // Non-SELECT, EXPLAIN and COUNT(*) fall back to the general executor.
+  // Statements other than SELECT are not served and leave the buffer be.
   EXPECT_FALSE(db_->execute_sql_wire("INSERT INTO t VALUES (200, 'x', 1)",
                                      &out));
-  EXPECT_FALSE(db_->execute_sql_wire("EXPLAIN SELECT * FROM t", &out));
-  EXPECT_FALSE(db_->execute_sql_wire("SELECT COUNT(*) FROM t", &out));
-  // An indexed probe plan wins over the columnar scan.
+  EXPECT_TRUE(out.empty());
   db_->execute("CREATE INDEX i_city ON t (city)");
-  EXPECT_FALSE(db_->execute_sql_wire(
-      "SELECT * FROM t WHERE city = 'rome'", &out));
-  // Columnar off: never engages.
-  db_->set_columnar_enabled(false);
-  EXPECT_FALSE(db_->execute_sql_wire("SELECT * FROM t", &out));
-  db_->set_columnar_enabled(true);
-  EXPECT_TRUE(out.empty());  // every decline left the buffer untouched
+  const char* shapes[] = {
+      "EXPLAIN SELECT * FROM t",
+      "SELECT COUNT(*) FROM t",
+      "SELECT * FROM t WHERE city = 'rome'",             // index fetch
+      "SELECT id FROM t WHERE city IN ('rome', 'oslo')",  // index-only
+      "SELECT zip, id FROM t WHERE city = 'lima' AND zip = 10001",
+      "SELECT * FROM t",
+  };
+  // Columnar on and off: each plan shape's response equals the encoded
+  // ResultSet, counters included.
+  for (bool columnar : {true, false}) {
+    db_->set_columnar_enabled(columnar);
+    for (const char* sql : shapes) {
+      Bytes fast;
+      ASSERT_TRUE(db_->execute_sql_wire(sql, &fast)) << sql;
+      net::WireWriter w;
+      net::encode_result_set(db_->execute(sql), w);
+      EXPECT_EQ(fast, w.bytes()) << sql << " columnar " << columnar;
+    }
+  }
+  // An error leaves what the buffer already held.
+  out = {1, 2, 3};
+  EXPECT_THROW(db_->execute_sql_wire("SELECT nope FROM t", &out),
+               SqlError);
+  EXPECT_EQ(out, (Bytes{1, 2, 3}));
 }
 
 // ------------------------------------------ Interleaved writes and reads
@@ -617,15 +649,12 @@ class InterleavedWritesTest : public ::testing::Test {
     EXPECT_EQ(col.heap_fetches, 0u) << sql;
     EXPECT_EQ(row.columns, col.columns) << sql;
     EXPECT_EQ(row.rows, col.rows) << sql;
-    // The wire fast path serves exactly the scan plans, byte-identically.
+    // The wire path serves every plan, byte-identically.
     Bytes fast;
-    const bool served = db_->execute_sql_wire(sql, &fast);
-    EXPECT_EQ(served, !expect_index) << sql;
-    if (served) {
-      net::WireWriter w;
-      net::encode_result_set(col, w);
-      EXPECT_EQ(fast, w.bytes()) << sql;
-    }
+    ASSERT_TRUE(db_->execute_sql_wire(sql, &fast)) << sql;
+    net::WireWriter w;
+    net::encode_result_set(col, w);
+    EXPECT_EQ(fast, w.bytes()) << sql;
   }
 
   void check_all() {

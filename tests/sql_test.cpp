@@ -206,14 +206,14 @@ TEST(Parser, AndOrPrecedenceAndParens) {
 TEST(Parser, GarbageNeverCrashes) {
   // Random byte soup must either parse or throw SqlError — no crashes, no
   // other exception types.
+  constexpr std::string_view kSoup =
+      " ()',=*;xX0123456789abcSELECTFROMWHEREINSERT\t\n\"%-";
   wre::Xoshiro256 rng(0xbadf00d);
   for (int trial = 0; trial < 2000; ++trial) {
     std::string input;
     size_t len = rng.next_below(60);
     for (size_t i = 0; i < len; ++i) {
-      input.push_back(
-          " ()',=*;xX0123456789abcSELECTFROMWHEREINSERT\t\n\"%-"[rng.next_below(
-              51)]);
+      input.push_back(kSoup[rng.next_below(kSoup.size())]);
     }
     try {
       (void)parse_statement(input);
