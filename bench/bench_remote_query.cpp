@@ -277,8 +277,6 @@ int main(int argc, char** argv) {
   // self-describing when topologies are compared across runs.
   // ------------------------------------------------------------------
   report.set_context("server_workers", std::to_string(server_threads));
-  report.set_context("server_batch_window_ms",
-                     std::to_string(server_options.batch_window_ms));
   report.set_context("pipeline_depth", std::to_string(pipeline_depth));
   report.set_context("client_connections", std::to_string(n_connections));
   report.set_context("shards", std::to_string(n_shards));

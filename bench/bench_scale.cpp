@@ -12,21 +12,16 @@
 // omission). The workload mixes point lookups (70%), IN-scans over 3
 // values (20%) and small bulk ingests (10%).
 //
-// Two query passes run over the same loaded database: one with
-// cross-tenant batching off, one with the server's batching window on
-// (--batch-window-ms), so BENCH_scale.json records what the batching
-// window buys in throughput and costs in latency, side by side.
-//
 // The defaults are a minutes-scale smoke configuration. The paper-scale
 // sweep is (see EXPERIMENTS.md "Scale"):
 //
-//   $ ./bench_scale --tenants 1000 --records 1000000 --rate 1200
-//       --duration-sec 12 --threads 8            # committed BENCH_scale.json
+//   $ ./bench_scale --tenants 1000 --records 1000000 --rate 500
+//       --duration-sec 12 --threads 8 --vocab 200  # committed BENCH_scale.json
 //   $ ./bench_scale --tenants 10000 --records 10000000 ...  # full 10M sweep
 //
 // Flags: --tenants N --records N --rate ARRIVALS_PER_SEC --duration-sec S
-//        --threads N --lambda L --vocab N --batch-window-ms MS
-//        --batch-max N --notes-bytes N --out BENCH_scale.json
+//        --threads N --lambda L --vocab N --notes-bytes N
+//        --out BENCH_scale.json
 #include <atomic>
 #include <chrono>
 #include <iomanip>
@@ -53,8 +48,6 @@ struct ScaleConfig {
   unsigned threads = 8;
   double lambda = 40;
   size_t vocab = 120;
-  uint32_t batch_window_ms = 2;
-  size_t batch_max = 64;
   size_t notes_bytes = 64;
   uint64_t seed = 0x5ca1e;
 };
@@ -224,9 +217,7 @@ void report_pass(bench::JsonReport& report, const std::string& name,
             << sc.rate << "/s, achieved " << achieved << "/s, p50 "
             << std::setprecision(2) << overall.p50 << " ms, p99 "
             << overall.p99 << " ms, p999 " << overall.p999 << " ms, late "
-            << r.late << ", errors " << r.errors << ", batches "
-            << server.query_batches() << " (coalesced "
-            << server.tag_scans_coalesced() << ")\n";
+            << r.late << ", errors " << r.errors << "\n";
 
   std::vector<std::pair<std::string, double>> metrics{
       {"offered_per_sec", sc.rate},
@@ -234,9 +225,6 @@ void report_pass(bench::JsonReport& report, const std::string& name,
       {"completed", static_cast<double>(completed)},
       {"late_arrivals", static_cast<double>(r.late)},
       {"errors", static_cast<double>(r.errors)},
-      {"server_query_batches", static_cast<double>(server.query_batches())},
-      {"server_tag_scans_coalesced",
-       static_cast<double>(server.tag_scans_coalesced())},
       {"server_dedup_hits", static_cast<double>(server.dedup_hits())}};
   overall.append_metrics("latency_ms_", &metrics);
   report.add(name + "/all", std::move(metrics));
@@ -265,9 +253,6 @@ int main(int argc, char** argv) {
   sc.threads = static_cast<unsigned>(args.get_int("threads", sc.threads));
   sc.lambda = args.get_double("lambda", sc.lambda);
   sc.vocab = static_cast<size_t>(args.get_int("vocab", 120));
-  sc.batch_window_ms = static_cast<uint32_t>(
-      args.get_int("batch-window-ms", sc.batch_window_ms));
-  sc.batch_max = static_cast<size_t>(args.get_int("batch-max", 64));
   sc.notes_bytes =
       static_cast<size_t>(args.get_int("notes-bytes", sc.notes_bytes));
   const std::string out_path = args.get_string("out", "BENCH_scale.json");
@@ -302,14 +287,12 @@ int main(int argc, char** argv) {
   report.set_context("rate_per_sec", std::to_string(sc.rate));
   report.set_context("threads", std::to_string(sc.threads));
   report.set_context("lambda", std::to_string(sc.lambda));
-  report.set_context("batch_window_ms", std::to_string(sc.batch_window_ms));
   report.set_context("duration_sec", std::to_string(sc.duration_sec));
 
   const int64_t per_tenant = std::max<int64_t>(1, sc.records / sc.tenants);
   const int64_t total_records = per_tenant * sc.tenants;
 
-  // ---- Pass 1: batching OFF — ingest, then the measured open-loop pass.
-  double ingest_seconds = 0;
+  // Ingest, then the measured open-loop pass.
   {
     net::ServerOptions so;
     so.port = 0;
@@ -346,7 +329,7 @@ int main(int argc, char** argv) {
       });
     }
     for (auto& w : loaders) w.join();
-    ingest_seconds = ingest_timer.elapsed_seconds();
+    const double ingest_seconds = ingest_timer.elapsed_seconds();
 
     uint64_t rows = shards[0].remote->row_count("main");
     if (static_cast<int64_t>(rows) != total_records) {
@@ -368,38 +351,7 @@ int main(int argc, char** argv) {
 
     PassResult r =
         run_open_loop(sc, shards, gen, /*extra_id_base=*/total_records);
-    report_pass(report, "scale/no_batch", sc, r, server);
-    server.stop();
-  }
-
-  // ---- Pass 2: cross-tenant batching ON, same database, fresh sessions.
-  if (sc.batch_window_ms > 0) {
-    net::ServerOptions so;
-    so.port = 0;
-    so.worker_threads = sc.threads + 2;
-    so.batch_window_ms = sc.batch_window_ms;
-    so.batch_max = sc.batch_max;
-    net::Server server(db, so);
-    server.start();
-    auto shards = make_shards(server.port(), sc.threads, master, cfg);
-    // Pre-warm every tenant's view (key derivation + table attach) so the
-    // measured pass compares batching against pass 1 on equal, warm terms.
-    {
-      std::vector<std::thread> warmers;
-      for (unsigned k = 0; k < sc.threads; ++k) {
-        warmers.emplace_back([&, k] {
-          for (int64_t t = k; t < sc.tenants;
-               t += static_cast<int64_t>(sc.threads)) {
-            shards[k].pool->connection(static_cast<uint64_t>(t));
-          }
-        });
-      }
-      for (auto& w : warmers) w.join();
-    }
-    PassResult r = run_open_loop(
-        sc, shards, gen,
-        /*extra_id_base=*/total_records + 64'000'000);
-    report_pass(report, "scale/batch", sc, r, server);
+    report_pass(report, "scale/open_loop", sc, r, server);
     server.stop();
   }
 

@@ -427,21 +427,9 @@ IngestStats EncryptedConnection::insert_bulk(const std::string& table,
 
 namespace {
 
-/// "<column>_tag IN (t1, t2, ...)" for a tag expansion.
-std::string tag_in_clause(const std::string& column,
-                          const std::vector<crypto::Tag>& tags) {
-  std::string sql = sql::to_lower(column) + "_tag IN (";
-  for (size_t i = 0; i < tags.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += Value::tag(tags[i]).to_sql_literal();
-  }
-  sql += ")";
-  return sql;
-}
-
-std::string tag_select_sql(const std::string& table, const std::string& column,
-                           const std::vector<crypto::Tag>& tags, bool star) {
-  return tag_scan_sql(table, sql::to_lower(column) + "_tag", tags, star);
+/// The physical search-tag column of logical column `column`.
+std::string tag_column(const std::string& column) {
+  return sql::to_lower(column) + "_tag";
 }
 
 }  // namespace
@@ -452,7 +440,7 @@ std::string EncryptedConnection::rewrite_select(const std::string& table,
                                                 bool star) {
   const ColumnState& cs = column_state(table, column);
   auto tags = search_tags_cached(cs, value);
-  return tag_select_sql(table, column, *tags, star);
+  return tag_scan_sql(table, tag_column(column), *tags, star);
 }
 
 Row EncryptedConnection::decrypt_row(const TableState& ts,
@@ -493,17 +481,33 @@ Row EncryptedConnection::decrypt_row(const TableState& ts,
   return logical;
 }
 
+void EncryptedConnection::decrypt_and_filter(
+    const TableState& ts, sql::ResultSet&& server,
+    const std::function<bool(const Row&)>& keep,
+    EncryptedQueryResult* result) const {
+  result->server_rows_returned = server.rows.size();
+  for (Row& physical : server.rows) {
+    Row logical = decrypt_row(ts, std::move(physical));
+    if (keep(logical)) {
+      result->rows.push_back(std::move(logical));
+    } else {
+      ++result->false_positives;
+    }
+  }
+}
+
 EncryptedQueryResult EncryptedConnection::select_ids(
     const std::string& table, const std::string& column,
     const std::string& value) {
   const ColumnState& cs = column_state(table, column);
   auto tags = search_tags_cached(cs, value);
+  const std::string tag_col = tag_column(column);
   EncryptedQueryResult result;
-  result.sql = tag_select_sql(table, column, *tags, /*star=*/false);
+  result.sql = tag_scan_sql(table, tag_col, *tags, /*star=*/false);
   result.tags_in_query = tags->size();
 
-  sql::ResultSet rs = transport_->tag_scan(
-      table, sql::to_lower(column) + "_tag", *tags, /*star=*/false);
+  sql::ResultSet rs =
+      transport_->tag_scan(table, tag_col, *tags, /*star=*/false);
   result.server_rows_returned = rs.rows.size();
   result.ids.reserve(rs.rows.size());
   for (const Row& row : rs.rows) result.ids.push_back(row[0].as_int64());
@@ -528,11 +532,11 @@ EncryptedQueryResult EncryptedConnection::select_ids_in(
   std::sort(tags.begin(), tags.end());
   tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
 
+  const std::string tag_col = tag_column(column);
   EncryptedQueryResult result;
-  result.sql = tag_select_sql(table, column, tags, /*star=*/false);
+  result.sql = tag_scan_sql(table, tag_col, tags, /*star=*/false);
   result.tags_in_query = tags.size();
-  sql::ResultSet rs = transport_->tag_scan(
-      table, sql::to_lower(column) + "_tag", tags, /*star=*/false);
+  sql::ResultSet rs = transport_->tag_scan(table, tag_col, tags, /*star=*/false);
   result.server_rows_returned = rs.rows.size();
   result.ids.reserve(rs.rows.size());
   for (const Row& row : rs.rows) result.ids.push_back(row[0].as_int64());
@@ -547,6 +551,10 @@ EncryptedQueryResult EncryptedConnection::select_star_and(
   const TableState& ts = state(table);
   EncryptedQueryResult result;
 
+  // A multi-column conjunction has no tag-scan form: it is the one search
+  // sent as SQL text. The server matches plaintext conjuncts exactly; each
+  // encrypted one is rechecked on the decrypted cell (logical index, value).
+  std::vector<std::pair<size_t, const std::string*>> rechecks;
   std::string sql = "SELECT * FROM " + sql::to_lower(table) + " WHERE ";
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     const Conjunct& c = conjuncts[i];
@@ -560,33 +568,23 @@ EncryptedQueryResult EncryptedConnection::select_star_and(
       sql += col + " = " + c.value.to_sql_literal();
       continue;
     }
-    auto tags = search_tags_cached(it->second, c.value.as_text());
+    const std::string& value = c.value.as_text();
+    auto tags = search_tags_cached(it->second, value);
     result.tags_in_query += tags->size();
-    sql += "(" + tag_in_clause(col, *tags) + ")";
+    sql += "(" + tag_in_sql(tag_column(col), *tags) + ")";
+    rechecks.emplace_back(it->second.logical_index, &value);
   }
   result.sql = sql;
 
-  sql::ResultSet rs = transport_->execute(sql);
-  result.server_rows_returned = rs.rows.size();
-
-  for (Row& physical : rs.rows) {
-    Row logical = decrypt_row(ts, std::move(physical));
-    bool keep = true;
-    for (const Conjunct& c : conjuncts) {
-      std::string col = sql::to_lower(c.column);
-      if (!ts.encrypted.contains(col)) continue;  // server matched exactly
-      const Value& cell = logical[*ts.logical.index_of(col)];
-      if (cell.is_null() || cell.as_text() != c.value.as_text()) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) {
-      result.rows.push_back(std::move(logical));
-    } else {
-      ++result.false_positives;
-    }
-  }
+  decrypt_and_filter(
+      ts, transport_->execute(sql),
+      [&](const Row& row) {
+        for (const auto& [idx, value] : rechecks) {
+          if (row[idx].is_null() || row[idx].as_text() != *value) return false;
+        }
+        return true;
+      },
+      &result);
   return result;
 }
 
@@ -599,36 +597,28 @@ EncryptedQueryResult EncryptedConnection::select_star_range(
     throw WreError("select_star_range: column is not range-encrypted: " +
                    column);
   }
-  const RangeColumnState& rs = rit->second;
+  const RangeColumnState& range = rit->second;
+  auto [b_lo, b_hi] = range.bucketizer->buckets_for_range(lo, hi);
+  std::vector<crypto::Tag> tags;
+  for (uint64_t b = b_lo; b_lo <= b_hi && b <= b_hi; ++b) {
+    tags.push_back(range.prf->range_tag(static_cast<uint32_t>(b)));
+  }
+
+  const std::string tag_col = tag_column(column);
   EncryptedQueryResult result;
+  result.sql = tag_scan_sql(table, tag_col, tags, /*star=*/true);
+  result.tags_in_query = tags.size();
+  if (tags.empty()) return result;  // empty range
 
-  auto [b_lo, b_hi] = rs.bucketizer->buckets_for_range(lo, hi);
-  std::string sql = "SELECT * FROM " + sql::to_lower(table) + " WHERE " +
-                    sql::to_lower(column) + "_tag IN (";
-  bool first = true;
-  for (uint32_t b = b_lo; b <= b_hi && b_lo <= b_hi; ++b) {
-    if (!first) sql += ", ";
-    first = false;
-    sql += Value::tag(rs.prf->range_tag(b)).to_sql_literal();
-    ++result.tags_in_query;
-  }
-  sql += ")";
-  result.sql = sql;
-  if (result.tags_in_query == 0) return result;  // empty range
-
-  sql::ResultSet server = transport_->execute(sql);
-  result.server_rows_returned = server.rows.size();
-
-  size_t col_idx = rs.logical_index;
-  for (Row& physical : server.rows) {
-    Row logical = decrypt_row(ts, std::move(physical));
-    const Value& v = logical[col_idx];
-    if (!v.is_null() && v.as_int64() >= lo && v.as_int64() <= hi) {
-      result.rows.push_back(std::move(logical));
-    } else {
-      ++result.false_positives;  // bucket-granularity overshoot, trimmed
-    }
-  }
+  // Bucket-granularity overshoot is trimmed on the decrypted value.
+  const size_t col_idx = range.logical_index;
+  decrypt_and_filter(
+      ts, transport_->tag_scan(table, tag_col, tags, /*star=*/true),
+      [&](const Row& row) {
+        const Value& v = row[col_idx];
+        return !v.is_null() && v.as_int64() >= lo && v.as_int64() <= hi;
+      },
+      &result);
   return result;
 }
 
@@ -638,26 +628,21 @@ EncryptedQueryResult EncryptedConnection::select_star(
   const TableState& ts = state(table);
   const ColumnState& cs = column_state(table, column);
   auto tags = search_tags_cached(cs, value);
+  const std::string tag_col = tag_column(column);
   EncryptedQueryResult result;
-  result.sql = tag_select_sql(table, column, *tags, /*star=*/true);
+  result.sql = tag_scan_sql(table, tag_col, *tags, /*star=*/true);
   result.tags_in_query = tags->size();
 
-  sql::ResultSet rs = transport_->tag_scan(
-      table, sql::to_lower(column) + "_tag", *tags, /*star=*/true);
-  result.server_rows_returned = rs.rows.size();
-
-  size_t col_idx = *ts.logical.index_of(column);
-  for (Row& physical : rs.rows) {
-    Row logical = decrypt_row(ts, std::move(physical));
-    // Client-side filtering: drop bucketized false positives (and the
-    // cryptographically negligible tag-collision ones) by comparing the
-    // decrypted value against the query.
-    if (!logical[col_idx].is_null() && logical[col_idx].as_text() == value) {
-      result.rows.push_back(std::move(logical));
-    } else {
-      ++result.false_positives;
-    }
-  }
+  // Client-side filtering: drop bucketized false positives (and the
+  // cryptographically negligible tag-collision ones) by comparing the
+  // decrypted value against the query.
+  const size_t col_idx = cs.logical_index;
+  decrypt_and_filter(
+      ts, transport_->tag_scan(table, tag_col, *tags, /*star=*/true),
+      [&](const Row& row) {
+        return !row[col_idx].is_null() && row[col_idx].as_text() == value;
+      },
+      &result);
   return result;
 }
 

@@ -11,6 +11,7 @@
 // column to hold the ... AES-encrypted data", Section VI-A).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -303,6 +304,12 @@ class EncryptedConnection {
   /// The logical row of a physical one. Plaintext cells are moved out of
   /// `physical`, so callers that keep the physical row pass a copy.
   sql::Row decrypt_row(const TableState& ts, sql::Row&& physical) const;
+  /// Decrypts every row the server returned for a SELECT *, keeping the
+  /// rows `keep` accepts in `result->rows` and counting the rest as false
+  /// positives; also records server_rows_returned.
+  void decrypt_and_filter(const TableState& ts, sql::ResultSet&& server,
+                          const std::function<bool(const sql::Row&)>& keep,
+                          EncryptedQueryResult* result) const;
 
   std::unique_ptr<DbTransport> owned_transport_;  // only the Database& ctor
   DbTransport* transport_;

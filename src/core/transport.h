@@ -54,13 +54,13 @@ class DbTransport {
       const std::string& table, const std::vector<sql::Row>& rows) = 0;
 
   /// The WRE hot path: SELECT id / SELECT * with `tag_column IN (tags)`.
-  /// The base implementation renders SQL text and goes through execute();
-  /// remote transports override it with a dedicated wire opcode so a
-  /// thousands-of-tags probe list never pays SQL rendering + parsing.
+  /// Every implementation executes the statement tag_scan_stmt() builds —
+  /// in process, or server-side behind the kTagScan opcode — so a
+  /// thousands-of-tags probe list never pays SQL rendering and parsing.
   virtual sql::ResultSet tag_scan(const std::string& table,
                                   const std::string& tag_column,
                                   const std::vector<uint64_t>& tags,
-                                  bool star);
+                                  bool star) = 0;
 
   /// Full-table scan in heap order (manifest recovery, migration).
   virtual void scan(const std::string& table,
@@ -83,6 +83,10 @@ class LocalTransport final : public DbTransport {
   sql::Schema table_schema(const std::string& table) override;
   std::vector<int64_t> insert_batch(
       const std::string& table, const std::vector<sql::Row>& rows) override;
+  sql::ResultSet tag_scan(const std::string& table,
+                          const std::string& tag_column,
+                          const std::vector<uint64_t>& tags,
+                          bool star) override;
   void scan(const std::string& table,
             const std::function<void(const sql::Row&)>& fn) override;
 
@@ -92,9 +96,19 @@ class LocalTransport final : public DbTransport {
   sql::Database& db_;
 };
 
-/// Renders "SELECT id|* FROM table WHERE tag_column IN (t1, ...)" — the
-/// query shape WRE Search produces. Shared by the default tag_scan path and
-/// by EncryptedConnection's rewritten-SQL reporting.
+/// The one statement behind every tag scan: "SELECT id|* FROM table WHERE
+/// tag_column IN (t1, ...)", the query shape WRE Search produces, built as
+/// an AST. An empty `tags` gives an empty IN list, which matches no row.
+sql::SelectStmt tag_scan_stmt(const std::string& table,
+                              const std::string& tag_column,
+                              const std::vector<uint64_t>& tags, bool star);
+
+/// Renders "tag_column IN (t1, ...)" as SQL text.
+std::string tag_in_sql(const std::string& tag_column,
+                       const std::vector<uint64_t>& tags);
+
+/// tag_scan_stmt() as SQL text: what EncryptedConnection reports as the
+/// rewritten query. No transport renders a tag scan to text to run it.
 std::string tag_scan_sql(const std::string& table,
                          const std::string& tag_column,
                          const std::vector<uint64_t>& tags, bool star);

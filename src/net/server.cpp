@@ -10,7 +10,7 @@
 #include <memory>
 #include <thread>
 
-#include "src/sql/ast.h"
+#include "src/core/transport.h"
 
 namespace wre::net {
 
@@ -30,6 +30,11 @@ constexpr size_t kMaxBatchRequests = 64;
 /// client cannot starve the rest of the loop (level-triggered epoll
 /// re-reports whatever is left).
 constexpr size_t kReadBudgetBytes = 256u << 10;
+
+/// Backpressure: per-connection cap on buffered unsent response bytes.
+/// Past it request execution for that connection pauses until the peer
+/// drains (a never-reading client is idle-reaped, not ballooned).
+constexpr size_t kMaxOutbufBytes = 8u << 20;
 
 /// Conservative write detection for ExecSql: only statements that are
 /// syntactically reads take the shared lock; everything else (INSERT,
@@ -80,9 +85,7 @@ Server::Server(sql::Database& db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
       listener_(options_.host, options_.port),
-      dedup_(options_.dedup),
-      batcher_(QueryBatcher::Options{options_.batch_window_ms,
-                                     options_.batch_max}) {}
+      dedup_(options_.dedup) {}
 
 Server::~Server() { stop(); }
 
@@ -585,7 +588,7 @@ void Server::maybe_dispatch(Conn* c) {
     }
   }
   if (c->pending.empty()) return;
-  if (c->outbuf.size() - c->outbuf_off >= options_.max_outbuf_bytes) {
+  if (c->outbuf.size() - c->outbuf_off >= kMaxOutbufBytes) {
     return;  // backpressure: the peer must drain its responses first
   }
   std::vector<PendingRequest> batch;
@@ -944,44 +947,24 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       return Frame{Opcode::kOkSchema, std::move(w.bytes())};
     }
     case Opcode::kTagScan: {
-      // The prepared multi-probe path: the tag list becomes an IN predicate
-      // AST directly — a 10k-tag WRE search never round-trips through SQL
-      // text on the server.
-      std::string table = sql::to_lower(r.string());
-      std::string tag_column = sql::to_lower(r.string());
+      // The prepared multi-probe path: the tag list becomes the IN
+      // predicate AST directly — a 10k-tag WRE search never round-trips
+      // through SQL text on the server.
+      std::string table = r.string();
+      std::string tag_column = r.string();
       bool star = r.u8() != 0;
       uint32_t ntags = r.u32();
       if (ntags > r.remaining() / 8) {
         throw NetworkError("wire: tag count overruns frame");
       }
-      std::vector<sql::Value> tags;
-      tags.reserve(ntags);
-      for (uint32_t i = 0; i < ntags; ++i) {
-        tags.push_back(sql::Value::tag(r.u64()));
-      }
+      std::vector<uint64_t> tags(ntags);
+      for (uint64_t& tag : tags) tag = r.u64();
       r.expect_end();
-
-      sql::SelectStmt stmt;
-      stmt.star = star;
-      if (!star) stmt.columns = {"id"};
-      stmt.table = table;
-      stmt.where = sql::Expr::in_list(tag_column, std::move(tags));
-      // With batching enabled, scans landing in the same window execute
-      // under ONE shared-lock acquisition (the batch leader's); each item
-      // still gets its own response (or error). Disabled, run() degenerates
-      // to exactly the old lock-and-execute path.
-      Bytes response = batcher_.run(
-          stmt, [this, deadline_ms](std::vector<QueryBatcher::Item*>& batch) {
-            auto lock = lock_shared(deadline_ms);
-            for (QueryBatcher::Item* it : batch) {
-              try {
-                db_.execute_select_wire(*it->stmt, &it->payload);
-              } catch (...) {
-                it->error = std::current_exception();
-              }
-            }
-          });
-      return Frame{Opcode::kOkResult, std::move(response)};
+      sql::SelectStmt stmt = core::tag_scan_stmt(table, tag_column, tags, star);
+      auto lock = lock_shared(deadline_ms);
+      Bytes payload;
+      db_.execute_select_wire(stmt, &payload);
+      return Frame{Opcode::kOkResult, std::move(payload)};
     }
     case Opcode::kScanTable: {
       // A table scan is SELECT * with no predicate.

@@ -68,7 +68,6 @@
 #include <vector>
 
 #include "src/net/dedup_cache.h"
-#include "src/net/query_batcher.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/sql/database.h"
@@ -111,21 +110,10 @@ struct ServerOptions {
   /// cache is keyed by (tenant id, idempotency key): one tenant's retries
   /// can never replay another tenant's recorded responses.
   DedupCache::Options dedup;
-  /// Opt-in cross-tenant query batching (see query_batcher.h): kTagScan
-  /// requests arriving within this window share one lock acquisition.
-  /// 0 (the default) disables batching. Trades up to window_ms of added
-  /// latency for throughput near saturation — bench_scale measures both.
-  uint32_t batch_window_ms = 0;
-  /// Batch size that closes a batching window early.
-  size_t batch_max = 64;
   /// Backpressure: per-connection cap on parsed-but-unexecuted pipelined
   /// requests. Past it the server stops reading that connection until its
   /// queue drains.
   size_t max_pipelined_requests = 128;
-  /// Backpressure: per-connection cap on buffered unsent response bytes.
-  /// Past it request execution for that connection pauses until the peer
-  /// drains (a never-reading client is idle-reaped, not ballooned).
-  size_t max_outbuf_bytes = 8u << 20;
   /// Shard topology this server believes it is part of (reported through
   /// the kShardInfo handshake; defaults describe an unsharded server).
   uint32_t shard_index = 0;
@@ -168,11 +156,6 @@ class Server {
   uint64_t dedup_hits() const { return dedup_.hits(); }
   /// Live connections right now (admission-control gauge).
   uint64_t live_sessions() const { return live_sessions_.load(); }
-  /// Batched tag-scan executions (each covered >= 1 query); 0 when
-  /// batching is disabled.
-  uint64_t query_batches() const { return batcher_.batches(); }
-  /// Tag scans that actually shared a batch with another query.
-  uint64_t tag_scans_coalesced() const { return batcher_.coalesced(); }
 
  private:
   /// One parsed request, or a pre-formed response from the frame parser
@@ -312,9 +295,6 @@ class Server {
   /// Idempotency-key replay cache (exactly-once retried mutations),
   /// keyed by (tenant, key).
   DedupCache dedup_;
-
-  /// Opt-in cross-tenant kTagScan batching (disabled at window 0).
-  QueryBatcher batcher_;
 
   std::atomic<uint64_t> sessions_accepted_{0};
   std::atomic<uint64_t> frames_served_{0};

@@ -9,7 +9,6 @@
 //              [--threads=0] [--read-timeout-ms=60000] [--max-frame-mb=64]
 //              [--query-threads=1] [--wal=1] [--checkpoint-interval-ms=60000]
 //              [--max-connections=0] [--request-deadline-ms=0]
-//              [--batch-window-ms=0] [--batch-max=64]
 //              [--shard-index=0] [--shard-count=1] [--columnar=0]
 //
 // Sharding: a fleet of wre_servers can split the tag space horizontally.
@@ -24,9 +23,7 @@
 // table — clients stamp a tenant id into each request (scoping the
 // idempotency cache) and hold per-tenant keys (crypto::TenantKeyring), so
 // tag namespaces are cryptographically disjoint without server-side
-// configuration. --batch-window-ms opts into cross-tenant query batching:
-// tag scans arriving within the window execute under one lock acquisition,
-// trading up to that much added latency for throughput near saturation.
+// configuration.
 //
 // Overload protection: --max-connections caps live sessions (0 = unlimited;
 // extras are shed with a retryable overloaded error) and
@@ -80,8 +77,6 @@ struct Flags {
   long checkpoint_interval_ms = 60000;
   long max_connections = 0;
   long request_deadline_ms = 0;
-  long batch_window_ms = 0;
-  long batch_max = 64;
   long shard_index = 0;
   long shard_count = 1;
   long columnar = 0;
@@ -95,7 +90,6 @@ struct Flags {
                "                  [--max-frame-mb=N] [--query-threads=N]\n"
                "                  [--wal=0|1] [--checkpoint-interval-ms=N]\n"
                "                  [--max-connections=N] [--request-deadline-ms=N]\n"
-               "                  [--batch-window-ms=N] [--batch-max=N]\n"
                "                  [--shard-index=N] [--shard-count=N]\n"
                "                  [--columnar=0|1]\n",
                message.c_str());
@@ -145,10 +139,6 @@ Flags parse_flags(int argc, char** argv) {
       flags.max_connections = parse_long(key, val);
     } else if (key == "--request-deadline-ms") {
       flags.request_deadline_ms = parse_long(key, val);
-    } else if (key == "--batch-window-ms") {
-      flags.batch_window_ms = parse_long(key, val);
-    } else if (key == "--batch-max") {
-      flags.batch_max = parse_long(key, val);
     } else if (key == "--shard-index") {
       flags.shard_index = parse_long(key, val);
     } else if (key == "--shard-count") {
@@ -170,12 +160,6 @@ Flags parse_flags(int argc, char** argv) {
   }
   if (flags.request_deadline_ms < 0) {
     usage_error("--request-deadline-ms must be >= 0");
-  }
-  if (flags.batch_window_ms < 0) {
-    usage_error("--batch-window-ms must be >= 0");
-  }
-  if (flags.batch_max <= 0) {
-    usage_error("--batch-max must be positive");
   }
   if (flags.shard_count <= 0) {
     usage_error("--shard-count must be positive");
@@ -241,8 +225,6 @@ int main(int argc, char** argv) {
     options.max_connections = static_cast<size_t>(flags.max_connections);
     options.request_deadline_ms =
         static_cast<uint32_t>(flags.request_deadline_ms);
-    options.batch_window_ms = static_cast<uint32_t>(flags.batch_window_ms);
-    options.batch_max = static_cast<size_t>(flags.batch_max);
     options.shard_index = static_cast<uint32_t>(flags.shard_index);
     options.shard_count = static_cast<uint32_t>(flags.shard_count);
 
@@ -274,13 +256,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(server.deadline_rejects()),
                  static_cast<unsigned long long>(server.dedup_hits()),
                  static_cast<unsigned long long>(server.accept_retries()));
-    if (server.query_batches() > 0) {
-      std::fprintf(
-          stderr,
-          "wre_server: batching: %llu batches, %llu scans coalesced\n",
-          static_cast<unsigned long long>(server.query_batches()),
-          static_cast<unsigned long long>(server.tag_scans_coalesced()));
-    }
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "wre_server: fatal: %s\n", e.what());

@@ -116,21 +116,16 @@ Database::Database(std::string dir, DatabaseOptions options)
   // log's committed writes were acknowledged and must not be lost.
   recovery_stats_ = storage::Wal::recover(dir_ + "/wal", dir_);
 
-  disk_.set_read_latency_micros(options.read_latency_us);
-  disk_.set_write_latency_micros(options.write_latency_us);
   pool_ = std::make_unique<storage::BufferPool>(disk_,
                                                 options.buffer_pool_pages);
   if (options.durability) {
     storage::WalOptions wal_opts;
-    wal_opts.segment_bytes = options.wal_segment_bytes;
-    wal_opts.group_window_us = options.wal_group_window_us;
     wal_opts.fsync = options.wal_fsync;
     wal_ = std::make_unique<storage::Wal>(dir_ + "/wal", wal_opts);
     pool_->set_wal_tracking(true);
   }
   load_catalog();
   if (options.query_threads != 1) set_query_threads(options.query_threads);
-  columnar_dict_max_ = options.columnar_dict_max;
   columnar_min_rows_ = options.columnar_min_rows;
   if (options.columnar) set_columnar_enabled(true);
 }
@@ -149,7 +144,6 @@ void Database::set_columnar_enabled(bool on) {
   columnar_enabled_ = on;
   if (on && columnar_mgr_ == nullptr) {
     columnar::ColumnStoreOptions opt;
-    opt.dict_max = columnar_dict_max_;
     opt.min_rows = columnar_min_rows_;
     columnar_mgr_ = std::make_unique<columnar::ColumnStoreManager>(opt);
   }

@@ -42,10 +42,6 @@ struct ResultSet {
 struct DatabaseOptions {
   /// Buffer-pool capacity in 4 KiB pages (default 64 MiB).
   size_t buffer_pool_pages = 16384;
-  /// Synthetic per-page read latency in microseconds (models disk seeks;
-  /// see DiskManager). Zero = off.
-  uint32_t read_latency_us = 0;
-  uint32_t write_latency_us = 0;
   /// Worker threads for multi-probe index scans (WRE's `tag IN (t1..tn)`
   /// queries fan out up to thousands of probes). 1 = serial executor;
   /// 0 = one per hardware thread. See set_query_threads().
@@ -56,10 +52,6 @@ struct DatabaseOptions {
   /// default: embedded experiments that never crash keep the old
   /// flush-on-checkpoint behaviour and pay zero logging cost.
   bool durability = false;
-  /// WAL segment rotation size (durability only).
-  uint64_t wal_segment_bytes = 16ull << 20;
-  /// Group-commit linger window in microseconds (0 = natural batching).
-  uint32_t wal_group_window_us = 0;
   /// fdatasync each commit group. Tests may disable to isolate logic from
   /// I/O latency; production durability requires true.
   bool wal_fsync = true;
@@ -71,9 +63,6 @@ struct DatabaseOptions {
   /// inserts, the next query appends only the new rows to it as a tail
   /// chunk. Off by default.
   bool columnar = false;
-  /// Per-column dictionary cardinality cap for column segments; columns
-  /// with more distinct values fall back to the plain dense layout.
-  size_t columnar_dict_max = size_t{1} << 16;
   /// Tables with fewer rows never get a segment (row path instead).
   uint64_t columnar_min_rows = 0;
 };
@@ -211,7 +200,6 @@ class Database {
   std::unique_ptr<util::ThreadPool> query_pool_;  // null when serial
   std::unique_ptr<columnar::ColumnStoreManager> columnar_mgr_;
   bool columnar_enabled_ = false;
-  size_t columnar_dict_max_ = size_t{1} << 16;
   uint64_t columnar_min_rows_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <thread>
 
+#include "src/core/transport.h"
 #include "src/net/channel.h"
 #include "src/net/remote_connection.h"
 #include "src/net/server.h"
@@ -345,6 +346,49 @@ TEST_F(NetServerTest, InsertBatchScanAndTagScan) {
   sql::ResultSet star = remote.tag_scan("kv", "tag", {3}, /*star=*/true);
   ASSERT_EQ(star.rows.size(), 10u);
   EXPECT_EQ(star.rows[0].size(), 3u);
+}
+
+// Every tag scan executes the statement core::tag_scan_stmt() builds, so
+// the in-process and the wire transport return what SQL-text execution of
+// the same query returns, executor counters included. An empty tag list has
+// no SQL text (the parser rejects "IN ()"); both transports give the same
+// empty result for it.
+TEST_F(NetServerTest, TagScanMatchesSqlTextLocallyAndRemotely) {
+  RemoteConnection remote = client();
+  remote.create_table("kv", kv_schema());
+  remote.create_index("kv", "tag");
+  std::vector<sql::Row> rows;
+  for (int64_t i = 0; i < 60; ++i) {
+    rows.push_back({sql::Value::int64(i), sql::Value::int64(i % 10),
+                    sql::Value::blob(Bytes{static_cast<uint8_t>(i)})});
+  }
+  remote.insert_batch("kv", rows);
+  core::LocalTransport local(db_);
+
+  auto expect_same = [](const sql::ResultSet& got, const sql::ResultSet& want) {
+    EXPECT_EQ(got.columns, want.columns);
+    EXPECT_EQ(got.rows, want.rows);
+    EXPECT_EQ(got.index_probes, want.index_probes);
+    EXPECT_EQ(got.heap_fetches, want.heap_fetches);
+    EXPECT_EQ(got.used_index, want.used_index);
+  };
+  // Unsorted, with a duplicate and a tag no row carries.
+  const std::vector<uint64_t> tags = {7, 3, 3, 42};
+  for (bool star : {false, true}) {
+    SCOPED_TRACE(star ? "SELECT *" : "SELECT id");
+    sql::ResultSet via_sql =
+        local.execute(core::tag_scan_sql("KV", "Tag", tags, star));
+    EXPECT_EQ(via_sql.rows.size(), 12u);
+    expect_same(local.tag_scan("KV", "Tag", tags, star), via_sql);
+    expect_same(remote.tag_scan("KV", "Tag", tags, star), via_sql);
+
+    EXPECT_THROW(local.execute(core::tag_scan_sql("kv", "tag", {}, star)),
+                 SqlError);
+    sql::ResultSet empty = local.tag_scan("kv", "tag", {}, star);
+    EXPECT_TRUE(empty.rows.empty());
+    EXPECT_EQ(empty.heap_fetches, 0u);
+    expect_same(remote.tag_scan("kv", "tag", {}, star), empty);
+  }
 }
 
 TEST_F(NetServerTest, ServerErrorsRethrowSameType) {

@@ -117,6 +117,83 @@ TEST_F(RemoteWreTest, RemoteMatchesInProcessExactly) {
   }
 }
 
+std::vector<sql::Row> sorted_by_id(std::vector<sql::Row> rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const sql::Row& a, const sql::Row& b) {
+              return a[0].as_int64() < b[0].as_int64();
+            });
+  return rows;
+}
+
+// Range searches travel as a kTagScan over the bucket tags, conjunctions as
+// SQL text. Over the same physical rows, both must match an in-process
+// client exactly: rows, false positives and the rewritten SQL.
+TEST_F(RemoteWreTest, RangeAndConjunctionMatchInProcessExactly) {
+  Bytes secret = entropy_.bytes(32);
+  core::EncryptedConnection remote_conn(remote_, secret);
+  std::map<std::string, core::PlaintextDistribution> dists;
+  dists.emplace("name", uniform_over(kNames));
+  remote_conn.create_table(
+      "people", people_schema(),
+      {{"name", core::SaltMethod::kBucketizedPoisson, 4},
+       {"city", core::SaltMethod::kFixed, 4}},
+      dists, {core::RangeColumnSpec("age", 20, 69, 8)});
+  const int64_t kRows = 150;
+  for (int64_t id = 0; id < kRows; ++id) {
+    remote_conn.insert("people", person(id));
+  }
+  core::EncryptedConnection local_conn(db_, secret);
+  local_conn.open_table("people");
+
+  auto expect_same = [](const core::EncryptedQueryResult& got,
+                        const core::EncryptedQueryResult& want) {
+    EXPECT_EQ(sorted_by_id(got.rows), sorted_by_id(want.rows));
+    EXPECT_EQ(got.server_rows_returned, want.server_rows_returned);
+    EXPECT_EQ(got.false_positives, want.false_positives);
+    EXPECT_EQ(got.tags_in_query, want.tags_in_query);
+    EXPECT_EQ(got.sql, want.sql);
+  };
+  auto count = [&](auto match) {
+    size_t n = 0;
+    for (int64_t id = 0; id < kRows; ++id) n += match(person(id)) ? 1 : 0;
+    return n;
+  };
+
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {20, 69}, {25, 31}, {40, 40}, {0, 10}, {50, 30}};
+  for (const auto& [lo, hi] : ranges) {
+    SCOPED_TRACE("age in [" + std::to_string(lo) + ", " +
+                 std::to_string(hi) + "]");
+    auto remote_res = remote_conn.select_star_range("people", "age", lo, hi);
+    expect_same(remote_res,
+                local_conn.select_star_range("people", "age", lo, hi));
+    EXPECT_EQ(remote_res.rows.size(), count([&](const sql::Row& r) {
+                return r[3].as_int64() >= lo && r[3].as_int64() <= hi;
+              }));
+  }
+
+  for (const auto& name : kNames) {
+    for (const auto& city : kCities) {
+      SCOPED_TRACE(name + " AND " + city);
+      std::vector<core::EncryptedConnection::Conjunct> conjuncts = {
+          {"name", sql::Value::text(name)}, {"city", sql::Value::text(city)}};
+      auto remote_res = remote_conn.select_star_and("people", conjuncts);
+      expect_same(remote_res, local_conn.select_star_and("people", conjuncts));
+      EXPECT_EQ(remote_res.rows.size(), count([&](const sql::Row& r) {
+                  return r[1].as_text() == name && r[2].as_text() == city;
+                }));
+    }
+  }
+  // A plaintext conjunct is matched by the server itself.
+  std::vector<core::EncryptedConnection::Conjunct> with_id = {
+      {"name", sql::Value::text(person(7)[1].as_text())},
+      {"id", sql::Value::int64(7)}};
+  auto remote_res = remote_conn.select_star_and("people", with_id);
+  expect_same(remote_res, local_conn.select_star_and("people", with_id));
+  ASSERT_EQ(remote_res.rows.size(), 1u);
+  EXPECT_EQ(remote_res.rows[0], person(7));
+}
+
 TEST_F(RemoteWreTest, OnlyTagsAndCiphertextReachTheServer) {
   Bytes secret = entropy_.bytes(32);
   core::EncryptedConnection conn(remote_, secret);
