@@ -11,6 +11,7 @@
 //           (BENCH_storage.json)
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <thread>
 
@@ -336,27 +337,6 @@ std::string in_list_sql(const std::string& column,
   return sql + ")";
 }
 
-/// net::encode_result_set's layout, replicated locally so the bench can
-/// measure and cross-check the wire fast path without linking wre_net.
-Bytes wire_encode_result(const sql::ResultSet& rs) {
-  Bytes out;
-  store_le32(out, static_cast<uint32_t>(rs.columns.size()));
-  for (const std::string& c : rs.columns) {
-    store_le32(out, static_cast<uint32_t>(c.size()));
-    out.insert(out.end(), c.begin(), c.end());
-  }
-  store_le32(out, static_cast<uint32_t>(rs.rows.size()));
-  for (const sql::Row& row : rs.rows) {
-    store_le32(out, static_cast<uint32_t>(row.size()));
-    for (const sql::Value& v : row) v.wire_encode(out);
-  }
-  store_le64(out, rs.rows_affected);
-  store_le64(out, rs.index_probes);
-  store_le64(out, rs.heap_fetches);
-  out.push_back(rs.used_index ? 1 : 0);
-  return out;
-}
-
 /// Byte-identity check between the row-path and columnar-path results of
 /// one query. The columnar store must be invisible in the output — any
 /// divergence is a correctness bug, so the bench aborts loudly.
@@ -432,78 +412,63 @@ int run_scan_bench(const bench::Args& args) {
   std::printf("cross-path check: all 4 query shapes byte-identical\n");
 
   // The remote serving shape: what a wre_server spends per select_star
-  // response. Row path = execute + encode every Value; columnar wire path
-  // = execute_select_wire, which encodes straight from the packed columns
-  // (late materialization — no Value is ever built). This is the headline
-  // select_star number: the same response bytes, produced server-side.
+  // response. Both passes time execute_select_wire, the call the server
+  // serves from: the row path encodes heap records, the columnar path
+  // encodes straight from the packed columns (late materialization — no
+  // Value is ever built).
   {
-    db.set_columnar_enabled(false);
-    sql::ResultSet rs;
-    auto row_pass = [&] { rs = db.execute(q_star); return wire_encode_result(rs); };
-    Bytes row_bytes = row_pass();
-    std::vector<double> ms;
-    Timer timer;
-    for (int64_t i = 0; i < star_iters; ++i) {
-      Timer one;
-      Bytes b = row_pass();
-      ms.push_back(one.elapsed_millis());
-      if (b.size() != row_bytes.size()) return 1;
-    }
-    double secs = timer.elapsed_seconds();
-    double qps = secs > 0 ? static_cast<double>(star_iters) / secs : 0;
-    auto lat = bench::LatencySummary::of(std::move(ms));
-    std::printf("%-34s %9.0f qps  p50 %7.3f ms  p99 %7.3f ms\n",
-                "scan/select_star/row_wire", qps, lat.p50, lat.p99);
-    std::vector<std::pair<std::string, double>> metrics{
-        {"qps", qps},
-        {"response_bytes", static_cast<double>(row_bytes.size())},
-        {"seconds", secs}};
-    lat.append_metrics("latency_ms_", &metrics);
-    report.add("scan/select_star/row_wire", std::move(metrics));
-
-    db.set_columnar_enabled(true);
     sql::SelectStmt star_stmt;
     star_stmt.star = true;
     star_stmt.table = "main";
-    Bytes col_bytes;
-    db.execute_select_wire(star_stmt, &col_bytes);
-    // Identity is over the logical result; the executor-counter trailer
-    // legitimately differs by plan (the heap scan reports heap_fetches,
-    // the columnar scan reports none). Zero the counters on the row-path
-    // reference before comparing.
-    rs.heap_fetches = 0;
-    rs.index_probes = 0;
-    rs.used_index = false;
-    row_bytes = wire_encode_result(rs);
-    if (col_bytes != row_bytes) {
+    // Returns the response payload, or empty bytes after a FATAL.
+    auto wire_pass = [&](const char* name, bool columnar) {
+      db.set_columnar_enabled(columnar);
+      Bytes first;
+      db.execute_select_wire(star_stmt, &first);
+      Bytes reuse;  // execute_select_wire appends: a serving loop reuses its
+                    // response buffer, so the bench does too
+      std::vector<double> ms;
+      Timer timer;
+      for (int64_t i = 0; i < star_iters; ++i) {
+        Timer one;
+        reuse.clear();
+        db.execute_select_wire(star_stmt, &reuse);
+        ms.push_back(one.elapsed_millis());
+        if (reuse != first) {
+          std::fprintf(stderr, "FATAL: %s: response changed between runs\n",
+                       name);
+          return Bytes();
+        }
+      }
+      double secs = timer.elapsed_seconds();
+      double qps = secs > 0 ? static_cast<double>(star_iters) / secs : 0;
+      auto lat = bench::LatencySummary::of(std::move(ms));
+      std::printf("%-34s %9.0f qps  p50 %7.3f ms  p99 %7.3f ms\n", name, qps,
+                  lat.p50, lat.p99);
+      std::vector<std::pair<std::string, double>> metrics{
+          {"qps", qps},
+          {"response_bytes", static_cast<double>(first.size())},
+          {"seconds", secs}};
+      lat.append_metrics("latency_ms_", &metrics);
+      report.add(name, std::move(metrics));
+      return first;
+    };
+    const Bytes row_bytes = wire_pass("scan/select_star/row_wire", false);
+    const Bytes col_bytes = wire_pass("scan/select_star/columnar_wire", true);
+    // Identity is over the logical result. The 25-byte trailer of executor
+    // counters (rows_affected, index_probes, heap_fetches as u64, used_index
+    // as u8) legitimately differs by plan: the heap scan reports
+    // heap_fetches, the columnar scan reports none.
+    constexpr size_t kTrailer = 25;
+    if (row_bytes.size() < kTrailer || row_bytes.size() != col_bytes.size() ||
+        !std::equal(row_bytes.begin(), row_bytes.end() - kTrailer,
+                    col_bytes.begin())) {
       std::fprintf(stderr,
                    "FATAL: columnar wire encoding diverges from the row "
                    "path (%zu vs %zu bytes)\n",
                    col_bytes.size(), row_bytes.size());
       return 1;
     }
-    ms.clear();
-    Bytes reuse;  // execute_select_wire appends: a serving loop reuses its
-                  // response buffer, so the bench does too
-    Timer col_timer;
-    for (int64_t i = 0; i < star_iters; ++i) {
-      Timer one;
-      reuse.clear();
-      db.execute_select_wire(star_stmt, &reuse);
-      ms.push_back(one.elapsed_millis());
-      if (reuse.size() != row_bytes.size()) return 1;
-    }
-    secs = col_timer.elapsed_seconds();
-    qps = secs > 0 ? static_cast<double>(star_iters) / secs : 0;
-    lat = bench::LatencySummary::of(std::move(ms));
-    std::printf("%-34s %9.0f qps  p50 %7.3f ms  p99 %7.3f ms\n",
-                "scan/select_star/columnar_wire", qps, lat.p50, lat.p99);
-    std::vector<std::pair<std::string, double>> col_metrics{
-        {"qps", qps},
-        {"response_bytes", static_cast<double>(col_bytes.size())},
-        {"seconds", secs}};
-    lat.append_metrics("latency_ms_", &col_metrics);
-    report.add("scan/select_star/columnar_wire", std::move(col_metrics));
     std::printf("wire cross-path check: responses byte-identical\n");
   }
 

@@ -5,7 +5,6 @@ namespace wre::columnar {
 std::shared_ptr<const TableSegment> ColumnStoreManager::snapshot(
     const sql::Table& t) {
   const uint64_t rows = t.row_count();
-  if (rows < options_.min_rows) return nullptr;
   SegmentOptions opt;
   opt.dict_max = options_.dict_max;
 

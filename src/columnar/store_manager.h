@@ -35,9 +35,6 @@ namespace wre::columnar {
 struct ColumnStoreOptions {
   /// Per-column dictionary cardinality cap (see SegmentOptions).
   size_t dict_max = size_t{1} << 16;
-  /// Tables with fewer rows are not worth a segment; snapshot() returns
-  /// null and the planner stays on the row path.
-  uint64_t min_rows = 0;
 };
 
 class ColumnStoreManager {
@@ -47,8 +44,7 @@ class ColumnStoreManager {
 
   /// A snapshot of `t` holding every row it has: the cached segment when
   /// it is current, the cached segment extended by a tail chunk when rows
-  /// were appended since, a full build when nothing is cached. Returns
-  /// null when the table is below min_rows.
+  /// were appended since, a full build when nothing is cached.
   std::shared_ptr<const TableSegment> snapshot(const sql::Table& t);
 
   /// Drops every cached segment (cold-cache reproduction; clear_cache).

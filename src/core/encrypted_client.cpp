@@ -100,11 +100,10 @@ void EncryptedConnection::create_table(
   build_table_state(table, logical_schema, specs, distributions, range_specs);
   const TableState& ts = tables_.at(sql::to_lower(table));
   transport_->create_table(table, ts.physical);
-  for (const auto& [col, cs] : ts.encrypted) {
-    transport_->create_index(table, col + "_tag");
-  }
-  for (const auto& [col, rs] : ts.ranges) {
-    transport_->create_index(table, col + "_tag");
+  for (const RowCodec::Column& col : ts.codec.columns) {
+    if (col.kind != RowCodec::Kind::kPlain) {
+      transport_->create_index(table, ts.physical.column(col.offset).name);
+    }
   }
   save_manifest(table);
 }
@@ -235,68 +234,63 @@ void EncryptedConnection::build_table_state(
   }
 
   std::vector<Column> physical_columns;
+  size_t wre_columns = 0;
+  size_t range_columns = 0;
   for (size_t i = 0; i < logical_schema.column_count(); ++i) {
     const Column& col = logical_schema.column(i);
-    ts.physical_offset.push_back(physical_columns.size());
+    RowCodec::Column& cc = ts.codec.columns.emplace_back();
+    cc.offset = physical_columns.size();
 
-    if (auto rit = range_by_column.find(col.name);
-        rit != range_by_column.end()) {
+    auto rit = range_by_column.find(col.name);
+    auto it = by_column.find(col.name);
+    if (rit == range_by_column.end() && it == by_column.end()) {
+      physical_columns.push_back(col);
+      continue;
+    }
+    physical_columns.push_back(Column{col.name + "_tag", ValueType::kInt64});
+    physical_columns.push_back(Column{col.name + "_enc", ValueType::kBlob});
+
+    if (rit != range_by_column.end()) {
       if (col.type != ValueType::kInt64) {
         throw WreError("range-encrypted column must be INTEGER: " + col.name);
       }
       if (col.primary_key) {
         throw WreError("primary key cannot be range-encrypted: " + col.name);
       }
-      physical_columns.push_back(Column{col.name + "_tag", ValueType::kInt64});
-      physical_columns.push_back(Column{col.name + "_enc", ValueType::kBlob});
-
       Bytes context = to_bytes("wre-range-column:" + table + ":" + col.name);
       Bytes column_secret = crypto::hkdf(to_bytes("wre-column-keys-v1"),
                                          master_secret_, context, 32);
       crypto::KeyBundle keys = crypto::KeyBundle::derive(column_secret);
 
-      RangeColumnState rs;
-      rs.spec = *rit->second;
-      rs.bucketizer =
-          rs.spec.uppers.empty()
-              ? std::make_unique<RangeBucketizer>(
-                    rs.spec.domain_lo, rs.spec.domain_hi, rs.spec.buckets)
-              : std::make_unique<RangeBucketizer>(rs.spec.domain_lo,
-                                                  rs.spec.uppers);
-      rs.prf = std::make_unique<crypto::TagPrf>(keys.tag_key);
-      rs.payload = std::make_unique<crypto::AesCtr>(keys.payload_key);
-      rs.logical_index = i;
-      ts.ranges.emplace(col.name, std::move(rs));
+      const RangeColumnSpec& spec = *rit->second;
+      cc.kind = RowCodec::Kind::kRange;
+      cc.bucketizer =
+          spec.uppers.empty()
+              ? std::make_shared<RangeBucketizer>(spec.domain_lo,
+                                                  spec.domain_hi, spec.buckets)
+              : std::make_shared<RangeBucketizer>(spec.domain_lo, spec.uppers);
+      cc.range_prf = std::make_unique<crypto::TagPrf>(keys.tag_key);
+      cc.range_payload = std::make_unique<crypto::AesCtr>(keys.payload_key);
+      ++range_columns;
       continue;
     }
 
-    auto it = by_column.find(col.name);
-    if (it == by_column.end()) {
-      physical_columns.push_back(col);
-      continue;
-    }
     if (col.type != ValueType::kText) {
       throw WreError("encrypted column must be TEXT: " + col.name);
     }
-    physical_columns.push_back(Column{col.name + "_tag", ValueType::kInt64});
-    physical_columns.push_back(Column{col.name + "_enc", ValueType::kBlob});
-
-    const PlaintextDistribution* dist = nullptr;
     auto dit = distributions.find(col.name);
-    if (dit != distributions.end()) dist = &dit->second;
-
-    ColumnState cs;
-    cs.spec = *it->second;
-    cs.scheme = build_scheme(table, cs.spec, dist);
-    cs.logical_index = i;
-    ts.encrypted.emplace(col.name, std::move(cs));
+    cc.kind = RowCodec::Kind::kWre;
+    cc.scheme = build_scheme(table, *it->second,
+                             dit == distributions.end() ? nullptr : &dit->second);
+    ++wre_columns;
   }
-  if (ts.encrypted.size() != by_column.size() ||
-      ts.ranges.size() != range_by_column.size()) {
+  if (wre_columns != by_column.size() ||
+      range_columns != range_by_column.size()) {
     throw WreError("create_table: spec references unknown column");
   }
 
   ts.physical = Schema(physical_columns);
+  ts.codec.width = physical_columns.size();
   ts.specs = specs;
   ts.distributions = distributions;
   ts.range_specs = range_specs;
@@ -321,24 +315,25 @@ EncryptedConnection::TableState& EncryptedConnection::mutable_state(
   return it->second;
 }
 
-const EncryptedConnection::ColumnState& EncryptedConnection::column_state(
-    const std::string& table, const std::string& column) const {
-  const TableState& ts = state(table);
-  auto it = ts.encrypted.find(sql::to_lower(column));
-  if (it == ts.encrypted.end()) {
-    throw WreError("EncryptedConnection: column not encrypted: " + column);
+const EncryptedConnection::RowCodec::Column&
+EncryptedConnection::codec_column(const TableState& ts,
+                                  const std::string& column,
+                                  RowCodec::Kind kind, const char* what) {
+  auto idx = ts.logical.index_of(column);
+  if (!idx || ts.codec.columns[*idx].kind != kind) {
+    throw WreError(std::string(what) + column);
   }
-  return it->second;
+  return ts.codec.columns[*idx];
 }
 
 std::shared_ptr<const std::vector<crypto::Tag>>
-EncryptedConnection::search_tags_cached(const ColumnState& cs,
-                                        const std::string& value) const {
+EncryptedConnection::search_tags_cached(const RowCodec::Column& col,
+                                        const std::string& value) {
   // Bounds client memory at ~kMaxCachedValues * lambda tags per column;
   // overflow wipes the map wholesale (cheap, and query workloads that blow
   // past it are uniform sweeps that would not re-hit entries anyway).
   constexpr size_t kMaxCachedValues = 4096;
-  TagCache& cache = *cs.tag_cache;
+  TagCache& cache = *col.tag_cache;
   {
     std::lock_guard<std::mutex> lk(cache.mu);
     auto it = cache.by_value.find(value);
@@ -347,7 +342,7 @@ EncryptedConnection::search_tags_cached(const ColumnState& cs,
   // Compute outside the lock: the expansion is up to lambda HMACs and must
   // not serialize concurrent searches for different values.
   auto tags = std::make_shared<const std::vector<crypto::Tag>>(
-      cs.scheme->search_tags(value));
+      col.scheme->search_tags(value));
   std::lock_guard<std::mutex> lk(cache.mu);
   if (cache.by_value.size() >= kMaxCachedValues) cache.by_value.clear();
   // On a lost race the first writer's (identical) vector wins.
@@ -361,61 +356,104 @@ const Schema& EncryptedConnection::logical_schema(
 
 const WreScheme& EncryptedConnection::scheme(const std::string& table,
                                              const std::string& column) const {
-  const TableState& ts = state(table);
-  auto it = ts.encrypted.find(sql::to_lower(column));
-  if (it == ts.encrypted.end()) {
-    throw WreError("EncryptedConnection: column not encrypted: " + column);
+  return *codec_column(state(table), column).scheme;
+}
+
+EncryptedConnection::RowCodec EncryptedConnection::RowCodec::clone() const {
+  RowCodec copy;
+  copy.width = width;
+  copy.columns.resize(columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const Column& from = columns[i];
+    Column& to = copy.columns[i];
+    to.kind = from.kind;
+    to.offset = from.offset;
+    if (from.scheme) to.scheme = from.scheme->clone();
+    to.bucketizer = from.bucketizer;
+    if (from.range_prf) {
+      to.range_prf = std::make_unique<crypto::TagPrf>(*from.range_prf);
+      to.range_payload = std::make_unique<crypto::AesCtr>(*from.range_payload);
+    }
   }
-  return *it->second.scheme;
+  return copy;
+}
+
+Row EncryptedConnection::RowCodec::encode(const Row& logical,
+                                          crypto::SecureRandom& rng) const {
+  Row physical;
+  physical.reserve(width);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const Column& col = columns[i];
+    const Value& v = logical[i];
+    if (col.kind == Kind::kPlain) {
+      physical.push_back(v);
+    } else if (v.is_null()) {
+      physical.push_back(Value::null());
+      physical.push_back(Value::null());
+    } else if (col.kind == Kind::kWre) {
+      EncryptedCell cell = col.scheme->encrypt(v.as_text(), rng);
+      physical.push_back(Value::tag(cell.tag));
+      physical.push_back(Value::blob(std::move(cell.ciphertext)));
+    } else {
+      int64_t x = v.as_int64();
+      Bytes plain;
+      store_le64(plain, static_cast<uint64_t>(x));
+      physical.push_back(
+          Value::tag(col.range_prf->range_tag(col.bucketizer->bucket_of(x))));
+      physical.push_back(Value::blob(col.range_payload->encrypt(plain, rng)));
+    }
+  }
+  return physical;
+}
+
+Row EncryptedConnection::RowCodec::decode(Row&& physical) const {
+  if (physical.size() != width) {
+    throw WreError("server row has " + std::to_string(physical.size()) +
+                   " cells, the table has " + std::to_string(width));
+  }
+  Row logical;
+  logical.reserve(columns.size());
+  for (const Column& col : columns) {
+    if (col.kind == Kind::kPlain) {
+      logical.push_back(std::move(physical[col.offset]));
+      continue;
+    }
+    const Value& enc = physical[col.offset + 1];
+    if (enc.is_null()) {
+      logical.push_back(Value::null());
+    } else if (col.kind == Kind::kWre) {
+      logical.push_back(Value::text(col.scheme->decrypt(enc.as_blob())));
+    } else {
+      Bytes plain = col.range_payload->decrypt(enc.as_blob());
+      if (plain.size() != 8) {
+        throw WreError("corrupt range-column payload");
+      }
+      logical.push_back(
+          Value::int64(static_cast<int64_t>(load_le64(plain.data()))));
+    }
+  }
+  return logical;
+}
+
+void EncryptedConnection::RowCodec::count_written(std::span<const Row> rows) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    Column& col = columns[i];
+    if (col.kind != Kind::kWre) continue;
+    for (const Row& row : rows) {
+      if (row[i].is_null()) continue;
+      const std::string& value = row[i].as_text();
+      ++col.observed[value];
+      ++col.observed_total;
+      if (!col.scheme->allocator().covers(value)) ++col.unseen_total;
+    }
+  }
 }
 
 void EncryptedConnection::insert(const std::string& table, const Row& row) {
-  // Mutable access: drift counters are updated per encrypted cell.
   TableState& ts = mutable_state(table);
   ts.logical.check_row(row);
-
-  Row physical;
-  physical.reserve(ts.physical.column_count());
-  for (size_t i = 0; i < ts.logical.column_count(); ++i) {
-    const Column& col = ts.logical.column(i);
-
-    if (auto rit = ts.ranges.find(col.name); rit != ts.ranges.end()) {
-      if (row[i].is_null()) {
-        physical.push_back(Value::null());
-        physical.push_back(Value::null());
-        continue;
-      }
-      const RangeColumnState& rs = rit->second;
-      int64_t v = row[i].as_int64();
-      uint32_t bucket = rs.bucketizer->bucket_of(v);
-      Bytes plain;
-      store_le64(plain, static_cast<uint64_t>(v));
-      physical.push_back(Value::tag(rs.prf->range_tag(bucket)));
-      physical.push_back(Value::blob(rs.payload->encrypt(plain, rng_)));
-      continue;
-    }
-
-    auto it = ts.encrypted.find(col.name);
-    if (it == ts.encrypted.end()) {
-      physical.push_back(row[i]);
-      continue;
-    }
-    if (row[i].is_null()) {
-      physical.push_back(Value::null());
-      physical.push_back(Value::null());
-      continue;
-    }
-    ColumnState& cs = it->second;
-    const std::string& value = row[i].as_text();
-    EncryptedCell cell = cs.scheme->encrypt(value, rng_);
-    // Drift bookkeeping (after encrypt, so rejected values don't count).
-    ++cs.observed[value];
-    ++cs.observed_total;
-    if (!cs.scheme->allocator().covers(value)) ++cs.unseen_total;
-    physical.push_back(Value::tag(cell.tag));
-    physical.push_back(Value::blob(std::move(cell.ciphertext)));
-  }
-  transport_->insert_batch(table, {std::move(physical)});
+  transport_->insert_batch(table, {ts.codec.encode(row, rng_)});
+  ts.codec.count_written({&row, 1});
 }
 
 IngestStats EncryptedConnection::insert_bulk(const std::string& table,
@@ -438,56 +476,17 @@ std::string EncryptedConnection::rewrite_select(const std::string& table,
                                                 const std::string& column,
                                                 const std::string& value,
                                                 bool star) {
-  const ColumnState& cs = column_state(table, column);
-  auto tags = search_tags_cached(cs, value);
+  auto tags = search_tags_cached(codec_column(state(table), column), value);
   return tag_scan_sql(table, tag_column(column), *tags, star);
-}
-
-Row EncryptedConnection::decrypt_row(const TableState& ts,
-                                     Row&& physical) const {
-  Row logical;
-  logical.reserve(ts.logical.column_count());
-  for (size_t i = 0; i < ts.logical.column_count(); ++i) {
-    const Column& col = ts.logical.column(i);
-    size_t off = ts.physical_offset[i];
-
-    if (auto rit = ts.ranges.find(col.name); rit != ts.ranges.end()) {
-      const Value& enc = physical[off + 1];
-      if (enc.is_null()) {
-        logical.push_back(Value::null());
-        continue;
-      }
-      Bytes plain = rit->second.payload->decrypt(enc.as_blob());
-      if (plain.size() != 8) {
-        throw WreError("corrupt range-column payload in " + col.name);
-      }
-      logical.push_back(
-          Value::int64(static_cast<int64_t>(load_le64(plain.data()))));
-      continue;
-    }
-
-    auto it = ts.encrypted.find(col.name);
-    if (it == ts.encrypted.end()) {
-      logical.push_back(std::move(physical[off]));
-      continue;
-    }
-    const Value& enc = physical[off + 1];
-    if (enc.is_null()) {
-      logical.push_back(Value::null());
-      continue;
-    }
-    logical.push_back(Value::text(it->second.scheme->decrypt(enc.as_blob())));
-  }
-  return logical;
 }
 
 void EncryptedConnection::decrypt_and_filter(
     const TableState& ts, sql::ResultSet&& server,
     const std::function<bool(const Row&)>& keep,
-    EncryptedQueryResult* result) const {
+    EncryptedQueryResult* result) {
   result->server_rows_returned = server.rows.size();
   for (Row& physical : server.rows) {
-    Row logical = decrypt_row(ts, std::move(physical));
+    Row logical = ts.codec.decode(std::move(physical));
     if (keep(logical)) {
       result->rows.push_back(std::move(logical));
     } else {
@@ -496,21 +495,29 @@ void EncryptedConnection::decrypt_and_filter(
   }
 }
 
+void EncryptedConnection::collect_ids(sql::ResultSet&& server,
+                                      EncryptedQueryResult* result) {
+  result->server_rows_returned = server.rows.size();
+  result->ids.reserve(server.rows.size());
+  for (const Row& row : server.rows) {
+    if (row.size() != 1) {
+      throw WreError("server id row has " + std::to_string(row.size()) +
+                     " cells, expected 1");
+    }
+    result->ids.push_back(row[0].as_int64());
+  }
+}
+
 EncryptedQueryResult EncryptedConnection::select_ids(
     const std::string& table, const std::string& column,
     const std::string& value) {
-  const ColumnState& cs = column_state(table, column);
-  auto tags = search_tags_cached(cs, value);
+  auto tags = search_tags_cached(codec_column(state(table), column), value);
   const std::string tag_col = tag_column(column);
   EncryptedQueryResult result;
   result.sql = tag_scan_sql(table, tag_col, *tags, /*star=*/false);
   result.tags_in_query = tags->size();
-
-  sql::ResultSet rs =
-      transport_->tag_scan(table, tag_col, *tags, /*star=*/false);
-  result.server_rows_returned = rs.rows.size();
-  result.ids.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) result.ids.push_back(row[0].as_int64());
+  collect_ids(transport_->tag_scan(table, tag_col, *tags, /*star=*/false),
+              &result);
   return result;
 }
 
@@ -520,13 +527,13 @@ EncryptedQueryResult EncryptedConnection::select_ids_in(
   if (values.empty()) {
     throw WreError("select_ids_in: need at least one value");
   }
-  const ColumnState& cs = column_state(table, column);
+  const RowCodec::Column& col = codec_column(state(table), column);
   // Union of every value's expansion, one round trip. Duplicate tags are
   // harmless (the server's IN probe dedups matches), but dropping them
   // keeps the wire fan-out at the true union size.
   std::vector<crypto::Tag> tags;
   for (const std::string& value : values) {
-    auto expansion = search_tags_cached(cs, value);
+    auto expansion = search_tags_cached(col, value);
     tags.insert(tags.end(), expansion->begin(), expansion->end());
   }
   std::sort(tags.begin(), tags.end());
@@ -536,10 +543,8 @@ EncryptedQueryResult EncryptedConnection::select_ids_in(
   EncryptedQueryResult result;
   result.sql = tag_scan_sql(table, tag_col, tags, /*star=*/false);
   result.tags_in_query = tags.size();
-  sql::ResultSet rs = transport_->tag_scan(table, tag_col, tags, /*star=*/false);
-  result.server_rows_returned = rs.rows.size();
-  result.ids.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) result.ids.push_back(row[0].as_int64());
+  collect_ids(transport_->tag_scan(table, tag_col, tags, /*star=*/false),
+              &result);
   return result;
 }
 
@@ -560,19 +565,18 @@ EncryptedQueryResult EncryptedConnection::select_star_and(
     const Conjunct& c = conjuncts[i];
     std::string col = sql::to_lower(c.column);
     if (i > 0) sql += " AND ";
-    auto it = ts.encrypted.find(col);
-    if (it == ts.encrypted.end()) {
-      if (!ts.logical.index_of(col)) {
-        throw WreError("select_star_and: unknown column " + col);
-      }
+    auto idx = ts.logical.index_of(col);
+    if (!idx) throw WreError("select_star_and: unknown column " + col);
+    const RowCodec::Column& cc = ts.codec.columns[*idx];
+    if (cc.kind != RowCodec::Kind::kWre) {
       sql += col + " = " + c.value.to_sql_literal();
       continue;
     }
     const std::string& value = c.value.as_text();
-    auto tags = search_tags_cached(it->second, value);
+    auto tags = search_tags_cached(cc, value);
     result.tags_in_query += tags->size();
     sql += "(" + tag_in_sql(tag_column(col), *tags) + ")";
-    rechecks.emplace_back(it->second.logical_index, &value);
+    rechecks.emplace_back(*idx, &value);
   }
   result.sql = sql;
 
@@ -592,16 +596,13 @@ EncryptedQueryResult EncryptedConnection::select_star_range(
     const std::string& table, const std::string& column, int64_t lo,
     int64_t hi) {
   const TableState& ts = state(table);
-  auto rit = ts.ranges.find(sql::to_lower(column));
-  if (rit == ts.ranges.end()) {
-    throw WreError("select_star_range: column is not range-encrypted: " +
-                   column);
-  }
-  const RangeColumnState& range = rit->second;
+  const RowCodec::Column& range =
+      codec_column(ts, column, RowCodec::Kind::kRange,
+                   "select_star_range: column is not range-encrypted: ");
   auto [b_lo, b_hi] = range.bucketizer->buckets_for_range(lo, hi);
   std::vector<crypto::Tag> tags;
   for (uint64_t b = b_lo; b_lo <= b_hi && b <= b_hi; ++b) {
-    tags.push_back(range.prf->range_tag(static_cast<uint32_t>(b)));
+    tags.push_back(range.range_prf->range_tag(static_cast<uint32_t>(b)));
   }
 
   const std::string tag_col = tag_column(column);
@@ -611,7 +612,7 @@ EncryptedQueryResult EncryptedConnection::select_star_range(
   if (tags.empty()) return result;  // empty range
 
   // Bucket-granularity overshoot is trimmed on the decrypted value.
-  const size_t col_idx = range.logical_index;
+  const size_t col_idx = *ts.logical.index_of(column);
   decrypt_and_filter(
       ts, transport_->tag_scan(table, tag_col, tags, /*star=*/true),
       [&](const Row& row) {
@@ -626,8 +627,7 @@ EncryptedQueryResult EncryptedConnection::select_star(
     const std::string& table, const std::string& column,
     const std::string& value) {
   const TableState& ts = state(table);
-  const ColumnState& cs = column_state(table, column);
-  auto tags = search_tags_cached(cs, value);
+  auto tags = search_tags_cached(codec_column(ts, column), value);
   const std::string tag_col = tag_column(column);
   EncryptedQueryResult result;
   result.sql = tag_scan_sql(table, tag_col, *tags, /*star=*/true);
@@ -636,7 +636,7 @@ EncryptedQueryResult EncryptedConnection::select_star(
   // Client-side filtering: drop bucketized false positives (and the
   // cryptographically negligible tag-collision ones) by comparing the
   // decrypted value against the query.
-  const size_t col_idx = cs.logical_index;
+  const size_t col_idx = *ts.logical.index_of(column);
   decrypt_and_filter(
       ts, transport_->tag_scan(table, tag_col, *tags, /*star=*/true),
       [&](const Row& row) {
@@ -649,11 +649,8 @@ EncryptedQueryResult EncryptedConnection::select_star(
 EncryptedConnection::ColumnDrift EncryptedConnection::column_drift(
     const std::string& table, const std::string& column) const {
   const TableState& ts = state(table);
-  auto it = ts.encrypted.find(sql::to_lower(column));
-  if (it == ts.encrypted.end()) {
-    throw WreError("column_drift: column not encrypted: " + column);
-  }
-  const ColumnState& cs = it->second;
+  const RowCodec::Column& cs = codec_column(
+      ts, column, RowCodec::Kind::kWre, "column_drift: column not encrypted: ");
 
   ColumnDrift drift;
   drift.observed_rows = cs.observed_total;
@@ -703,7 +700,7 @@ void EncryptedConnection::migrate_table(
   std::vector<Row> rows;
   rows.reserve(transport_->row_count(source));
   transport_->scan(source, [&](const Row& physical) {
-    rows.push_back(decrypt_row(src, Row(physical)));
+    rows.push_back(src.codec.decode(Row(physical)));
   });
 
   // Estimate any missing distribution from the data itself.

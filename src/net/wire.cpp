@@ -260,7 +260,14 @@ sql::ResultSet decode_result_set(WireReader& r) {
     throw NetworkError("wire: row count overruns frame");
   }
   rs.rows.reserve(nrows);
-  for (uint32_t i = 0; i < nrows; ++i) rs.rows.push_back(r.row());
+  for (uint32_t i = 0; i < nrows; ++i) {
+    rs.rows.push_back(r.row());
+    if (rs.rows.back().size() != ncols) {
+      throw NetworkError("wire: row " + std::to_string(i) + " has " +
+                         std::to_string(rs.rows.back().size()) +
+                         " values for " + std::to_string(ncols) + " columns");
+    }
+  }
   rs.rows_affected = r.u64();
   rs.index_probes = r.u64();
   rs.heap_fetches = r.u64();

@@ -126,7 +126,6 @@ Database::Database(std::string dir, DatabaseOptions options)
   }
   load_catalog();
   if (options.query_threads != 1) set_query_threads(options.query_threads);
-  columnar_min_rows_ = options.columnar_min_rows;
   if (options.columnar) set_columnar_enabled(true);
 }
 
@@ -143,9 +142,7 @@ Database::~Database() {
 void Database::set_columnar_enabled(bool on) {
   columnar_enabled_ = on;
   if (on && columnar_mgr_ == nullptr) {
-    columnar::ColumnStoreOptions opt;
-    opt.min_rows = columnar_min_rows_;
-    columnar_mgr_ = std::make_unique<columnar::ColumnStoreManager>(opt);
+    columnar_mgr_ = std::make_unique<columnar::ColumnStoreManager>();
   }
 }
 
@@ -690,15 +687,13 @@ ExecStats execute_plan(const SelectPlan& p, Sink& sink) {
 
 }  // namespace
 
-columnar::ColumnStoreManager* Database::columnar_for(const Table& t) const {
-  const bool routed = columnar_enabled_ && columnar_mgr_ != nullptr &&
-                      t.row_count() >= columnar_min_rows_;
-  return routed ? columnar_mgr_.get() : nullptr;
+columnar::ColumnStoreManager* Database::columnar_store() const {
+  return columnar_enabled_ ? columnar_mgr_.get() : nullptr;
 }
 
 ResultSet Database::execute_select(const SelectStmt& stmt) {
   const Table& t = table(stmt.table);
-  const SelectPlan plan = make_plan(stmt, t, columnar_for(t),
+  const SelectPlan plan = make_plan(stmt, t, columnar_store(),
                                     query_pool_.get(), query_threads_);
   ResultSet rs;
   rs.columns = plan.columns;
@@ -722,7 +717,7 @@ ResultSet Database::execute_select(const SelectStmt& stmt) {
 
 void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
   const Table& t = table(stmt.table);
-  const SelectPlan plan = make_plan(stmt, t, columnar_for(t),
+  const SelectPlan plan = make_plan(stmt, t, columnar_store(),
                                     query_pool_.get(), query_threads_);
   // The rows go straight into `*out`, after the envelope's column names
   // and a row-count slot patched once the count is known.

@@ -63,8 +63,6 @@ struct DatabaseOptions {
   /// inserts, the next query appends only the new rows to it as a tail
   /// chunk. Off by default.
   bool columnar = false;
-  /// Tables with fewer rows never get a segment (row path instead).
-  uint64_t columnar_min_rows = 0;
 };
 
 /// An embedded relational database rooted at a directory.
@@ -182,9 +180,9 @@ class Database {
   void write_catalog_file(const std::string& text);
 
   ResultSet execute_insert(const InsertStmt& stmt);
-  /// The column store when it serves `t` (enabled, and `t` above the size
-  /// floor); null sends every plan on `t` to the row path.
-  columnar::ColumnStoreManager* columnar_for(const Table& t) const;
+  /// The column store when it is enabled; null sends every plan to the row
+  /// path.
+  columnar::ColumnStoreManager* columnar_store() const;
 
   std::string dir_;
   storage::DiskManager disk_;
@@ -200,7 +198,6 @@ class Database {
   std::unique_ptr<util::ThreadPool> query_pool_;  // null when serial
   std::unique_ptr<columnar::ColumnStoreManager> columnar_mgr_;
   bool columnar_enabled_ = false;
-  uint64_t columnar_min_rows_ = 0;
 };
 
 /// If `expr` is a disjunction of equality/IN predicates on one single

@@ -349,17 +349,6 @@ TEST(ColumnStoreManager, SnapshotAppendsTailAfterInsert) {
   EXPECT_EQ(mgr.stats().segments, 0u);
 }
 
-TEST(ColumnStoreManager, MinRowsGate) {
-  TempDir dir("wre_colmgr");
-  sql::Database db(dir.str());
-  db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
-  db.insert_batch("t", {{Value::int64(1), Value::int64(10)}});
-  ColumnStoreOptions opt;
-  opt.min_rows = 100;
-  ColumnStoreManager mgr(opt);
-  EXPECT_EQ(mgr.snapshot(db.table("t")), nullptr);
-}
-
 // --------------------------------------------------- Database integration
 
 class ColumnarDbTest : public ::testing::Test {
@@ -469,19 +458,6 @@ TEST_F(ColumnarDbTest, ClearCacheDropsSegments) {
   db_->clear_cache();
   EXPECT_EQ(db_->column_store()->stats().segments, 0u);
   check_both_paths("SELECT * FROM t");  // rebuilds cold and still matches
-}
-
-TEST_F(ColumnarDbTest, MinRowsKeepsSmallTablesOnRowPath) {
-  sql::DatabaseOptions opt;
-  opt.columnar = true;
-  opt.columnar_min_rows = 1000;
-  TempDir dir("wre_coldb_min");
-  sql::Database db(dir.str(), opt);
-  db.execute("CREATE TABLE s (id INTEGER PRIMARY KEY, v TEXT)");
-  db.insert_batch("s", {{Value::int64(1), Value::text("a")}});
-  sql::ResultSet rs = db.execute("SELECT * FROM s");
-  EXPECT_FALSE(rs.used_columnar);
-  ASSERT_EQ(rs.rows.size(), 1u);
 }
 
 // ------------------------------------------------------ Wire-path fast path

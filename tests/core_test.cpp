@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/core/distribution.h"
 #include "src/core/encrypted_client.h"
 #include "src/core/salts.h"
 #include "src/core/wre_scheme.h"
+#include "src/net/wire.h"
 #include "tests/test_util.h"
 
 namespace wre::core {
@@ -584,6 +588,110 @@ TEST(EncryptedConnection, UnknownTableOrColumnThrows) {
   EXPECT_THROW(f.conn.select_ids("ghost", "fname", "x"), WreError);
   EXPECT_THROW(f.conn.select_ids("people", "age", "x"), WreError);
   EXPECT_THROW(f.conn.scheme("people", "age"), WreError);
+}
+
+TEST(EncryptedConnection, DriftCountsOnlyWrittenRows) {
+  // A duplicate primary key fails the write; its cell must not count as
+  // observed, on the single-row and the bulk path alike.
+  const sql::Row row{sql::Value::int64(1), sql::Value::text("bob"),
+                     sql::Value::int64(30)};
+  ClientFixture single(SaltMethod::kPoisson, 50);
+  single.conn.insert("people", row);
+  EXPECT_THROW(single.conn.insert("people", row), SqlError);
+  EXPECT_EQ(single.db.table("people").row_count(), 1u);
+  EXPECT_EQ(single.conn.column_drift("people", "fname").observed_rows, 1u);
+
+  ClientFixture bulk(SaltMethod::kPoisson, 50);
+  bulk.conn.insert_bulk("people", {row});
+  EXPECT_THROW(bulk.conn.insert_bulk("people", {row}), SqlError);
+  EXPECT_EQ(bulk.db.table("people").row_count(), 1u);
+  EXPECT_EQ(bulk.conn.column_drift("people", "fname").observed_rows, 1u);
+}
+
+/// A broken server: every tag-scan row comes back `cells` wide, cut short
+/// or padded with NULLs. With `via_wire` the response also passes through
+/// the wire codec, as a remote server's would.
+class MisshapenTransport final : public DbTransport {
+ public:
+  MisshapenTransport(sql::Database& db, size_t cells, bool via_wire)
+      : inner_(db), cells_(cells), via_wire_(via_wire) {}
+
+  sql::ResultSet tag_scan(const std::string& table,
+                          const std::string& tag_column,
+                          const std::vector<uint64_t>& tags,
+                          bool star) override {
+    sql::ResultSet rs = inner_.tag_scan(table, tag_column, tags, star);
+    for (sql::Row& row : rs.rows) row.resize(cells_, sql::Value::null());
+    if (!via_wire_) return rs;
+    net::WireWriter w;
+    net::encode_result_set(rs, w);
+    net::WireReader r(w.bytes());
+    return net::decode_result_set(r);
+  }
+  sql::ResultSet execute(const std::string& sql) override {
+    return inner_.execute(sql);
+  }
+  void create_table(const std::string& table,
+                    const sql::Schema& schema) override {
+    inner_.create_table(table, schema);
+  }
+  void create_index(const std::string& table,
+                    const std::string& column) override {
+    inner_.create_index(table, column);
+  }
+  bool has_table(const std::string& table) override {
+    return inner_.has_table(table);
+  }
+  uint64_t row_count(const std::string& table) override {
+    return inner_.row_count(table);
+  }
+  sql::Schema table_schema(const std::string& table) override {
+    return inner_.table_schema(table);
+  }
+  std::vector<int64_t> insert_batch(
+      const std::string& table, const std::vector<sql::Row>& rows) override {
+    return inner_.insert_batch(table, rows);
+  }
+  void scan(const std::string& table,
+            const std::function<void(const sql::Row&)>& fn) override {
+    inner_.scan(table, fn);
+  }
+
+ private:
+  LocalTransport inner_;
+  size_t cells_;
+  bool via_wire_;
+};
+
+TEST(EncryptedConnection, MisshapenServerRowsAreRejected) {
+  ClientFixture f(SaltMethod::kPoisson, 50);
+  f.load(20);
+  // SELECT * rows are 4 cells wide (id, fname_tag, fname_enc, age); SELECT
+  // id rows are 1 wide. Any other width is a typed error, never a read past
+  // the row: WreError from the client, NetworkError from the wire decoder.
+  for (bool via_wire : {false, true}) {
+    for (size_t cells : {1u, 2u, 5u}) {
+      MisshapenTransport transport(f.db, cells, via_wire);
+      EncryptedConnection conn(transport, Bytes(32, 0x24));
+      conn.open_table("people");
+      SCOPED_TRACE(std::to_string(cells) + (via_wire ? " via wire" : ""));
+      if (via_wire) {
+        EXPECT_THROW(conn.select_star("people", "fname", "bob"), NetworkError);
+      } else {
+        EXPECT_THROW(conn.select_star("people", "fname", "bob"), WreError);
+      }
+      if (cells == 1) {
+        EXPECT_FALSE(conn.select_ids("people", "fname", "bob").ids.empty());
+      } else if (via_wire) {
+        EXPECT_THROW(conn.select_ids("people", "fname", "bob"), NetworkError);
+        EXPECT_THROW(conn.select_ids_in("people", "fname", {"bob"}),
+                     NetworkError);
+      } else {
+        EXPECT_THROW(conn.select_ids("people", "fname", "bob"), WreError);
+        EXPECT_THROW(conn.select_ids_in("people", "fname", {"bob"}), WreError);
+      }
+    }
+  }
 }
 
 TEST(EncryptedConnection, NonTextEncryptedColumnRejected) {

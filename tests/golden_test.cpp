@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "src/core/encrypted_client.h"
 #include "src/core/salts.h"
 #include "src/crypto/keys.h"
 #include "src/crypto/prf.h"
 #include "src/crypto/prs.h"
+#include "src/crypto/sha256.h"
 #include "src/sql/database.h"
 #include "tests/test_util.h"
 
@@ -117,6 +121,79 @@ TEST(Golden, RewriteSelectSqlPerScheme) {
     star.replace(star.find("SELECT id"), 9, "SELECT *");
     EXPECT_EQ(conn.rewrite_select(c.table, "name", "a", true), star)
         << c.table;
+  }
+}
+
+// End-to-end ingest snapshot: SHA-256 over every physical row, in heap order,
+// that a fixed-secret, fixed-nonce insert_bulk writes. Covers the client's
+// whole physical layout — which cells stand for each logical column, the
+// order each record draws salt choices and AES nonces, range tags, plaintext
+// pass-through and NULLs — for one, two and three ingest threads.
+TEST(Golden, IngestPhysicalRows) {
+  using core::EncryptedColumnSpec;
+  using core::SaltMethod;
+  using sql::Value;
+  using sql::ValueType;
+  sql::Schema schema({sql::Column{"id", ValueType::kInt64, true},
+                      sql::Column{"name", ValueType::kText},
+                      sql::Column{"city", ValueType::kText},
+                      sql::Column{"tier", ValueType::kText},
+                      sql::Column{"age", ValueType::kInt64},
+                      sql::Column{"note", ValueType::kText}});
+  const std::vector<std::string> names{"ann", "bo", "cy", "di", "ed"};
+  const std::vector<std::string> cities{"oslo", "rome", "lima"};
+  const std::vector<std::string> tiers{"gold", "silver"};
+  auto dist = [](const std::vector<std::string>& values) {
+    std::unordered_map<std::string, uint64_t> counts;
+    for (size_t i = 0; i < values.size(); ++i) counts[values[i]] = 2 * i + 1;
+    return core::PlaintextDistribution::from_counts(counts);
+  };
+  std::map<std::string, core::PlaintextDistribution> dists;
+  dists.emplace("name", dist(names));
+  dists.emplace("city", dist(cities));
+  const std::vector<EncryptedColumnSpec> specs{
+      {"name", SaltMethod::kPoisson, 8},
+      {"city", SaltMethod::kBucketizedPoisson, 4},
+      {"tier", SaltMethod::kFixed, 3}};
+  const std::vector<core::RangeColumnSpec> ranges{{"age", 0, 99, 10}};
+
+  std::vector<sql::Row> rows;
+  for (int64_t i = 0; i < 60; ++i) {
+    auto pick = [&](const std::vector<std::string>& v, int64_t k) {
+      return i % 11 == k ? Value::null()
+                         : Value::text(v[static_cast<size_t>(i) % v.size()]);
+    };
+    rows.push_back({Value::int64(i), pick(names, 3), pick(cities, 5),
+                    pick(tiers, 7),
+                    i % 13 == 4 ? Value::null() : Value::int64((i * 17) % 100),
+                    i % 9 == 2 ? Value::null()
+                               : Value::text("n" + std::to_string(i))});
+  }
+
+  for (unsigned threads : {1u, 2u, 3u}) {
+    wre::testing::TempDir dir("golden_ingest");
+    sql::Database db(dir.str());
+    core::EncryptedConnection conn(db, Bytes(32, 0x42));
+    conn.create_table("people", schema, specs, dists, ranges);
+    core::IngestOptions options;
+    options.threads = threads;
+    options.batch_rows = 16;
+    options.stream_nonce = Bytes(16, 0x5c);
+    conn.insert_bulk("people", rows, options);
+
+    crypto::Sha256 h;
+    size_t stored = 0;
+    db.table("people").scan([&](int64_t, const sql::Row& row) {
+      Bytes encoded;
+      for (const Value& v : row) v.wire_encode(encoded);
+      h.update(encoded);
+      ++stored;
+    });
+    EXPECT_EQ(stored, rows.size());
+    auto digest = h.finish();
+    EXPECT_EQ(to_hex(ByteView(digest.data(), digest.size())),
+              "2dcf1dd4826adedbb724679fdbc36ae7e81ca8945f1555d7e4d81440ea56224a")
+        << threads << " threads";
   }
 }
 

@@ -135,6 +135,26 @@ TEST(Wire, InflatedCountsThrowBeforeAllocating) {
   EXPECT_THROW(decode_result_set(r2), NetworkError);
 }
 
+TEST(Wire, RowWidthMustMatchColumnCount) {
+  // A hostile or broken server claims three columns but sends rows of one
+  // and of four values; clients index cells by column, so both must be
+  // rejected at decode time.
+  for (uint32_t width : {1u, 4u}) {
+    WireWriter w;
+    w.u32(3);
+    for (const char* name : {"id", "name_tag", "name_enc"}) w.string(name);
+    w.u32(1);
+    w.u32(width);
+    for (uint32_t i = 0; i < width; ++i) w.value(sql::Value::int64(i));
+    w.u64(0);
+    w.u64(0);
+    w.u64(0);
+    w.u8(0);
+    WireReader r(w.bytes());
+    EXPECT_THROW(decode_result_set(r), NetworkError) << width;
+  }
+}
+
 TEST(Wire, TrailingGarbageRejected) {
   WireWriter w;
   w.u8(1);
