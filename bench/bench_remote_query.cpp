@@ -356,11 +356,9 @@ int main(int argc, char** argv) {
   }
 
   // Pooled-connections pass: the same statements fanned over N client
-  // threads sharing one RemoteConnection with N pooled channels.
+  // threads sharing one RemoteConnection, whose pool grows to N channels.
   if (n_connections > 1 && !probe_sqls.empty()) {
-    net::RemoteOptions pooled_options;
-    pooled_options.connections_per_shard = static_cast<size_t>(n_connections);
-    net::RemoteConnection pooled("127.0.0.1", server.port(), pooled_options);
+    net::RemoteConnection pooled("127.0.0.1", server.port());
     pooled.ping();
     pooled.execute(probe_sqls[0]);  // warm
     std::atomic<size_t> errors{0};
@@ -420,10 +418,7 @@ int main(int argc, char** argv) {
       shard_servers.back()->start();
       endpoints.push_back({"127.0.0.1", shard_servers.back()->port()});
     }
-    net::RemoteOptions fleet_options;
-    fleet_options.connections_per_shard =
-        static_cast<size_t>(std::max<int64_t>(n_connections, 1));
-    net::RemoteConnection fleet(endpoints, fleet_options);
+    net::RemoteConnection fleet(endpoints);
     fleet.ping();
     core::EncryptedConnection fleet_conn(fleet, secret);
     fleet_conn.create_table("main", schema, specs, dists);
@@ -447,7 +442,7 @@ int main(int argc, char** argv) {
     }
 
     // Throughput at equal client parallelism against both topologies: the
-    // single server behind `conn` (re-wrapped over a same-sized pool) and
+    // single server behind `conn` (re-wrapped over a fresh connection) and
     // the fleet. Both are warm from the parity passes.
     auto threaded_qps = [&](core::EncryptedConnection& c) {
       std::atomic<size_t> errors{0};
@@ -470,11 +465,8 @@ int main(int argc, char** argv) {
       double qps = static_cast<double>(queries.size()) / t.elapsed_seconds();
       return errors == 0 ? qps : 0.0;
     };
-    net::RemoteOptions single_options;
-    single_options.connections_per_shard = fleet_options.connections_per_shard;
-    net::RemoteConnection single_pooled("127.0.0.1", server.port(),
-                                        single_options);
-    core::EncryptedConnection single_conn(single_pooled, secret);
+    net::RemoteConnection single("127.0.0.1", server.port());
+    core::EncryptedConnection single_conn(single, secret);
     single_conn.open_table("main");
     double qps_single = threaded_qps(single_conn);
     double qps_fleet = threaded_qps(fleet_conn);

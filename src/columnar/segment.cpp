@@ -12,6 +12,10 @@ namespace {
 
 using AnyColumn = std::variant<Int64Column, BytesColumn>;
 
+/// Per-column dictionary cardinality cap; above it a column falls back to
+/// the plain dense layout.
+constexpr size_t kDictMax = size_t{1} << 16;
+
 /// Merge-intersects two ascending selections.
 Selection intersect(const Selection& a, const Selection& b) {
   Selection out;
@@ -113,8 +117,7 @@ class TableSegment::Chunk {
 
   /// The table's rows from `*cursor` on; advances `*cursor` past them.
   static std::shared_ptr<const Chunk> from_heap(const sql::Table& t,
-                                                sql::Table::ScanCursor* cursor,
-                                                const SegmentOptions& opt) {
+                                                sql::Table::ScanCursor* cursor) {
     auto chunk = std::make_shared<Chunk>(
         t.schema(), static_cast<uint32_t>(cursor->row),
         static_cast<size_t>(t.row_count() - cursor->row));
@@ -125,7 +128,7 @@ class TableSegment::Chunk {
       ++chunk->rows;
     });
     for (auto& col : chunk->columns) {
-      std::visit([&](auto& c) { c.seal(opt.dict_max); }, col);
+      std::visit([&](auto& c) { c.seal(kDictMax); }, col);
     }
     chunk->index_pks(t.schema());
     return chunk;
@@ -136,14 +139,13 @@ class TableSegment::Chunk {
   /// build slack is held for one column at a time.
   static std::shared_ptr<const Chunk> merge(const Chunk& older,
                                             const Chunk& newer,
-                                            const sql::Schema& schema,
-                                            const SegmentOptions& opt) {
+                                            const sql::Schema& schema) {
     auto chunk = std::make_shared<Chunk>(schema, older.first_row,
                                          older.rows + newer.rows);
     for (size_t c = 0; c < chunk->columns.size(); ++c) {
       append_column(older.columns[c], chunk->columns[c]);
       append_column(newer.columns[c], chunk->columns[c]);
-      std::visit([&](auto& col) { col.seal(opt.dict_max); },
+      std::visit([&](auto& col) { col.seal(kDictMax); },
                  chunk->columns[c]);
     }
     chunk->rows = older.rows + newer.rows;
@@ -326,19 +328,19 @@ void TableSegment::Chunk::wire_encode_rows(
 // ------------------------------------------------------------ TableSegment
 
 std::shared_ptr<const TableSegment> TableSegment::build(
-    const sql::Table& t, const SegmentOptions& opt) {
+    const sql::Table& t) {
   auto seg = std::shared_ptr<TableSegment>(new TableSegment());
   seg->schema_ = t.schema();
   seg->hidden_pk_ = !seg->schema_.primary_key_index().has_value();
-  seg->chunks_.push_back(Chunk::from_heap(t, &seg->cursor_, opt));
+  seg->chunks_.push_back(Chunk::from_heap(t, &seg->cursor_));
   seg->row_count_ = static_cast<uint32_t>(seg->cursor_.row);
   return seg;
 }
 
 std::shared_ptr<const TableSegment> TableSegment::extend(
-    const sql::Table& t, const SegmentOptions& opt) const {
+    const sql::Table& t) const {
   auto seg = std::shared_ptr<TableSegment>(new TableSegment(*this));
-  auto tail = Chunk::from_heap(t, &seg->cursor_, opt);
+  auto tail = Chunk::from_heap(t, &seg->cursor_);
   if (tail->rows == 0) return seg;
   seg->row_count_ = static_cast<uint32_t>(seg->cursor_.row);
   std::vector<std::shared_ptr<const Chunk>>& chunks = seg->chunks_;
@@ -350,7 +352,7 @@ std::shared_ptr<const TableSegment> TableSegment::extend(
                            ? newer.rows >= older.rows
                            : uint64_t{2} * newer.rows > older.rows;
     if (!merge) break;
-    auto merged = Chunk::merge(older, newer, schema_, opt);
+    auto merged = Chunk::merge(older, newer, schema_);
     chunks.pop_back();
     chunks.back() = std::move(merged);
   }

@@ -32,17 +32,10 @@
 
 namespace wre::columnar {
 
-struct SegmentOptions {
-  /// Per-column dictionary cardinality cap; above it a column falls back
-  /// to the plain dense layout.
-  size_t dict_max = size_t{1} << 16;
-};
-
 class TableSegment {
  public:
   /// Scans all of `t` into a single-chunk segment.
-  static std::shared_ptr<const TableSegment> build(const sql::Table& t,
-                                                   const SegmentOptions& opt);
+  static std::shared_ptr<const TableSegment> build(const sql::Table& t);
 
   /// This segment caught up with `t`: every chunk shared, plus one tail
   /// chunk built from only the rows appended since this segment was
@@ -52,8 +45,7 @@ class TableSegment {
   /// sizes therefore at least halve from the base outward, so a segment
   /// of n rows has at most ⌈log2 n⌉ + 1 chunks, and the base is rewritten
   /// only once the tail has grown to the base's size.
-  std::shared_ptr<const TableSegment> extend(const sql::Table& t,
-                                             const SegmentOptions& opt) const;
+  std::shared_ptr<const TableSegment> extend(const sql::Table& t) const;
 
   uint32_t row_count() const { return row_count_; }
   size_t chunk_count() const { return chunks_.size(); }

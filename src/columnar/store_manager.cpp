@@ -5,8 +5,6 @@ namespace wre::columnar {
 std::shared_ptr<const TableSegment> ColumnStoreManager::snapshot(
     const sql::Table& t) {
   const uint64_t rows = t.row_count();
-  SegmentOptions opt;
-  opt.dict_max = options_.dict_max;
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = segments_.find(t.name());
@@ -18,13 +16,13 @@ std::shared_ptr<const TableSegment> ColumnStoreManager::snapshot(
   }
   std::shared_ptr<const TableSegment> seg;
   if (cached != nullptr && cached->row_count() < rows) {
-    seg = cached->extend(t, opt);
+    seg = cached->extend(t);
     ++appends_;
     merges_ += cached->chunk_count() + 1 - seg->chunk_count();
   } else {
     // Nothing cached — or a segment with more rows than the table, which
     // an append-only heap cannot produce for the table it was built from.
-    seg = TableSegment::build(t, opt);
+    seg = TableSegment::build(t);
     ++builds_;
     if (cached != nullptr) ++rebuilds_;
   }

@@ -32,16 +32,8 @@
 
 namespace wre::columnar {
 
-struct ColumnStoreOptions {
-  /// Per-column dictionary cardinality cap (see SegmentOptions).
-  size_t dict_max = size_t{1} << 16;
-};
-
 class ColumnStoreManager {
  public:
-  explicit ColumnStoreManager(ColumnStoreOptions options = {})
-      : options_(options) {}
-
   /// A snapshot of `t` holding every row it has: the cached segment when
   /// it is current, the cached segment extended by a tail chunk when rows
   /// were appended since, a full build when nothing is cached.
@@ -62,7 +54,6 @@ class ColumnStoreManager {
   Stats stats() const;
 
  private:
-  ColumnStoreOptions options_;
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const TableSegment>> segments_;
   uint64_t builds_ = 0;

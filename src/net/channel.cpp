@@ -103,10 +103,9 @@ PipelinedChannel::Response PipelinedChannel::await(uint64_t ticket,
   }
 }
 
-ChannelPool::ChannelPool(ShardEndpoint endpoint, size_t target_size,
-                         size_t max_frame_bytes, int recv_timeout_ms)
+ChannelPool::ChannelPool(ShardEndpoint endpoint, size_t max_frame_bytes,
+                         int recv_timeout_ms)
     : endpoint_(std::move(endpoint)),
-      target_size_(std::max<size_t>(1, target_size)),
       max_frame_bytes_(max_frame_bytes),
       recv_timeout_ms_(recv_timeout_ms) {}
 
@@ -127,12 +126,7 @@ ChannelPool::Lease ChannelPool::acquire() {
 void ChannelPool::release(std::shared_ptr<PipelinedChannel> ch) {
   if (ch->dead() || ch->in_flight() > 0) return;  // drop the carcass
   std::lock_guard<std::mutex> lk(mu_);
-  if (idle_.size() < target_size_) idle_.push_back(std::move(ch));
-}
-
-void ChannelPool::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  idle_.clear();
+  idle_.push_back(std::move(ch));
 }
 
 }  // namespace wre::net

@@ -13,7 +13,7 @@
 // with a blocked recv on the same fd — the classic close/reuse hazard.
 // Instead, ChannelPool hands out *exclusive leases*: one thread owns a
 // channel for a whole submit…await burst, and concurrency comes from the
-// pool width (RemoteOptions::connections_per_shard), not from sharing a
+// pool width — one channel per concurrent caller — not from sharing a
 // socket. This matches the scatter-gather client's shape exactly: it
 // leases one channel per shard, bursts the sub-requests, then awaits.
 //
@@ -100,11 +100,11 @@ class PipelinedChannel {
   std::map<uint64_t, Response> parked_;  // read past while awaiting later
 };
 
-/// A small pool of channels to one shard. acquire() returns an exclusive
-/// RAII lease; releasing returns the channel for reuse unless it died or
-/// still has un-awaited responses. Demand beyond `target_size` creates
-/// temporary channels that are simply dropped on release, so the pool
-/// never blocks.
+/// A pool of channels to one shard. acquire() returns an exclusive RAII
+/// lease on an idle channel, or on a new one when none is idle, so the
+/// pool never blocks. Releasing keeps every channel that is still healthy
+/// and has no un-awaited responses, so the pool's width follows the peak
+/// number of concurrent leases it has seen.
 class ChannelPool {
  public:
   class Lease {
@@ -130,16 +130,13 @@ class ChannelPool {
     ChannelPool* pool_;
   };
 
-  ChannelPool(ShardEndpoint endpoint, size_t target_size,
-              size_t max_frame_bytes, int recv_timeout_ms);
+  ChannelPool(ShardEndpoint endpoint, size_t max_frame_bytes,
+              int recv_timeout_ms);
 
   /// Exclusive lease on an idle (or freshly created) channel. Never blocks
   /// and never throws — connect errors surface from the lease's first
   /// submit().
   Lease acquire();
-
-  /// Drops all idle channels; leased ones die with their lease.
-  void clear();
 
   const ShardEndpoint& endpoint() const { return endpoint_; }
 
@@ -148,7 +145,6 @@ class ChannelPool {
   void release(std::shared_ptr<PipelinedChannel> ch);
 
   ShardEndpoint endpoint_;
-  size_t target_size_;
   size_t max_frame_bytes_;
   int recv_timeout_ms_;
 

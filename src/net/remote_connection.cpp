@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <limits>
+#include <span>
 #include <thread>
 
 #include "src/util/error.h"
@@ -11,6 +12,10 @@
 namespace wre::net {
 
 namespace {
+
+/// Backoff jitter needs spread, not secrecy: a fixed seed keeps retry
+/// schedules reproducible.
+constexpr uint64_t kJitterSeed = 0x5ca1ab1e;
 
 uint64_t elapsed_ms_since(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
@@ -27,6 +32,42 @@ bool looks_like_select(const std::string& sql) {
   return sql.size() - i >= 6 && sql::to_lower(sql.substr(i, 6)) == "select";
 }
 
+/// Decodes each kOkResult body and concatenates the rows in body order.
+/// Columns and executor counters come from the first body: the shards run
+/// one plan, so they agree on columns.
+sql::ResultSet gather(std::span<const Bytes> bodies) {
+  sql::ResultSet merged;
+  for (size_t k = 0; k < bodies.size(); ++k) {
+    WireReader r(bodies[k]);
+    sql::ResultSet rs = decode_result_set(r);
+    r.expect_end();
+    if (k == 0) {
+      merged = std::move(rs);
+    } else {
+      for (sql::Row& row : rs.rows) merged.rows.push_back(std::move(row));
+    }
+  }
+  return merged;
+}
+
+/// Indices of `count` items grouped by the shard `shard_of` places each
+/// in, keeping only shards that own some, in shard order. An empty input
+/// still yields one empty group for shard 0, so one server answers even
+/// then: with the result's columns, or with its error for a missing table.
+template <class ShardOf>
+std::vector<std::pair<uint32_t, std::vector<uint32_t>>> group_by_shard(
+    uint32_t n, size_t count, ShardOf shard_of) {
+  std::vector<std::vector<uint32_t>> members(n);
+  for (uint32_t i = 0; i < count; ++i) members[shard_of(i)].push_back(i);
+  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> groups;
+  for (uint32_t s = 0; s < n; ++s) {
+    if (!members[s].empty() || (s == 0 && count == 0)) {
+      groups.emplace_back(s, std::move(members[s]));
+    }
+  }
+  return groups;
+}
+
 }  // namespace
 
 RemoteConnection::RemoteConnection(std::string host, uint16_t port,
@@ -38,24 +79,18 @@ RemoteConnection::RemoteConnection(std::string host, uint16_t port,
 RemoteConnection::RemoteConnection(std::vector<ShardEndpoint> shards,
                                    RemoteOptions options)
     : options_(options),
-      tenant_id_(options.tenant_id),
-      jitter_rng_(options.retry.jitter_seed),
+      jitter_rng_(kJitterSeed),
       budget_(options.retry.budget_tokens) {
   if (shards.empty()) throw NetworkError("remote: empty shard map");
   pools_.reserve(shards.size());
   for (ShardEndpoint& ep : shards) {
     pools_.push_back(std::make_unique<ChannelPool>(
-        std::move(ep), options_.connections_per_shard,
-        options_.max_frame_bytes, options_.response_timeout_ms));
+        std::move(ep), options_.max_frame_bytes, options_.response_timeout_ms));
   }
 }
 
 void RemoteConnection::ping() {
   broadcast(Opcode::kPing, {}, Opcode::kOkPong);
-}
-
-void RemoteConnection::disconnect() {
-  for (auto& pool : pools_) pool->clear();
 }
 
 void RemoteConnection::set_tenant_id(uint64_t tenant_id) {
@@ -75,6 +110,9 @@ RemoteStats RemoteConnection::stats() const {
 std::vector<Bytes> RemoteConnection::scatter(Opcode request,
                                              const std::vector<Sub>& subs,
                                              Opcode expected) {
+  // Every request passes here, so this is where a fleet is checked before
+  // its first operation; kShardInfo is that check's own request.
+  if (request != Opcode::kShardInfo) ensure_topology();
   requests_.fetch_add(subs.size(), std::memory_order_relaxed);
 
   const RetryOptions& rp = options_.retry;
@@ -322,23 +360,6 @@ std::vector<Bytes> RemoteConnection::broadcast(Opcode request,
   return scatter(request, subs, expected);
 }
 
-sql::ResultSet RemoteConnection::broadcast_result(Opcode request,
-                                                  ByteView payload) {
-  std::vector<Bytes> bodies = broadcast(request, payload, Opcode::kOkResult);
-  sql::ResultSet merged;
-  for (size_t s = 0; s < bodies.size(); ++s) {
-    WireReader r(bodies[s]);
-    sql::ResultSet rs = decode_result_set(r);
-    r.expect_end();
-    if (s == 0) {
-      merged = std::move(rs);
-    } else {
-      for (sql::Row& row : rs.rows) merged.rows.push_back(std::move(row));
-    }
-  }
-  return merged;
-}
-
 void RemoteConnection::ensure_topology() {
   if (pools_.size() <= 1 || !options_.verify_topology) return;
   std::lock_guard<std::mutex> lk(topo_mu_);
@@ -389,7 +410,6 @@ RemoteConnection::ShardKey RemoteConnection::shard_key_for(
 std::vector<sql::ResultSet> RemoteConnection::execute_pipelined(
     const std::vector<std::string>& sqls) {
   const uint32_t n = shard_count();
-  if (n > 1) ensure_topology();
   std::vector<Sub> subs;
   subs.reserve(sqls.size() * n);
   for (const std::string& sql : sqls) {
@@ -400,57 +420,35 @@ std::vector<sql::ResultSet> RemoteConnection::execute_pipelined(
     }
     WireWriter w;
     w.string(sql);
-    for (uint32_t s = 0; s < n; ++s) {
-      Sub sub;
-      sub.shard = s;
-      sub.payload = w.bytes();
-      subs.push_back(std::move(sub));
-    }
+    for (uint32_t s = 0; s < n; ++s) subs.push_back(Sub{s, w.bytes()});
   }
   if (n > 1 && !sqls.empty()) {
     fanouts_.fetch_add(sqls.size(), std::memory_order_relaxed);
   }
   std::vector<Bytes> bodies = scatter(Opcode::kExecSql, subs, Opcode::kOkResult);
-  std::vector<sql::ResultSet> out(sqls.size());
+  std::vector<sql::ResultSet> out;
+  out.reserve(sqls.size());
   for (size_t i = 0; i < sqls.size(); ++i) {
-    for (uint32_t s = 0; s < n; ++s) {
-      WireReader r(bodies[i * n + s]);
-      sql::ResultSet rs = decode_result_set(r);
-      r.expect_end();
-      if (s == 0) {
-        out[i] = std::move(rs);
-      } else {
-        for (sql::Row& row : rs.rows) out[i].rows.push_back(std::move(row));
-      }
-    }
+    out.push_back(gather(std::span(bodies).subspan(i * n, n)));
   }
   return out;
 }
 
 sql::ResultSet RemoteConnection::execute(const std::string& sql) {
-  WireWriter w;
-  w.string(sql);
-  if (shard_count() == 1) {
-    Bytes body = roundtrip(0, Opcode::kExecSql, w.bytes(), Opcode::kOkResult);
-    WireReader r(body);
-    sql::ResultSet rs = decode_result_set(r);
-    r.expect_end();
-    return rs;
-  }
-  ensure_topology();
-  if (!looks_like_select(sql)) {
+  if (shard_count() > 1 && !looks_like_select(sql)) {
     // Row concatenation is only correct for plain row-returning SELECTs,
     // and a broadcast INSERT/UPDATE would run once per shard.
     throw NetworkError(
         "remote: sharded transport supports only SELECT through execute(); "
         "mutations must go through insert_batch/create_table");
   }
-  return broadcast_result(Opcode::kExecSql, w.bytes());
+  WireWriter w;
+  w.string(sql);
+  return gather(broadcast(Opcode::kExecSql, w.bytes(), Opcode::kOkResult));
 }
 
 void RemoteConnection::create_table(const std::string& table,
                                     const sql::Schema& schema) {
-  if (shard_count() > 1) ensure_topology();
   WireWriter w;
   w.string(table);
   w.schema(schema);
@@ -464,7 +462,6 @@ void RemoteConnection::create_table(const std::string& table,
 
 void RemoteConnection::create_index(const std::string& table,
                                     const std::string& column) {
-  if (shard_count() > 1) ensure_topology();
   WireWriter w;
   w.string(table);
   w.string(column);
@@ -472,7 +469,6 @@ void RemoteConnection::create_index(const std::string& table,
 }
 
 bool RemoteConnection::has_table(const std::string& table) {
-  if (shard_count() > 1) ensure_topology();
   WireWriter w;
   w.string(table);
   Bytes body = roundtrip(0, Opcode::kHasTable, w.bytes(), Opcode::kOkBool);
@@ -483,7 +479,6 @@ bool RemoteConnection::has_table(const std::string& table) {
 }
 
 uint64_t RemoteConnection::row_count(const std::string& table) {
-  if (shard_count() > 1) ensure_topology();
   WireWriter w;
   w.string(table);
   std::vector<Bytes> bodies =
@@ -498,7 +493,6 @@ uint64_t RemoteConnection::row_count(const std::string& table) {
 }
 
 sql::Schema RemoteConnection::table_schema(const std::string& table) {
-  if (shard_count() > 1) ensure_topology();
   WireWriter w;
   w.string(table);
   Bytes body = roundtrip(0, Opcode::kTableSchema, w.bytes(), Opcode::kOkSchema);
@@ -511,64 +505,42 @@ sql::Schema RemoteConnection::table_schema(const std::string& table) {
 std::vector<int64_t> RemoteConnection::insert_batch(
     const std::string& table, const std::vector<sql::Row>& rows) {
   const uint32_t n = shard_count();
-  if (n == 1) {
-    WireWriter w;
-    w.string(table);
-    w.u32(static_cast<uint32_t>(rows.size()));
-    for (const sql::Row& row : rows) w.row(row);
-    Bytes body = roundtrip(0, Opcode::kInsertBatch, w.bytes(), Opcode::kOkIds);
-    WireReader r(body);
-    uint32_t count = r.u32();
-    std::vector<int64_t> ids;
-    ids.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) ids.push_back(r.i64());
-    r.expect_end();
-    return ids;
-  }
-
-  ensure_topology();
-  ShardKey sk = shard_key_for(table);
   // Partition rows by the hash of their shard-key tag; rows the key
-  // cannot place (tag-less table, short row, non-integer value — the
-  // owning shard will report the schema error) go to shard 0.
-  std::vector<std::vector<uint32_t>> members(n);
-  for (uint32_t i = 0; i < rows.size(); ++i) {
-    uint32_t s = 0;
-    if (sk.index && *sk.index < rows[i].size() &&
-        rows[i][*sk.index].type() == sql::ValueType::kInt64) {
-      s = shard_for_tag(rows[i][*sk.index].as_tag(), n);
+  // cannot place (one server, tag-less table, short row, non-integer
+  // value — the owning shard will report the schema error) go to shard 0.
+  const ShardKey sk = n > 1 ? shard_key_for(table) : ShardKey{};
+  auto groups = group_by_shard(n, rows.size(), [&](uint32_t i) -> uint32_t {
+    const sql::Row& row = rows[i];
+    if (!sk.index || *sk.index >= row.size() ||
+        row[*sk.index].type() != sql::ValueType::kInt64) {
+      return 0;
     }
-    members[s].push_back(i);
-  }
+    return shard_for_tag(row[*sk.index].as_tag(), n);
+  });
   std::vector<Sub> subs;
-  std::vector<const std::vector<uint32_t>*> sub_members;
-  for (uint32_t s = 0; s < n; ++s) {
-    if (members[s].empty()) continue;
+  for (const auto& [s, members] : groups) {
     WireWriter w;
     w.string(table);
-    w.u32(static_cast<uint32_t>(members[s].size()));
-    for (uint32_t i : members[s]) w.row(rows[i]);
-    Sub sub;
-    sub.shard = s;
-    sub.payload = w.bytes();
-    subs.push_back(std::move(sub));
-    sub_members.push_back(&members[s]);
+    w.u32(static_cast<uint32_t>(members.size()));
+    for (uint32_t i : members) w.row(rows[i]);
+    subs.push_back(Sub{s, std::move(w.bytes())});
   }
   if (subs.size() > 1) fanouts_.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<Bytes> bodies = scatter(Opcode::kInsertBatch, subs, Opcode::kOkIds);
-  // Reassemble the per-shard id lists into input order.
+  // Reassemble the per-shard id lists into input order. Each count is
+  // checked against the rows sent before any id is read.
   std::vector<int64_t> ids(rows.size());
   for (size_t k = 0; k < bodies.size(); ++k) {
-    const std::vector<uint32_t>& idx = *sub_members[k];
+    const std::vector<uint32_t>& members = groups[k].second;
     WireReader r(bodies[k]);
     uint32_t count = r.u32();
-    if (count != idx.size()) {
+    if (count != members.size()) {
       throw NetworkError("remote: shard " + std::to_string(subs[k].shard) +
                          " returned " + std::to_string(count) + " ids for " +
-                         std::to_string(idx.size()) + " inserted rows");
+                         std::to_string(members.size()) + " inserted rows");
     }
-    for (uint32_t j = 0; j < count; ++j) ids[idx[j]] = r.i64();
+    for (uint32_t i : members) ids[i] = r.i64();
     r.expect_end();
   }
   return ids;
@@ -576,10 +548,10 @@ std::vector<int64_t> RemoteConnection::insert_batch(
 
 void RemoteConnection::scan(const std::string& table,
                             const std::function<void(const sql::Row&)>& fn) {
-  if (shard_count() > 1) ensure_topology();
   WireWriter w;
   w.string(table);
-  sql::ResultSet rs = broadcast_result(Opcode::kScanTable, w.bytes());
+  sql::ResultSet rs =
+      gather(broadcast(Opcode::kScanTable, w.bytes(), Opcode::kOkResult));
   for (const sql::Row& row : rs.rows) fn(row);
 }
 
@@ -595,63 +567,28 @@ sql::ResultSet RemoteConnection::tag_scan(const std::string& table,
     w.u8(star ? 1 : 0);
     w.u32(static_cast<uint32_t>(probe.size()));
     for (uint64_t t : probe) w.u64(t);
-    return w.bytes();
+    return std::move(w.bytes());
   };
-  if (n == 1) {
-    Bytes body = roundtrip(0, Opcode::kTagScan, encode(tags), Opcode::kOkResult);
-    WireReader r(body);
-    sql::ResultSet rs = decode_result_set(r);
-    r.expect_end();
-    return rs;
+  const ShardKey sk = n > 1 ? shard_key_for(table) : ShardKey{};
+  if (!sk.index || sql::to_lower(tag_column) != sk.column) {
+    // One server, a tag-less table, or a non-key tag column: rows are
+    // placed by another column's tag, so every shard may own matches —
+    // broadcast the full list. Results are still disjoint (each row lives
+    // on one shard).
+    return gather(broadcast(Opcode::kTagScan, encode(tags), Opcode::kOkResult));
   }
-
-  ensure_topology();
-  ShardKey sk = shard_key_for(table);
+  // Probing the shard-key column: each probe tag names exactly one shard,
+  // so partition the list and only visit shards that own a tag.
   std::vector<Sub> subs;
-  if (sk.index && sql::to_lower(tag_column) == sk.column) {
-    // Probing the shard-key column: each probe tag names exactly one
-    // shard, so partition the list and only visit shards that own a tag.
-    std::vector<std::vector<uint64_t>> per_shard(n);
-    for (uint64_t t : tags) per_shard[shard_for_tag(t, n)].push_back(t);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (per_shard[s].empty()) continue;
-      Sub sub;
-      sub.shard = s;
-      sub.payload = encode(per_shard[s]);
-      subs.push_back(std::move(sub));
-    }
-    if (subs.empty()) {
-      // Empty probe list: ask shard 0 so the caller still gets columns.
-      Sub sub;
-      sub.payload = encode(tags);
-      subs.push_back(std::move(sub));
-    }
-  } else {
-    // Probing a non-key tag column: rows are placed by a different
-    // column's tag, so every shard may own matches — broadcast the full
-    // list. Results are still disjoint (each row lives on one shard).
-    for (uint32_t s = 0; s < n; ++s) {
-      Sub sub;
-      sub.shard = s;
-      sub.payload = encode(tags);
-      subs.push_back(std::move(sub));
-    }
+  for (const auto& [s, members] : group_by_shard(
+           n, tags.size(), [&](uint32_t i) { return shard_for_tag(tags[i], n); })) {
+    std::vector<uint64_t> probe;
+    probe.reserve(members.size());
+    for (uint32_t i : members) probe.push_back(tags[i]);
+    subs.push_back(Sub{s, encode(probe)});
   }
   if (subs.size() > 1) fanouts_.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<Bytes> bodies = scatter(Opcode::kTagScan, subs, Opcode::kOkResult);
-  sql::ResultSet merged;
-  for (size_t k = 0; k < bodies.size(); ++k) {
-    WireReader r(bodies[k]);
-    sql::ResultSet rs = decode_result_set(r);
-    r.expect_end();
-    if (k == 0) {
-      merged = std::move(rs);
-    } else {
-      for (sql::Row& row : rs.rows) merged.rows.push_back(std::move(row));
-    }
-  }
-  return merged;
+  return gather(scatter(Opcode::kTagScan, subs, Opcode::kOkResult));
 }
 
 }  // namespace wre::net

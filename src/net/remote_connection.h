@@ -8,9 +8,10 @@
 // never sees a key, a plaintext, or a query term; its view is exactly the
 // honest-but-curious adversary's view from the paper.
 //
-// Topology: construct with one endpoint for the classic single-server
-// transport, or with an ordered shard map (list position = shard index).
-// Sharded routing follows src/net/shard.h:
+// Topology: construct with one endpoint for a single server, or with an
+// ordered shard map (list position = shard index). One server is the
+// one-shard map: every operation runs the same partition/broadcast code,
+// which then sends exactly one sub-request. Routing follows src/net/shard.h:
 //   - DDL (create_table / create_index) broadcasts to every shard;
 //   - insert_batch partitions rows by the hash of their shard-key tag and
 //     reassembles the returned ids into input order;
@@ -21,15 +22,18 @@
 //   - execute() (SELECT only when sharded — result rows are concatenated,
 //     so aggregates would be wrong), scan() and row_count() broadcast;
 //     has_table()/table_schema() ask shard 0 (DDL keeps shards uniform).
-// On first sharded use the client round-trips kShardInfo to every shard
-// and fails loudly if any server's --shard-index/--shard-count disagrees
-// with the map, catching a mis-wired fleet before data lands anywhere.
+// Only a map of two or more shards adds requests: on first use the client
+// round-trips kShardInfo to every shard and fails loudly if any server's
+// --shard-index/--shard-count disagrees with the map, catching a mis-wired
+// fleet before data lands anywhere; and partitioning by the shard key
+// fetches each table's schema once (kTableSchema) unless this connection
+// created the table.
 //
 // Transport behaviour:
-//   - per-shard channel pools (RemoteOptions::connections_per_shard) of
-//     pipelined connections: a scatter submits every sub-request before
-//     awaiting any response, so shards — and pipelined requests on one
-//     connection — overlap instead of serializing;
+//   - per-shard channel pools of pipelined connections, as wide as the
+//     peak number of concurrent callers: a scatter submits every
+//     sub-request before awaiting any response, so shards — and pipelined
+//     requests on one connection — overlap instead of serializing;
 //   - safe retries for *every* request, mutating ones included: each
 //     logical sub-request is stamped with a fresh random idempotency key
 //     (the v2 wire extension) that stays constant across its retries, so
@@ -82,8 +86,6 @@ struct RetryOptions {
   /// success refunds 0.1 (up to the cap). When the bucket is dry, failures
   /// surface immediately instead of amplifying an outage with retries.
   double budget_tokens = 32.0;
-  /// Seed for backoff jitter (deterministic schedules in tests).
-  uint64_t jitter_seed = 0x5ca1ab1e;
 };
 
 struct RemoteOptions {
@@ -93,14 +95,6 @@ struct RemoteOptions {
   /// attempt's receive timeout is the tighter of this and what remains of
   /// the overall deadline.
   int response_timeout_ms = 60000;
-  /// Tenant this connection acts for, stamped into every request's wire
-  /// extension. Scopes the server's idempotency cache; 0 is the default
-  /// single-tenant space. Carries no cryptographic authority — the
-  /// tenant's keys stay client-side (crypto::TenantKeyring).
-  uint64_t tenant_id = 0;
-  /// Steady-state pooled connections per shard. Concurrent demand beyond
-  /// this creates temporary connections that are dropped when released.
-  size_t connections_per_shard = 1;
   /// Verify each shard's --shard-index/--shard-count against the endpoint
   /// map (kShardInfo) before the first sharded operation. On by default;
   /// tests pointing several "shards" at one server turn it off.
@@ -135,11 +129,11 @@ class RemoteConnection final : public core::DbTransport {
   /// unreachable.
   void ping();
 
-  /// Drops all pooled connections; subsequent requests reconnect.
-  void disconnect();
-
-  /// Switches the tenant stamped into subsequent requests (core::TenantPool's
-  /// on_switch hook re-points one shared connection between requests).
+  /// Sets the tenant stamped into every later request's wire extension
+  /// (core::TenantPool's on_switch hook re-points one shared connection
+  /// between requests). It scopes the server's idempotency cache; 0, the
+  /// default, is the single-tenant space. It carries no cryptographic
+  /// authority: the tenant's keys stay client-side (crypto::TenantKeyring).
   void set_tenant_id(uint64_t tenant_id);
 
   RemoteStats stats() const;
@@ -192,11 +186,10 @@ class RemoteConnection final : public core::DbTransport {
   /// Broadcasts one payload to all shards and returns per-shard payloads.
   std::vector<Bytes> broadcast(Opcode request, ByteView payload,
                                Opcode expected);
-  /// Broadcast + decode_result_set + row concatenation in shard order.
-  sql::ResultSet broadcast_result(Opcode request, ByteView payload);
 
-  /// First sharded use: kShardInfo every shard, verify index/count match
-  /// the endpoint map. No-op for shard count 1 or verify_topology=false.
+  /// First use (called by scatter): kShardInfo every shard, verify
+  /// index/count match the endpoint map. No-op for shard count 1 or
+  /// verify_topology=false.
   void ensure_topology();
 
   /// Shard-key column (index + lower-cased name) of `table`, fetching and
@@ -211,7 +204,7 @@ class RemoteConnection final : public core::DbTransport {
   RemoteOptions options_;
   std::vector<std::unique_ptr<ChannelPool>> pools_;
 
-  std::atomic<uint64_t> tenant_id_;
+  std::atomic<uint64_t> tenant_id_{0};
 
   std::mutex retry_mu_;           // guards the three fields below
   crypto::SecureRandom key_rng_;  // idempotency keys

@@ -56,8 +56,9 @@ bool is_read_sql(std::string_view sql) {
   return starts_with_kw("select") || starts_with_kw("explain");
 }
 
-/// Whether executing this request can change database state — the requests
-/// the idempotency cache must dedup. Peeks the SQL text for kExecSql (its
+/// Whether executing this request can change database state: the requests
+/// the idempotency cache must dedup, and the ones that take the write
+/// lock. Decided once per request. Peeks the SQL text for kExecSql (its
 /// payload is a single length-prefixed string); malformed payloads return
 /// false and fail later in the decoder, before any mutation.
 bool request_mutates(Opcode op, ByteView payload) {
@@ -740,7 +741,8 @@ Bytes Server::process_request(const PendingRequest& req) {
       throw NetworkError("wire: unknown request opcode " +
                          std::to_string(static_cast<int>(req.op)));
     }
-    if (req.ext.has_key && request_mutates(req.op, req.payload)) {
+    const bool mutates = request_mutates(req.op, req.payload);
+    if (req.ext.has_key && mutates) {
       // Exactly-once: first arrival executes and records; a retry of
       // the same key replays the recorded response. A request shed
       // before execution (OverloadedError) aborts its claim instead —
@@ -753,7 +755,8 @@ Bytes Server::process_request(const PendingRequest& req) {
         response = std::move(cached);
       } else {
         try {
-          response = handle_request(req.op, req.payload, deadline_ms);
+          response =
+              handle_request(req.op, req.payload, mutates, deadline_ms);
           dedup_.complete(dkey, response);
         } catch (const OverloadedError&) {
           dedup_.abort(dkey);
@@ -770,7 +773,7 @@ Bytes Server::process_request(const PendingRequest& req) {
         }
       }
     } else {
-      response = handle_request(req.op, req.payload, deadline_ms);
+      response = handle_request(req.op, req.payload, mutates, deadline_ms);
     }
   } catch (const OverloadedError& e) {
     // A shed request is load, not a protocol violation.
@@ -798,10 +801,10 @@ Frame Server::error_frame(const std::exception& e) {
 // happens-before edge and every access under the lock would be reported
 // as a race. Deadlines are millisecond-granular; a 100 µs poll costs
 // noise against that while keeping the lock visible to the sanitizer.
-std::shared_lock<std::shared_timed_mutex> Server::lock_shared(
-    uint32_t deadline_ms) {
-  if (deadline_ms == 0) return std::shared_lock(db_mu_);
-  std::shared_lock lock(db_mu_, std::try_to_lock);
+template <class Lock>
+Lock Server::lock_db(uint32_t deadline_ms) {
+  if (deadline_ms == 0) return Lock(db_mu_);
+  Lock lock(db_mu_, std::try_to_lock);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
   while (!lock.owns_lock() && std::chrono::steady_clock::now() < deadline) {
@@ -816,25 +819,21 @@ std::shared_lock<std::shared_timed_mutex> Server::lock_shared(
   return lock;
 }
 
-std::unique_lock<std::shared_timed_mutex> Server::lock_unique(
-    uint32_t deadline_ms) {
-  if (deadline_ms == 0) return std::unique_lock(db_mu_);
-  std::unique_lock lock(db_mu_, std::try_to_lock);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  while (!lock.owns_lock() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    (void)lock.try_lock();
+void Server::write_and_commit(uint32_t deadline_ms,
+                              const std::function<void()>& write) {
+  storage::CommitHandle commit;
+  {
+    auto lock = lock_db<UniqueDbLock>(deadline_ms);
+    write();
+    commit = db_.commit_async();
   }
-  if (!lock.owns_lock()) {
-    deadline_rejects_.fetch_add(1);
-    throw OverloadedError("server: request shed — database busy past the " +
-                          std::to_string(deadline_ms) + " ms deadline");
-  }
-  return lock;
+  // Group commit: wait AFTER releasing the write lock, so the next
+  // writer's work (and its commit) overlaps this fsync — the log writer
+  // batches every queued commit into one sync.
+  commit.wait();
 }
 
-Frame Server::handle_request(Opcode op, ByteView payload,
+Frame Server::handle_request(Opcode op, ByteView payload, bool mutates,
                              uint32_t deadline_ms) {
   WireReader r(payload);
   WireWriter w;
@@ -853,8 +852,10 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       std::string sql = r.string();
       r.expect_end();
       sql::ResultSet rs;
-      if (is_read_sql(sql)) {
-        auto lock = lock_shared(deadline_ms);
+      if (mutates) {
+        write_and_commit(deadline_ms, [&] { rs = db_.execute(sql); });
+      } else {
+        auto lock = lock_db<SharedDbLock>(deadline_ms);
         // Every SELECT plan encodes its response straight from the heap
         // records or column segment; no sql::Row is built on the server.
         Bytes payload;
@@ -862,17 +863,6 @@ Frame Server::handle_request(Opcode op, ByteView payload,
           return Frame{Opcode::kOkResult, std::move(payload)};
         }
         rs = db_.execute(sql);
-      } else {
-        storage::CommitHandle commit;
-        {
-          auto lock = lock_unique(deadline_ms);
-          rs = db_.execute(sql);
-          commit = db_.commit_async();
-        }
-        // Group commit: wait AFTER releasing the write lock, so the next
-        // writer's work (and its commit) overlaps this fsync — the log
-        // writer batches every queued commit into one sync.
-        commit.wait();
       }
       encode_result_set(rs, w);
       return Frame{Opcode::kOkResult, std::move(w.bytes())};
@@ -888,13 +878,8 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       for (uint32_t i = 0; i < nrows; ++i) rows.push_back(r.row());
       r.expect_end();
       std::vector<int64_t> ids;
-      storage::CommitHandle commit;
-      {
-        auto lock = lock_unique(deadline_ms);
-        ids = db_.insert_batch(table, rows);
-        commit = db_.commit_async();
-      }
-      commit.wait();  // see kExecSql: fsync outside the write lock
+      write_and_commit(deadline_ms,
+                       [&] { ids = db_.insert_batch(table, rows); });
       w.u32(static_cast<uint32_t>(ids.size()));
       for (int64_t id : ids) w.i64(id);
       return Frame{Opcode::kOkIds, std::move(w.bytes())};
@@ -903,46 +888,35 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       std::string table = r.string();
       sql::Schema schema = r.schema();
       r.expect_end();
-      storage::CommitHandle commit;
-      {
-        auto lock = lock_unique(deadline_ms);
-        db_.create_table(table, std::move(schema));
-        commit = db_.commit_async();
-      }
-      commit.wait();
+      write_and_commit(deadline_ms,
+                       [&] { db_.create_table(table, std::move(schema)); });
       return Frame{Opcode::kOkUnit, {}};
     }
     case Opcode::kCreateIndex: {
       std::string table = r.string();
       std::string column = r.string();
       r.expect_end();
-      storage::CommitHandle commit;
-      {
-        auto lock = lock_unique(deadline_ms);
-        db_.create_index(table, column);
-        commit = db_.commit_async();
-      }
-      commit.wait();
+      write_and_commit(deadline_ms, [&] { db_.create_index(table, column); });
       return Frame{Opcode::kOkUnit, {}};
     }
     case Opcode::kHasTable: {
       std::string table = r.string();
       r.expect_end();
-      auto lock = lock_shared(deadline_ms);
+      auto lock = lock_db<SharedDbLock>(deadline_ms);
       w.u8(db_.has_table(table) ? 1 : 0);
       return Frame{Opcode::kOkBool, std::move(w.bytes())};
     }
     case Opcode::kRowCount: {
       std::string table = r.string();
       r.expect_end();
-      auto lock = lock_shared(deadline_ms);
+      auto lock = lock_db<SharedDbLock>(deadline_ms);
       w.u64(db_.table(table).row_count());
       return Frame{Opcode::kOkCount, std::move(w.bytes())};
     }
     case Opcode::kTableSchema: {
       std::string table = r.string();
       r.expect_end();
-      auto lock = lock_shared(deadline_ms);
+      auto lock = lock_db<SharedDbLock>(deadline_ms);
       w.schema(db_.table(table).schema());
       return Frame{Opcode::kOkSchema, std::move(w.bytes())};
     }
@@ -961,7 +935,7 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       for (uint64_t& tag : tags) tag = r.u64();
       r.expect_end();
       sql::SelectStmt stmt = core::tag_scan_stmt(table, tag_column, tags, star);
-      auto lock = lock_shared(deadline_ms);
+      auto lock = lock_db<SharedDbLock>(deadline_ms);
       Bytes payload;
       db_.execute_select_wire(stmt, &payload);
       return Frame{Opcode::kOkResult, std::move(payload)};
@@ -972,7 +946,7 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       star_stmt.star = true;
       star_stmt.table = r.string();
       r.expect_end();
-      auto lock = lock_shared(deadline_ms);
+      auto lock = lock_db<SharedDbLock>(deadline_ms);
       Bytes payload;
       db_.execute_select_wire(star_stmt, &payload);
       return Frame{Opcode::kOkResult, std::move(payload)};

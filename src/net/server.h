@@ -58,6 +58,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -247,13 +248,23 @@ class Server {
   /// returns the encoded response frame. Never throws.
   Bytes process_request(const PendingRequest& req);
   /// Decodes and executes one request frame; returns the response frame.
-  /// `deadline_ms` (0 = none) bounds the db-lock wait; expiry throws
-  /// OverloadedError before any state changes.
-  Frame handle_request(Opcode op, ByteView payload, uint32_t deadline_ms);
-  /// Timed db_mu_ acquisition; throws OverloadedError when the deadline
-  /// passes first (and counts it in deadline_rejects_).
-  std::shared_lock<std::shared_timed_mutex> lock_shared(uint32_t deadline_ms);
-  std::unique_lock<std::shared_timed_mutex> lock_unique(uint32_t deadline_ms);
+  /// `mutates` is request_mutates' verdict, decided once per request by
+  /// process_request. `deadline_ms` (0 = none) bounds the db-lock wait;
+  /// expiry throws OverloadedError before any state changes.
+  Frame handle_request(Opcode op, ByteView payload, bool mutates,
+                       uint32_t deadline_ms);
+  /// Timed db_mu_ acquisition, shared or exclusive as `Lock` is a
+  /// std::shared_lock or std::unique_lock; throws OverloadedError when the
+  /// deadline passes first (and counts it in deadline_rejects_).
+  using SharedDbLock = std::shared_lock<std::shared_timed_mutex>;
+  using UniqueDbLock = std::unique_lock<std::shared_timed_mutex>;
+  template <class Lock>
+  Lock lock_db(uint32_t deadline_ms);
+  /// The one write path: takes db_mu_ exclusively within the deadline,
+  /// runs `write`, queues its commit, releases the lock, then waits until
+  /// the commit is durable.
+  void write_and_commit(uint32_t deadline_ms,
+                        const std::function<void()>& write);
   static Frame error_frame(const std::exception& e);
 
   sql::Database& db_;
@@ -289,7 +300,7 @@ class Server {
   std::vector<Completion> completions_;
 
   /// Single-writer exclusion over db_ (see the threading model above).
-  /// Timed so request deadlines can bound the wait (lock_shared/_unique).
+  /// Timed so request deadlines can bound the wait (lock_db).
   std::shared_timed_mutex db_mu_;
 
   /// Idempotency-key replay cache (exactly-once retried mutations),

@@ -203,7 +203,7 @@ class SegmentTest : public ::testing::Test {
 
   std::shared_ptr<const TableSegment> build() {
     const sql::Table& t = db_.table("t");
-    return TableSegment::build(t, SegmentOptions{});
+    return TableSegment::build(t);
   }
 
   TempDir dir_;
@@ -284,7 +284,7 @@ TEST_F(SegmentTest, PkLookup) {
 TEST_F(SegmentTest, EmptyTableSegment) {
   db_.execute("CREATE TABLE empty (id INTEGER PRIMARY KEY, v TEXT)");
   const sql::Table& t = db_.table("empty");
-  auto seg = TableSegment::build(t, SegmentOptions{});
+  auto seg = TableSegment::build(t);
   EXPECT_EQ(seg->row_count(), 0u);
   EXPECT_TRUE(seg->select_all().empty());
   EXPECT_TRUE(seg->select(sql::Expr::equals("v", Value::text("x"))).empty());

@@ -3,7 +3,9 @@
 // transport semantics, and graceful drain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "src/core/transport.h"
@@ -425,6 +427,112 @@ TEST_F(NetServerTest, ServerErrorsRethrowSameType) {
   // carried every request — no silent reconnects.
   EXPECT_EQ(server_->protocol_errors(), 0u);
   EXPECT_EQ(server_->sessions_accepted(), sessions_before);
+}
+
+// One server is the one-shard case of the scatter path. Each call is one
+// request frame: the fleet's extra requests (kShardInfo, kTableSchema)
+// never appear, even for a table this connection did not create.
+TEST_F(NetServerTest, OneServerSendsOneFramePerCall) {
+  {
+    RemoteConnection setup = client();
+    setup.create_table("kv", kv_schema());
+    setup.create_index("kv", "tag");
+  }
+  RemoteConnection remote = client();  // attach-style: nothing cached
+  remote.ping();                       // lazy connect happens here
+  const uint64_t sessions_before = server_->sessions_accepted();
+  auto expect_one_frame = [&](const char* what, const auto& call) {
+    const uint64_t before = server_->frames_served();
+    call();
+    EXPECT_EQ(server_->frames_served(), before + 1) << what;
+  };
+
+  std::vector<sql::Row> rows;
+  for (int64_t i = 0; i < 30; ++i) {
+    rows.push_back({sql::Value::int64(i), sql::Value::int64(i % 3),
+                    sql::Value::blob(Bytes{static_cast<uint8_t>(i)})});
+  }
+  expect_one_frame("insert_batch", [&] {
+    EXPECT_EQ(remote.insert_batch("kv", rows).size(), rows.size());
+  });
+  expect_one_frame("tag_scan ids", [&] {
+    EXPECT_EQ(remote.tag_scan("kv", "tag", {1}, false).rows.size(), 10u);
+  });
+  expect_one_frame("tag_scan star", [&] {
+    EXPECT_EQ(remote.tag_scan("kv", "tag", {0, 2}, true).rows.size(), 20u);
+  });
+  for (bool star : {false, true}) {
+    expect_one_frame("tag_scan empty", [&] {
+      sql::ResultSet rs = remote.tag_scan("kv", "tag", {}, star);
+      EXPECT_TRUE(rs.rows.empty());
+      EXPECT_FALSE(rs.columns.empty());
+    });
+  }
+  expect_one_frame("execute", [&] {
+    EXPECT_EQ(remote.execute("SELECT id FROM kv WHERE tag = 2").rows.size(),
+              10u);
+  });
+  EXPECT_EQ(server_->sessions_accepted(), sessions_before);
+}
+
+// A stand-in for wre_server that answers exactly one request frame with a
+// fixed response, then holds the session open until the client hangs up.
+class OneShotServer {
+ public:
+  explicit OneShotServer(Frame reply) : listener_("127.0.0.1", 0) {
+    thread_ = std::thread([this, reply = std::move(reply)] {
+      std::optional<Socket> sock = listener_.accept();
+      if (!sock) return;
+      try {
+        uint8_t header[kFrameHeaderBytes];
+        sock->recv_all(header, sizeof(header));
+        FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
+        if (fh.version == kWireVersionExt) {
+          uint8_t ext_len = 0;
+          sock->recv_all(&ext_len, 1);
+          Bytes ext(ext_len);
+          sock->recv_all(ext.data(), ext.size());
+        }
+        Bytes payload(fh.payload_length);
+        sock->recv_all(payload.data(), payload.size());
+        sock->send_all(encode_frame(reply.opcode, reply.payload));
+        uint8_t byte = 0;
+        (void)sock->recv_all_or_eof(&byte, 1);
+      } catch (const NetworkError&) {
+        // The client hung up mid-exchange; the test reports what it saw.
+      }
+    });
+  }
+  ~OneShotServer() {
+    listener_.close();
+    thread_.join();
+  }
+
+  uint16_t port() const { return listener_.port(); }
+
+ private:
+  Listener listener_;
+  std::thread thread_;
+};
+
+// insert_batch checks the id count the server returns against the rows it
+// sent, before it allocates anything from that count.
+TEST(RemoteInsertBatch, RejectsAWrongIdCountFromTheServer) {
+  std::vector<sql::Row> rows(3, sql::Row{sql::Value::int64(1)});
+  auto reply_with_ids = [](uint32_t count, size_t ids_sent) {
+    WireWriter w;
+    w.u32(count);
+    for (size_t i = 0; i < ids_sent; ++i) w.i64(static_cast<int64_t>(i));
+    return Frame{Opcode::kOkIds, std::move(w.bytes())};
+  };
+  for (uint32_t count : {1u, 5u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE("count=" + std::to_string(count));
+    OneShotServer fake(reply_with_ids(count, std::min<uint32_t>(count, 5)));
+    RemoteOptions options;
+    options.retry.max_attempts = 1;
+    RemoteConnection remote("127.0.0.1", fake.port(), options);
+    EXPECT_THROW(remote.insert_batch("kv", rows), NetworkError);
+  }
 }
 
 TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
