@@ -1,9 +1,10 @@
 // Shared infrastructure for the experiment harnesses in bench/.
 //
-// Each bench binary reproduces one table or figure from the paper's
-// evaluation (Section VI). They are self-contained executables with sane
-// fast defaults; pass --records / --queries / ... to scale up toward the
-// paper's 100k / 1M / 10M configurations.
+// bench_paper reproduces the paper's tables and figures (Sections V and VI),
+// one subcommand each; the other binaries measure the system's layers. All
+// are self-contained executables with fast defaults; pass --records /
+// --queries / ... to scale up toward the paper's 100k / 1M / 10M
+// configurations.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <iostream>
 #include <map>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,7 +40,10 @@ class Args {
   Args(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
+      if (arg.rfind("--", 0) != 0) {
+        positional_.push_back(arg);
+        continue;
+      }
       std::string key = arg.substr(2);
       if (size_t eq = key.find('='); eq != std::string::npos) {
         values_[key.substr(0, eq)] = key.substr(eq + 1);
@@ -85,6 +90,17 @@ class Args {
 
   bool has(const std::string& key) const { return values_.contains(key); }
 
+  /// The given flags outside `known` (as "--key") and any positional
+  /// arguments, so a harness can refuse a typo such as --recods instead of
+  /// running at its defaults.
+  std::vector<std::string> unknown(const std::set<std::string>& known) const {
+    std::vector<std::string> out = positional_;
+    for (const auto& [key, value] : values_) {
+      if (!known.contains(key)) out.push_back("--" + key);
+    }
+    return out;
+  }
+
  private:
   [[noreturn]] static void fail(const std::string& message) {
     std::cerr << "error: " << message << "\n";
@@ -92,7 +108,11 @@ class Args {
   }
 
   std::map<std::string, std::string> values_;
+  std::vector<std::string> positional_;
 };
+
+/// Seed of the bench databases' keys and of the IND-CUDA games.
+inline constexpr uint64_t kSeed = 20260704;
 
 /// A scheme configuration under test.
 struct SchemeConfig {
@@ -143,39 +163,33 @@ struct LoadedDb {
   std::unique_ptr<core::EncryptedConnection> conn;  // encrypted configs only
   double load_seconds = 0;
 
-  /// SELECT id equality query; returns number of ids the server returned.
-  size_t select_ids(const std::string& column, const std::string& value) {
-    if (config.encrypted) {
-      return conn->select_ids("main", column, value).ids.size();
+  /// SELECT id equality query: the ids the server returned (with their
+  /// tag fan-out when encrypted).
+  core::EncryptedQueryResult select_ids(const std::string& column,
+                                        const std::string& value) {
+    if (config.encrypted) return conn->select_ids("main", column, value);
+    core::EncryptedQueryResult out;
+    for (const auto& row : plain_query("id", column, value).rows) {
+      out.ids.push_back(row[0].as_int64());
     }
-    auto rs = db->execute("SELECT id FROM main WHERE " + column + " = " +
-                          sql::Value::text(value).to_sql_literal());
-    return rs.rows.size();
+    return out;
   }
 
-  /// SELECT id equality query returning the ids themselves, for result-set
-  /// identity checks (e.g. parallel vs serial executor).
-  std::vector<int64_t> select_ids_full(const std::string& column,
-                                       const std::string& value) {
-    if (config.encrypted) {
-      return conn->select_ids("main", column, value).ids;
-    }
-    auto rs = db->execute("SELECT id FROM main WHERE " + column + " = " +
-                          sql::Value::text(value).to_sql_literal());
-    std::vector<int64_t> ids;
-    ids.reserve(rs.rows.size());
-    for (const auto& row : rs.rows) ids.push_back(row[0].as_int64());
-    return ids;
+  /// SELECT * equality query: the (client-filtered) rows.
+  core::EncryptedQueryResult select_star(const std::string& column,
+                                         const std::string& value) {
+    if (config.encrypted) return conn->select_star("main", column, value);
+    core::EncryptedQueryResult out;
+    out.rows = plain_query("*", column, value).rows;
+    return out;
   }
 
-  /// SELECT * equality query; returns number of (client-filtered) rows.
-  size_t select_star(const std::string& column, const std::string& value) {
-    if (config.encrypted) {
-      return conn->select_star("main", column, value).rows.size();
-    }
-    auto rs = db->execute("SELECT * FROM main WHERE " + column + " = " +
-                          sql::Value::text(value).to_sql_literal());
-    return rs.rows.size();
+ private:
+  sql::ResultSet plain_query(const std::string& what,
+                             const std::string& column,
+                             const std::string& value) {
+    return db->execute("SELECT " + what + " FROM main WHERE " + column +
+                       " = " + sql::Value::text(value).to_sql_literal());
   }
 };
 
@@ -211,6 +225,8 @@ inline datagen::ColumnHistogram collect_histogram(
 /// legacy per-row `insert` loop; N > 0 streams chunks through a persistent
 /// core::IngestPipeline with N worker threads (N == 1 exercises the
 /// pipeline's serial path, so thread scaling can be measured against it).
+/// Only the pipeline path is reproducible: the per-row loop draws salts
+/// from the connection's OS-seeded generator.
 inline LoadedDb load_database(const SchemeConfig& config,
                               const datagen::RecordGenerator& gen,
                               const datagen::ColumnHistogram& hist,
@@ -235,7 +251,10 @@ inline LoadedDb load_database(const SchemeConfig& config,
       out.db->table("main").insert(gen.record(id));
     }
   } else {
-    crypto::SecureRandom entropy;
+    // A fixed master secret fixes every salt set, and the pipeline's fixed
+    // stream nonce below fixes each record's salt draw: two loads that
+    // differ in one parameter (say lambda) differ only by that parameter.
+    auto entropy = crypto::SecureRandom::for_testing(kSeed);
     out.conn = std::make_unique<core::EncryptedConnection>(*out.db,
                                                            entropy.bytes(32));
     std::map<std::string, core::PlaintextDistribution> dists;
@@ -254,6 +273,7 @@ inline LoadedDb load_database(const SchemeConfig& config,
     } else {
       core::IngestOptions options;
       options.threads = ingest_threads;
+      options.stream_nonce = entropy.bytes(16);
       core::IngestPipeline pipeline(*out.conn, "main", options);
       constexpr int64_t kChunk = 4096;  // bound resident plaintext
       std::vector<sql::Row> chunk;
@@ -280,24 +300,9 @@ inline double mean(const std::vector<double>& xs) {
          static_cast<double>(xs.size());
 }
 
-inline double median(std::vector<double> xs) {
-  if (xs.empty()) return 0;
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
-
-/// Nearest-rank percentile, p in [0, 100].
-inline double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0;
-  std::sort(xs.begin(), xs.end());
-  double rank = p / 100.0 * static_cast<double>(xs.size());
-  size_t idx = rank <= 1 ? 0 : static_cast<size_t>(std::ceil(rank)) - 1;
-  return xs[std::min(idx, xs.size() - 1)];
-}
-
 /// The standard latency summary every harness reports: mean and the
 /// p50/p99/p999 tail, computed with ONE sort instead of re-sorting per
-/// percentile. Nearest-rank, matching percentile() above. For p999 to be
+/// percentile. Nearest-rank percentiles. For p999 to be
 /// meaningful the sample needs >= ~1000 observations; with fewer it
 /// degrades to the max, which is still the honest answer.
 struct LatencySummary {

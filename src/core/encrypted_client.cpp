@@ -15,17 +15,6 @@ using sql::Schema;
 using sql::Value;
 using sql::ValueType;
 
-const char* salt_method_name(SaltMethod m) {
-  switch (m) {
-    case SaltMethod::kDeterministic: return "deterministic";
-    case SaltMethod::kFixed: return "fixed";
-    case SaltMethod::kProportional: return "proportional";
-    case SaltMethod::kPoisson: return "poisson";
-    case SaltMethod::kBucketizedPoisson: return "bucketized-poisson";
-  }
-  return "?";
-}
-
 EncryptedConnection::EncryptedConnection(sql::Database& db,
                                          ByteView master_secret)
     : owned_transport_(std::make_unique<LocalTransport>(db)),
@@ -46,36 +35,12 @@ std::unique_ptr<WreScheme> EncryptedConnection::build_scheme(
                                      master_secret_, context, 32);
   crypto::KeyBundle keys = crypto::KeyBundle::derive(column_secret);
 
-  auto need_dist = [&]() -> const PlaintextDistribution& {
-    if (dist == nullptr) {
-      throw WreError("column " + spec.column + " with method " +
-                     salt_method_name(spec.method) +
-                     " requires a plaintext distribution");
-    }
-    return *dist;
-  };
-
   std::unique_ptr<SaltAllocator> allocator;
-  switch (spec.method) {
-    case SaltMethod::kDeterministic:
-      allocator = std::make_unique<DeterministicAllocator>();
-      break;
-    case SaltMethod::kFixed:
-      allocator = std::make_unique<FixedSaltAllocator>(
-          static_cast<uint32_t>(spec.parameter));
-      break;
-    case SaltMethod::kProportional:
-      allocator = std::make_unique<ProportionalSaltAllocator>(
-          need_dist(), static_cast<uint32_t>(spec.parameter));
-      break;
-    case SaltMethod::kPoisson:
-      allocator = std::make_unique<PoissonSaltAllocator>(
-          need_dist(), spec.parameter, keys.shuffle_key);
-      break;
-    case SaltMethod::kBucketizedPoisson:
-      allocator = std::make_unique<BucketizedPoissonAllocator>(
-          need_dist(), spec.parameter, keys.shuffle_key, context);
-      break;
+  try {
+    allocator = make_salt_allocator(spec.method, spec.parameter, dist,
+                                    keys.shuffle_key, context);
+  } catch (const WreError& e) {
+    throw WreError("column " + spec.column + ": " + e.what());
   }
   return std::make_unique<WreScheme>(std::move(keys), std::move(allocator),
                                      spec.unseen);
@@ -89,6 +54,25 @@ constexpr const char* kManifestTable = "_wre_manifest";
 // rows. A "generation" groups one save's chunks; the highest complete
 // generation per table name is current.
 constexpr size_t kManifestChunkBytes = 2048;
+
+Schema manifest_schema() {
+  return Schema({Column{"id", ValueType::kInt64, true},
+                 Column{"tname", ValueType::kText},
+                 Column{"gen", ValueType::kInt64},
+                 Column{"seq", ValueType::kInt64},
+                 Column{"nchunks", ValueType::kInt64},
+                 Column{"data", ValueType::kBlob}});
+}
+
+// The server returns manifest rows, so their width and cell types are
+// untrusted until checked.
+bool is_manifest_row(const Schema& schema, const Row& row) {
+  if (row.size() != schema.column_count()) return false;
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].type() != schema.column(i).type) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -119,13 +103,7 @@ void EncryptedConnection::save_manifest(const std::string& table) {
   Bytes blob = cipher.encrypt(serialize_manifest(manifest), rng_);
 
   if (!transport_->has_table(kManifestTable)) {
-    transport_->create_table(
-        kManifestTable, Schema({Column{"id", ValueType::kInt64, true},
-                                Column{"tname", ValueType::kText},
-                                Column{"gen", ValueType::kInt64},
-                                Column{"seq", ValueType::kInt64},
-                                Column{"nchunks", ValueType::kInt64},
-                                Column{"data", ValueType::kBlob}}));
+    transport_->create_table(kManifestTable, manifest_schema());
   }
   int64_t gen = static_cast<int64_t>(transport_->row_count(kManifestTable));
   auto nchunks = static_cast<int64_t>(
@@ -153,8 +131,12 @@ void EncryptedConnection::open_table(const std::string& table) {
   // Collect chunks of the highest generation for this table.
   std::map<int64_t, std::map<int64_t, Bytes>> generations;  // gen -> seq -> chunk
   std::map<int64_t, int64_t> expected_chunks;
+  const Schema schema = manifest_schema();
   transport_->scan(kManifestTable, [&](const Row& row) {
-    if (row[1].is_null() || row[1].as_text() != lowered) return;
+    if (!is_manifest_row(schema, row)) {
+      throw WreError("open_table: malformed manifest row");
+    }
+    if (row[1].as_text() != lowered) return;
     int64_t gen = row[2].as_int64();
     generations[gen][row[3].as_int64()] = row[5].as_blob();
     expected_chunks[gen] = row[4].as_int64();

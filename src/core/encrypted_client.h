@@ -30,17 +30,6 @@
 
 namespace wre::core {
 
-/// getSalts strategy selector for one column.
-enum class SaltMethod {
-  kDeterministic,       // DET baseline (no salt)
-  kFixed,               // Section V-A; parameter = N salts
-  kProportional,        // Section V-B; parameter = N_T total tags
-  kPoisson,             // Section V-C; parameter = lambda
-  kBucketizedPoisson,   // Section V-C1; parameter = lambda
-};
-
-const char* salt_method_name(SaltMethod m);
-
 /// Per-column encryption configuration.
 struct EncryptedColumnSpec {
   std::string column;

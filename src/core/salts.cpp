@@ -192,4 +192,44 @@ std::string BucketizedPoissonAllocator::name() const {
   return "bucketized-poisson-" + std::to_string(static_cast<long long>(lambda_));
 }
 
+const char* salt_method_name(SaltMethod m) {
+  switch (m) {
+    case SaltMethod::kDeterministic: return "deterministic";
+    case SaltMethod::kFixed: return "fixed";
+    case SaltMethod::kProportional: return "proportional";
+    case SaltMethod::kPoisson: return "poisson";
+    case SaltMethod::kBucketizedPoisson: return "bucketized-poisson";
+  }
+  return "?";
+}
+
+std::unique_ptr<SaltAllocator> make_salt_allocator(
+    SaltMethod method, double parameter, const PlaintextDistribution* dist,
+    ByteView shuffle_key, ByteView bucket_context) {
+  auto need_dist = [&]() -> const PlaintextDistribution& {
+    if (dist == nullptr) {
+      throw WreError(std::string("salt method ") + salt_method_name(method) +
+                     " requires a plaintext distribution");
+    }
+    return *dist;
+  };
+  switch (method) {
+    case SaltMethod::kDeterministic:
+      return std::make_unique<DeterministicAllocator>();
+    case SaltMethod::kFixed:
+      return std::make_unique<FixedSaltAllocator>(
+          static_cast<uint32_t>(parameter));
+    case SaltMethod::kProportional:
+      return std::make_unique<ProportionalSaltAllocator>(
+          need_dist(), static_cast<uint32_t>(parameter));
+    case SaltMethod::kPoisson:
+      return std::make_unique<PoissonSaltAllocator>(need_dist(), parameter,
+                                                    shuffle_key);
+    case SaltMethod::kBucketizedPoisson:
+      return std::make_unique<BucketizedPoissonAllocator>(
+          need_dist(), parameter, shuffle_key, bucket_context);
+  }
+  throw WreError("unknown salt method");
+}
+
 }  // namespace wre::core

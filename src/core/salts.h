@@ -72,7 +72,7 @@ class FixedSaltAllocator final : public SaltAllocator {
 /// Section V-B, proportional salts: plaintext m gets about P_M(m) * N_T
 /// salts (at least one), uniform. Equivalent to Lacharité-Paterson
 /// frequency-smoothing homophonic encoding. Suffers integer-rounding
-/// aliasing (demonstrated in bench_ablation_salt_schemes).
+/// aliasing (demonstrated by `bench_paper salt_schemes`).
 class ProportionalSaltAllocator final : public SaltAllocator {
  public:
   ProportionalSaltAllocator(const PlaintextDistribution& dist,
@@ -154,5 +154,25 @@ class BucketizedPoissonAllocator final : public SaltAllocator {
   std::unordered_map<std::string, double> interval_start_;
   std::unordered_map<std::string, double> interval_width_;
 };
+
+/// getSalts strategy selector for one column.
+enum class SaltMethod {
+  kDeterministic,       // DET baseline (no salt)
+  kFixed,               // Section V-A; parameter = N salts
+  kProportional,        // Section V-B; parameter = N_T total tags
+  kPoisson,             // Section V-C; parameter = lambda
+  kBucketizedPoisson,   // Section V-C1; parameter = lambda
+};
+
+const char* salt_method_name(SaltMethod m);
+
+/// The one SaltMethod -> allocator mapping. `parameter` is N, N_T or lambda
+/// per method. `dist` may be null for the methods that ignore P_M
+/// (deterministic, fixed); the others throw WreError without it.
+/// `shuffle_key` keys the Poisson PRFs and `bucket_context` domain-separates
+/// the bucketized layout (see BucketizedPoissonAllocator).
+std::unique_ptr<SaltAllocator> make_salt_allocator(
+    SaltMethod method, double parameter, const PlaintextDistribution* dist,
+    ByteView shuffle_key, ByteView bucket_context);
 
 }  // namespace wre::core

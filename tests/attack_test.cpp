@@ -345,26 +345,8 @@ SchemeFactory factory_for(core::SaltMethod method, double param) {
                          crypto::SecureRandom& keygen)
              -> std::unique_ptr<WreScheme> {
     auto keys = crypto::KeyBundle::generate(keygen);
-    std::unique_ptr<SaltAllocator> alloc;
-    switch (method) {
-      case core::SaltMethod::kDeterministic:
-        alloc = std::make_unique<core::DeterministicAllocator>();
-        break;
-      case core::SaltMethod::kFixed:
-        alloc = std::make_unique<core::FixedSaltAllocator>(
-            static_cast<uint32_t>(param));
-        break;
-      case core::SaltMethod::kPoisson:
-        alloc = std::make_unique<core::PoissonSaltAllocator>(
-            dist, param, keys.shuffle_key);
-        break;
-      case core::SaltMethod::kBucketizedPoisson:
-        alloc = std::make_unique<core::BucketizedPoissonAllocator>(
-            dist, param, keys.shuffle_key, to_bytes("game"));
-        break;
-      default:
-        throw WreError("unsupported method in test factory");
-    }
+    auto alloc = core::make_salt_allocator(method, param, &dist,
+                                           keys.shuffle_key, to_bytes("game"));
     return std::make_unique<WreScheme>(std::move(keys), std::move(alloc));
   };
 }

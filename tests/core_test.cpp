@@ -321,28 +321,8 @@ std::unique_ptr<WreScheme> make_scheme(SaltMethod method, double param,
                                        uint64_t seed = 1) {
   auto keys = test_keys(seed);
   auto d = small_dist();
-  std::unique_ptr<SaltAllocator> alloc;
-  switch (method) {
-    case SaltMethod::kDeterministic:
-      alloc = std::make_unique<DeterministicAllocator>();
-      break;
-    case SaltMethod::kFixed:
-      alloc = std::make_unique<FixedSaltAllocator>(
-          static_cast<uint32_t>(param));
-      break;
-    case SaltMethod::kProportional:
-      alloc = std::make_unique<ProportionalSaltAllocator>(
-          d, static_cast<uint32_t>(param));
-      break;
-    case SaltMethod::kPoisson:
-      alloc = std::make_unique<PoissonSaltAllocator>(d, param,
-                                                     keys.shuffle_key);
-      break;
-    case SaltMethod::kBucketizedPoisson:
-      alloc = std::make_unique<BucketizedPoissonAllocator>(
-          d, param, keys.shuffle_key, to_bytes("test-col"));
-      break;
-  }
+  auto alloc = make_salt_allocator(method, param, &d, keys.shuffle_key,
+                                   to_bytes("test-col"));
   return std::make_unique<WreScheme>(std::move(keys), std::move(alloc));
 }
 

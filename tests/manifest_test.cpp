@@ -138,6 +138,37 @@ TEST(Manifest, OpenTableWithoutManifestTableThrows) {
   EXPECT_THROW(conn.open_table("anything"), WreError);
 }
 
+// The server controls what a manifest scan returns: a row of the wrong width
+// or cell types is a typed error, never an out-of-bounds read.
+TEST(Manifest, OpenTableRejectsMalformedManifestRows) {
+  {
+    TempDir dir;
+    Database db(dir.str());
+    db.create_table("_wre_manifest",
+                    Schema({Column{"id", ValueType::kInt64, true},
+                            Column{"tname", ValueType::kText}}));
+    db.table("_wre_manifest").insert({Value::int64(0), Value::text("t")});
+    EncryptedConnection conn(db, Bytes(32, 1));
+    EXPECT_THROW(conn.open_table("t"), WreError);
+  }
+  {
+    TempDir dir;
+    Database db(dir.str());
+    db.create_table("_wre_manifest",
+                    Schema({Column{"id", ValueType::kInt64, true},
+                            Column{"tname", ValueType::kText},
+                            Column{"gen", ValueType::kText},
+                            Column{"seq", ValueType::kInt64},
+                            Column{"nchunks", ValueType::kInt64},
+                            Column{"data", ValueType::kBlob}}));
+    db.table("_wre_manifest")
+        .insert({Value::int64(0), Value::text("t"), Value::text("0"),
+                 Value::int64(0), Value::int64(1), Value::blob(Bytes(4, 0))});
+    EncryptedConnection conn(db, Bytes(32, 1));
+    EXPECT_THROW(conn.open_table("t"), WreError);
+  }
+}
+
 TEST(Manifest, SaveManifestUpdatesLatestVersion) {
   ManifestFixture f;
   f.create_and_load();

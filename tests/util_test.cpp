@@ -196,6 +196,14 @@ TEST(BenchArgs, NegativeAndBoundaryIntegers) {
   EXPECT_EQ(args.get_int("b", 0), std::numeric_limits<int64_t>::max());
 }
 
+TEST(BenchArgs, UnknownNamesUnreadFlagsAndStrayArguments) {
+  auto args = make_args({"--records", "5", "--recods=6", "stray"});
+  EXPECT_EQ(args.unknown({"records"}),
+            (std::vector<std::string>{"stray", "--recods"}));
+  EXPECT_EQ(args.unknown({"records", "recods"}),
+            std::vector<std::string>{"stray"});
+}
+
 TEST(BenchArgsDeathTest, NonNumericIntFailsWithClearMessage) {
   auto args = make_args({"--records=abc"});
   EXPECT_EXIT(args.get_int("records", 0), ::testing::ExitedWithCode(2),
