@@ -101,6 +101,14 @@ class Args {
     return out;
   }
 
+  /// Exits 2, printing `usage`, if any argument is outside `known`.
+  void reject_unknown(const std::set<std::string>& known,
+                      const std::string& usage) const {
+    if (auto bad = unknown(known); !bad.empty()) {
+      fail("unknown argument '" + bad.front() + "'\nusage: " + usage);
+    }
+  }
+
  private:
   [[noreturn]] static void fail(const std::string& message) {
     std::cerr << "error: " << message << "\n";

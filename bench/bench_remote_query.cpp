@@ -19,14 +19,11 @@
 // the faults, plus the retry/overload/dedup counters from both sides.
 // --chaos-rate 0 skips the pass.
 //
-// Scale-out passes: --pipeline-depth replays a multi-probe SELECT workload
+// Transport passes: --pipeline-depth replays a multi-probe SELECT workload
 // both sequentially and pipelined on a single connection (request frames
 // batched ahead of the responses); --connections fans the same workload
-// over a client-side connection pool; --shards spins up that many
-// in-process shard servers, re-ingests through the scatter-gather
-// transport, and re-runs the full WRE query path against the fleet —
-// checking shard-vs-single-server parity on every query. Each knob can be
-// set to 0/1 to skip its pass.
+// over a client-side connection pool. Both check row counts against the
+// sequential pass. Each knob can be set to 0/1 to skip its pass.
 //
 // A columnar sweep re-runs the workload with the server's in-memory
 // column store enabled (--scans full-table SELECT * iterations per path,
@@ -35,15 +32,13 @@
 //
 //   $ ./bench_remote_query [--records N] [--queries Q] [--lambda L]
 //       [--server-threads N] [--chaos-rate P] [--pipeline-depth D]
-//       [--connections C] [--shards S] [--scans K] [--out BENCH_net.json]
+//       [--connections C] [--scans K] [--out BENCH_net.json]
+// An unknown flag exits 2 before anything runs.
 #include <algorithm>
 #include <atomic>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <thread>
-
-#include "src/net/shard.h"
 
 #include "bench/bench_common.h"
 #include "src/net/net_fault.h"
@@ -63,6 +58,12 @@ std::vector<int64_t> sorted(std::vector<int64_t> ids) {
 
 int main(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.reject_unknown(
+      {"records", "queries", "lambda", "server-threads", "chaos-rate",
+       "pipeline-depth", "connections", "scans", "out"},
+      "bench_remote_query [--records N] [--queries Q] [--lambda L] "
+      "[--server-threads N] [--chaos-rate P] [--pipeline-depth D] "
+      "[--connections C] [--scans K] [--out BENCH_net.json]");
   int64_t records = args.get_int("records", 5000);
   int64_t n_queries = args.get_int("queries", 200);
   double lambda = args.get_double("lambda", 1000);
@@ -71,7 +72,6 @@ int main(int argc, char** argv) {
   double chaos_rate = args.get_double("chaos-rate", 0.01);
   int64_t pipeline_depth = args.get_int("pipeline-depth", 16);
   int64_t n_connections = args.get_int("connections", 4);
-  int64_t n_shards = args.get_int("shards", 3);
   int64_t n_scans = args.get_int("scans", 20);
   std::string out_path = args.get_string("out", "BENCH_net.json");
 
@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
   conn.create_table("main", schema, specs, dists);
 
   // Remote bulk ingest: tags and ciphertext are computed client-side, then
-  // cross the wire as kInsertBatch frames. Rows are kept for the shard
-  // pass, which re-ingests the identical dataset into a fleet.
+  // cross the wire as kInsertBatch frames.
   std::vector<sql::Row> rows;
   rows.reserve(static_cast<size_t>(records));
   for (int64_t id = 0; id < records; ++id) rows.push_back(gen.record(id));
@@ -272,14 +271,13 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // Scale-out passes: pipelining, connection pooling, tag-space shards.
-  // The topology context block records the knobs so a BENCH_net.json is
-  // self-describing when topologies are compared across runs.
+  // Transport passes: pipelining and connection pooling. The context
+  // block records the knobs so a BENCH_net.json is self-describing when
+  // runs are compared.
   // ------------------------------------------------------------------
   report.set_context("server_workers", std::to_string(server_threads));
   report.set_context("pipeline_depth", std::to_string(pipeline_depth));
   report.set_context("client_connections", std::to_string(n_connections));
-  report.set_context("shards", std::to_string(n_shards));
 
   // Raw multi-probe statements over the physical tag column — the shape
   // EncryptedConnection's rewriter emits, minus client crypto, so the
@@ -392,100 +390,6 @@ int main(int argc, char** argv) {
                {{"connections", static_cast<double>(n_connections)},
                 {"queries_per_sec", qps},
                 {"speedup", speedup}});
-  }
-
-  // Shard pass: an in-process fleet of n_shards servers, each owning its
-  // hash slice of the tag space. The same records are re-ingested through
-  // the scatter-gather transport and the same WRE query workload re-run —
-  // with a parity check against the in-process single-database client, so
-  // the fleet must return exactly the ids the paper's model demands.
-  if (n_shards > 1) {
-    std::vector<std::unique_ptr<bench::ScratchDir>> shard_dirs;
-    std::vector<std::unique_ptr<sql::Database>> shard_dbs;
-    std::vector<std::unique_ptr<net::Server>> shard_servers;
-    std::vector<net::ShardEndpoint> endpoints;
-    for (int64_t i = 0; i < n_shards; ++i) {
-      shard_dirs.push_back(std::make_unique<bench::ScratchDir>(
-          "remote_shard" + std::to_string(i)));
-      shard_dbs.push_back(std::make_unique<sql::Database>(
-          shard_dirs.back()->str()));
-      net::ServerOptions shard_options;
-      shard_options.worker_threads = server_threads;
-      shard_options.shard_index = static_cast<uint32_t>(i);
-      shard_options.shard_count = static_cast<uint32_t>(n_shards);
-      shard_servers.push_back(
-          std::make_unique<net::Server>(*shard_dbs.back(), shard_options));
-      shard_servers.back()->start();
-      endpoints.push_back({"127.0.0.1", shard_servers.back()->port()});
-    }
-    net::RemoteConnection fleet(endpoints);
-    fleet.ping();
-    core::EncryptedConnection fleet_conn(fleet, secret);
-    fleet_conn.create_table("main", schema, specs, dists);
-    Timer shard_ingest;
-    fleet_conn.insert_bulk("main", rows);
-    double shard_ingest_s = shard_ingest.elapsed_seconds();
-
-    size_t shard_mismatches = 0;
-    for (const auto& q : queries) {
-      auto fleet_ids =
-          sorted(fleet_conn.select_ids("main", q.column, q.value).ids);
-      auto local_ids =
-          sorted(local.select_ids("main", q.column, q.value).ids);
-      if (fleet_ids != local_ids) ++shard_mismatches;
-    }
-    if (shard_mismatches != 0) {
-      mismatches += shard_mismatches;
-      std::cout << "ERROR: " << shard_mismatches << "/" << queries.size()
-                << " queries differ between the shard fleet and the "
-                   "in-process client\n";
-    }
-
-    // Throughput at equal client parallelism against both topologies: the
-    // single server behind `conn` (re-wrapped over a fresh connection) and
-    // the fleet. Both are warm from the parity passes.
-    auto threaded_qps = [&](core::EncryptedConnection& c) {
-      std::atomic<size_t> errors{0};
-      int64_t n_threads = std::max<int64_t>(n_connections, 1);
-      Timer t;
-      std::vector<std::thread> clients;
-      for (int64_t w = 0; w < n_threads; ++w) {
-        clients.emplace_back([&, w] {
-          for (size_t i = static_cast<size_t>(w); i < queries.size();
-               i += static_cast<size_t>(n_threads)) {
-            try {
-              c.select_ids("main", queries[i].column, queries[i].value);
-            } catch (const std::exception&) {
-              ++errors;
-            }
-          }
-        });
-      }
-      for (auto& cl : clients) cl.join();
-      double qps = static_cast<double>(queries.size()) / t.elapsed_seconds();
-      return errors == 0 ? qps : 0.0;
-    };
-    net::RemoteConnection single("127.0.0.1", server.port());
-    core::EncryptedConnection single_conn(single, secret);
-    single_conn.open_table("main");
-    double qps_single = threaded_qps(single_conn);
-    double qps_fleet = threaded_qps(fleet_conn);
-    double speedup = qps_single > 0 ? qps_fleet / qps_single : 0;
-    std::cout << "remote/shards(n=" << n_shards << "): " << std::fixed
-              << std::setprecision(1) << qps_single
-              << " q/s single-server vs " << qps_fleet << " q/s sharded ("
-              << std::setprecision(2) << speedup << "x), ingest "
-              << std::setprecision(1)
-              << static_cast<double>(records) / shard_ingest_s << " rows/s\n";
-    report.add("remote/shards",
-               {{"shards", static_cast<double>(n_shards)},
-                {"single_server_qps", qps_single},
-                {"sharded_qps", qps_fleet},
-                {"speedup", speedup},
-                {"ingest_rows_per_sec",
-                 static_cast<double>(records) / shard_ingest_s},
-                {"parity_mismatches", static_cast<double>(shard_mismatches)}});
-    for (auto& s : shard_servers) s->stop();
   }
 
   // Chaos pass: same SELECT id workload with socket faults injected on both

@@ -21,7 +21,7 @@
 //
 // Flags: --tenants N --records N --rate ARRIVALS_PER_SEC --duration-sec S
 //        --threads N --lambda L --vocab N --notes-bytes N
-//        --out BENCH_scale.json
+//        --out BENCH_scale.json (any other argument exits 2)
 #include <atomic>
 #include <chrono>
 #include <iomanip>
@@ -245,6 +245,11 @@ void report_pass(bench::JsonReport& report, const std::string& name,
 
 int main(int argc, char** argv) {
   bench::Args args(argc, argv);
+  args.reject_unknown({"tenants", "records", "rate", "duration-sec", "threads",
+                       "lambda", "vocab", "notes-bytes", "out"},
+                      "bench_scale [--tenants N] [--records N] [--rate R] "
+                      "[--duration-sec S] [--threads N] [--lambda L] "
+                      "[--vocab N] [--notes-bytes N] [--out BENCH_scale.json]");
   ScaleConfig sc;
   sc.tenants = args.get_int("tenants", sc.tenants);
   sc.records = args.get_int("records", sc.records);

@@ -9,6 +9,7 @@
 //           non-indexed predicate scans, and indexed probe + row
 //           materialization, row path vs the columnar store
 //           (BENCH_storage.json)
+// Either mode exits 2 on a flag it does not read.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -351,6 +352,11 @@ void require_identical(const std::string& what, const sql::ResultSet& row,
 }
 
 int run_scan_bench(const bench::Args& args) {
+  args.reject_unknown({"scan", "records", "payload-bytes", "star-iters",
+                       "scan-iters", "out"},
+                      "bench_storage --scan [--records N] [--payload-bytes N] "
+                      "[--star-iters N] [--scan-iters N] "
+                      "[--out BENCH_storage.json]");
   const int64_t records = args.get_int("records", 20000);
   const int64_t payload = args.get_int("payload-bytes", 64);
   const int64_t star_iters = args.get_int("star-iters", 60);
@@ -486,6 +492,11 @@ int run_scan_bench(const bench::Args& args) {
 }
 
 int run_wal_bench(const bench::Args& args) {
+  args.reject_unknown({"wal", "commits", "fsync", "replay-commits",
+                       "replay-pages", "out"},
+                      "bench_storage --wal [--commits N] [--fsync 0|1] "
+                      "[--replay-commits N] [--replay-pages N] "
+                      "[--out BENCH_wal.json]");
   const int64_t commits = args.get_int("commits", 2000);
   const bool fsync = args.get_int("fsync", 1) != 0;
   const int64_t replay_commits = args.get_int("replay-commits", 512);

@@ -49,7 +49,7 @@ echo "== wre_server --columnar pid ${SERVER_PID} on 127.0.0.1:${PORT} =="
 WRE_SERVER_PORT=${PORT} "${TEST}" --gtest_filter='ExternalColumnarTest.*'
 
 echo "== remote columnar benchmark sweep (parity-gated) =="
-"${BENCH}" --records 3000 --queries 40 --scans 10 --shards 0 \
+"${BENCH}" --records 3000 --queries 40 --scans 10 \
   --connections 0 --pipeline-depth 0 --chaos-rate 0 \
   --out "${DATA_DIR}/BENCH_net_smoke.json"
 

@@ -7,7 +7,7 @@
 
 namespace wre::net {
 
-PipelinedChannel::PipelinedChannel(ShardEndpoint endpoint,
+PipelinedChannel::PipelinedChannel(Endpoint endpoint,
                                    size_t max_frame_bytes, int recv_timeout_ms)
     : endpoint_(std::move(endpoint)),
       max_frame_bytes_(max_frame_bytes),
@@ -103,7 +103,7 @@ PipelinedChannel::Response PipelinedChannel::await(uint64_t ticket,
   }
 }
 
-ChannelPool::ChannelPool(ShardEndpoint endpoint, size_t max_frame_bytes,
+ChannelPool::ChannelPool(Endpoint endpoint, size_t max_frame_bytes,
                          int recv_timeout_ms)
     : endpoint_(std::move(endpoint)),
       max_frame_bytes_(max_frame_bytes),

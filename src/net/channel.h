@@ -1,4 +1,4 @@
-// Pipelined request channels and per-shard connection pooling.
+// Pipelined request channels and connection pooling.
 //
 // PipelinedChannel is one TCP connection that allows multiple in-flight
 // request frames. The wire protocol carries no sequence numbers: the
@@ -14,8 +14,8 @@
 // Instead, ChannelPool hands out *exclusive leases*: one thread owns a
 // channel for a whole submit…await burst, and concurrency comes from the
 // pool width — one channel per concurrent caller — not from sharing a
-// socket. This matches the scatter-gather client's shape exactly: it
-// leases one channel per shard, bursts the sub-requests, then awaits.
+// socket. This matches RemoteConnection's request loop exactly: it leases
+// one channel, bursts its requests, then awaits them.
 //
 // Error model: any transport failure (send, recv, decode) poisons the
 // channel — every outstanding and future call throws NetworkError, and
@@ -33,11 +33,16 @@
 #include <string>
 #include <vector>
 
-#include "src/net/shard.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 
 namespace wre::net {
+
+/// One wre_server's address.
+struct Endpoint {
+  std::string host;
+  uint16_t port = 0;
+};
 
 class PipelinedChannel {
  public:
@@ -48,7 +53,7 @@ class PipelinedChannel {
 
   /// `recv_timeout_ms` bounds each response read (0 = wait forever);
   /// await() may tighten it per call with its deadline hint.
-  PipelinedChannel(ShardEndpoint endpoint, size_t max_frame_bytes,
+  PipelinedChannel(Endpoint endpoint, size_t max_frame_bytes,
                    int recv_timeout_ms);
 
   PipelinedChannel(const PipelinedChannel&) = delete;
@@ -60,10 +65,9 @@ class PipelinedChannel {
   /// NetworkError on connect failure (channel is then dead).
   uint64_t submit(Opcode op, ByteView payload, const RequestExt& ext);
 
-  /// Sends every corked frame in one write. await() flushes implicitly, but
-  /// a caller that submits to several channels before awaiting any (the
-  /// scatter client) must flush each explicitly so all servers start
-  /// working at once. Throws NetworkError on send failure (channel dead).
+  /// Sends every corked frame in one write. await() flushes implicitly; a
+  /// caller flushes explicitly to put a burst on the wire before it does
+  /// anything else. Throws NetworkError on send failure (channel dead).
   void flush();
 
   /// Blocks until `ticket`'s response has been read, reading (and parking)
@@ -87,7 +91,7 @@ class PipelinedChannel {
   [[noreturn]] void die(const std::string& why);
   Response read_one(uint64_t deadline_hint_ms);
 
-  ShardEndpoint endpoint_;
+  Endpoint endpoint_;
   size_t max_frame_bytes_;
   int recv_timeout_ms_;
 
@@ -100,7 +104,7 @@ class PipelinedChannel {
   std::map<uint64_t, Response> parked_;  // read past while awaiting later
 };
 
-/// A pool of channels to one shard. acquire() returns an exclusive RAII
+/// A pool of channels to one server. acquire() returns an exclusive RAII
 /// lease on an idle channel, or on a new one when none is idle, so the
 /// pool never blocks. Releasing keeps every channel that is still healthy
 /// and has no un-awaited responses, so the pool's width follows the peak
@@ -130,7 +134,7 @@ class ChannelPool {
     ChannelPool* pool_;
   };
 
-  ChannelPool(ShardEndpoint endpoint, size_t max_frame_bytes,
+  ChannelPool(Endpoint endpoint, size_t max_frame_bytes,
               int recv_timeout_ms);
 
   /// Exclusive lease on an idle (or freshly created) channel. Never blocks
@@ -138,13 +142,13 @@ class ChannelPool {
   /// submit().
   Lease acquire();
 
-  const ShardEndpoint& endpoint() const { return endpoint_; }
+  const Endpoint& endpoint() const { return endpoint_; }
 
  private:
   friend class Lease;
   void release(std::shared_ptr<PipelinedChannel> ch);
 
-  ShardEndpoint endpoint_;
+  Endpoint endpoint_;
   size_t max_frame_bytes_;
   int recv_timeout_ms_;
 

@@ -1,10 +1,8 @@
 #include "src/net/remote_connection.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <limits>
-#include <span>
 #include <thread>
 
 #include "src/util/error.h"
@@ -24,74 +22,24 @@ uint64_t elapsed_ms_since(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-bool looks_like_select(const std::string& sql) {
-  size_t i = 0;
-  while (i < sql.size() && std::isspace(static_cast<unsigned char>(sql[i]))) {
-    ++i;
-  }
-  return sql.size() - i >= 6 && sql::to_lower(sql.substr(i, 6)) == "select";
-}
-
-/// Decodes each kOkResult body and concatenates the rows in body order.
-/// Columns and executor counters come from the first body: the shards run
-/// one plan, so they agree on columns.
-sql::ResultSet gather(std::span<const Bytes> bodies) {
-  sql::ResultSet merged;
-  for (size_t k = 0; k < bodies.size(); ++k) {
-    WireReader r(bodies[k]);
-    sql::ResultSet rs = decode_result_set(r);
-    r.expect_end();
-    if (k == 0) {
-      merged = std::move(rs);
-    } else {
-      for (sql::Row& row : rs.rows) merged.rows.push_back(std::move(row));
-    }
-  }
-  return merged;
-}
-
-/// Indices of `count` items grouped by the shard `shard_of` places each
-/// in, keeping only shards that own some, in shard order. An empty input
-/// still yields one empty group for shard 0, so one server answers even
-/// then: with the result's columns, or with its error for a missing table.
-template <class ShardOf>
-std::vector<std::pair<uint32_t, std::vector<uint32_t>>> group_by_shard(
-    uint32_t n, size_t count, ShardOf shard_of) {
-  std::vector<std::vector<uint32_t>> members(n);
-  for (uint32_t i = 0; i < count; ++i) members[shard_of(i)].push_back(i);
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> groups;
-  for (uint32_t s = 0; s < n; ++s) {
-    if (!members[s].empty() || (s == 0 && count == 0)) {
-      groups.emplace_back(s, std::move(members[s]));
-    }
-  }
-  return groups;
+sql::ResultSet decode_result(const Bytes& body) {
+  WireReader r(body);
+  sql::ResultSet rs = decode_result_set(r);
+  r.expect_end();
+  return rs;
 }
 
 }  // namespace
 
 RemoteConnection::RemoteConnection(std::string host, uint16_t port,
                                    RemoteOptions options)
-    : RemoteConnection(
-          std::vector<ShardEndpoint>{ShardEndpoint{std::move(host), port}},
-          options) {}
-
-RemoteConnection::RemoteConnection(std::vector<ShardEndpoint> shards,
-                                   RemoteOptions options)
     : options_(options),
+      pool_(Endpoint{std::move(host), port}, options.max_frame_bytes,
+            options.response_timeout_ms),
       jitter_rng_(kJitterSeed),
-      budget_(options.retry.budget_tokens) {
-  if (shards.empty()) throw NetworkError("remote: empty shard map");
-  pools_.reserve(shards.size());
-  for (ShardEndpoint& ep : shards) {
-    pools_.push_back(std::make_unique<ChannelPool>(
-        std::move(ep), options_.max_frame_bytes, options_.response_timeout_ms));
-  }
-}
+      budget_(options.retry.budget_tokens) {}
 
-void RemoteConnection::ping() {
-  broadcast(Opcode::kPing, {}, Opcode::kOkPong);
-}
+void RemoteConnection::ping() { roundtrip(Opcode::kPing, {}, Opcode::kOkPong); }
 
 void RemoteConnection::set_tenant_id(uint64_t tenant_id) {
   tenant_id_.store(tenant_id, std::memory_order_relaxed);
@@ -103,30 +51,26 @@ RemoteStats RemoteConnection::stats() const {
   s.retries = retries_.load(std::memory_order_relaxed);
   s.overloaded = overloaded_.load(std::memory_order_relaxed);
   s.exhausted = exhausted_.load(std::memory_order_relaxed);
-  s.fanouts = fanouts_.load(std::memory_order_relaxed);
   return s;
 }
 
-std::vector<Bytes> RemoteConnection::scatter(Opcode request,
-                                             const std::vector<Sub>& subs,
-                                             Opcode expected) {
-  // Every request passes here, so this is where a fleet is checked before
-  // its first operation; kShardInfo is that check's own request.
-  if (request != Opcode::kShardInfo) ensure_topology();
-  requests_.fetch_add(subs.size(), std::memory_order_relaxed);
+std::vector<Bytes> RemoteConnection::send(Opcode request,
+                                          std::vector<Bytes> payloads,
+                                          Opcode expected) {
+  requests_.fetch_add(payloads.size(), std::memory_order_relaxed);
 
   const RetryOptions& rp = options_.retry;
   const auto start = std::chrono::steady_clock::now();
   const uint64_t tenant = tenant_id_.load(std::memory_order_relaxed);
 
-  // Per-sub retry state. Each sub carries one fresh idempotency key that
-  // stays constant across its retries — the unit the server's dedup cache
-  // makes exactly-once. The tenant id scopes that key server-side.
+  // Per-request retry state. Each request carries one fresh idempotency
+  // key that stays constant across its retries — the unit the server's
+  // dedup cache makes exactly-once. The tenant id scopes that key
+  // server-side.
   struct Pend {
-    const Sub* sub = nullptr;
+    Bytes payload;
     RequestExt ext;
     uint64_t ticket = 0;
-    bool inflight = false;
     bool done = false;
     Bytes result;
     std::exception_ptr terminal;
@@ -134,11 +78,11 @@ std::vector<Bytes> RemoteConnection::scatter(Opcode request,
     int attempts = 0;  // completed attempts
     uint32_t backoff_ms = 0;
   };
-  std::vector<Pend> pend(subs.size());
+  std::vector<Pend> pend(payloads.size());
   {
     std::lock_guard<std::mutex> lk(retry_mu_);
-    for (size_t i = 0; i < subs.size(); ++i) {
-      pend[i].sub = &subs[i];
+    for (size_t i = 0; i < pend.size(); ++i) {
+      pend[i].payload = std::move(payloads[i]);
       pend[i].ext.has_key = true;
       key_rng_.fill(pend[i].ext.key);
       pend[i].ext.tenant_id = tenant;
@@ -162,10 +106,7 @@ std::vector<Bytes> RemoteConnection::scatter(Opcode request,
   };
 
   for (;;) {
-    // Submit phase: group still-active subs by shard and burst each
-    // group down one leased channel — every frame is on the wire before
-    // any response is awaited, so shards and pipelined requests overlap.
-    std::map<uint32_t, std::vector<Pend*>> by_shard;
+    std::vector<Pend*> active;
     for (Pend& p : pend) {
       if (p.done || p.terminal) continue;
       uint64_t elapsed = elapsed_ms_since(start);
@@ -180,59 +121,40 @@ std::vector<Bytes> RemoteConnection::scatter(Opcode request,
             p.attempts, elapsed);
         continue;
       }
-      by_shard[p.sub->shard].push_back(&p);
+      active.push_back(&p);
     }
-    if (by_shard.empty()) break;
+    if (active.empty()) break;
 
-    std::map<uint32_t, ChannelPool::Lease> leases;
-    for (auto& [shard, group] : by_shard) {
-      auto [lease_it, inserted] = leases.emplace(shard, pools_[shard]->acquire());
-      ChannelPool::Lease& lease = lease_it->second;
-      for (size_t gi = 0; gi < group.size(); ++gi) {
-        Pend& p = *group[gi];
+    {
+      // Submit phase: burst every still-active request down one leased
+      // channel. The first await flushes the burst, so every frame is on
+      // the wire before any response is read.
+      ChannelPool::Lease lease = pool_.acquire();
+      size_t submitted = 0;
+      for (; submitted < active.size(); ++submitted) {
+        Pend& p = *active[submitted];
         ++p.attempts;
         p.ext.deadline_ms = static_cast<uint32_t>(std::min<uint64_t>(
             remaining_of_deadline(elapsed_ms_since(start)),
             std::numeric_limits<uint32_t>::max()));
         try {
-          p.ticket = lease->submit(request, p.sub->payload, p.ext);
-          p.inflight = true;
+          p.ticket = lease->submit(request, p.payload, p.ext);
         } catch (const NetworkError& e) {
           // The channel died; every later submit on it would fail the
-          // same way, so charge the whole rest of the group one attempt
-          // and move on to the next shard.
-          for (size_t gj = gi; gj < group.size(); ++gj) {
-            Pend& q = *group[gj];
-            if (gj > gi) ++q.attempts;
-            q.last_error = e.what();
-            q.inflight = false;
+          // same way, so charge the rest of the burst one attempt each.
+          for (size_t j = submitted; j < active.size(); ++j) {
+            if (j > submitted) ++active[j]->attempts;
+            active[j]->last_error = e.what();
           }
           break;
         }
       }
-      // Uncork the burst now — not lazily at the first await — so every
-      // shard's server is working before we block on any response.
-      try {
-        if (!lease->dead()) lease->flush();
-      } catch (const NetworkError& e) {
-        for (Pend* pp : group) {
-          if (pp->inflight) {
-            pp->last_error = e.what();
-            pp->inflight = false;
-          }
-        }
-      }
-    }
 
-    // Await phase: responses come back in ticket order per channel. A
-    // transport failure poisons that channel, so the rest of its group
-    // fails fast instead of timing out one by one.
-    for (auto& [shard, group] : by_shard) {
-      ChannelPool::Lease& lease = leases.at(shard);
-      for (Pend* pp : group) {
-        Pend& p = *pp;
-        if (!p.inflight) continue;
-        p.inflight = false;
+      // Await phase: responses come back in ticket order. A transport
+      // failure poisons the channel, so the rest of the burst fails fast
+      // instead of timing out one by one.
+      for (size_t i = 0; i < submitted; ++i) {
+        Pend& p = *active[i];
         try {
           PipelinedChannel::Response resp = lease->await(
               p.ticket, remaining_of_deadline(elapsed_ms_since(start)));
@@ -275,14 +197,14 @@ std::vector<Bytes> RemoteConnection::scatter(Opcode request,
           p.last_error = e.what();
         }
       }
-    }
-    leases.clear();  // healthy channels return to their pools; dead ones drop
+    }  // a healthy channel returns to the pool; a dead one drops
 
     // Retry bookkeeping: attempt cap, then budget, then jittered backoff.
-    // One sleep per round (the max of the failing subs' backoffs) — each
-    // sub still owns its own doubling schedule.
+    // One sleep per round (the max of the failing requests' backoffs) —
+    // each request still owns its own doubling schedule.
     uint64_t round_sleep = 0;
-    for (Pend& p : pend) {
+    for (Pend* pp : active) {
+      Pend& p = *pp;
       if (p.done || p.terminal) continue;
       uint64_t now_elapsed = elapsed_ms_since(start);
       if (p.attempts >= rp.max_attempts) {
@@ -340,111 +262,35 @@ std::vector<Bytes> RemoteConnection::scatter(Opcode request,
   return out;
 }
 
-Bytes RemoteConnection::roundtrip(uint32_t shard, Opcode request,
-                                  ByteView payload, Opcode expected) {
-  std::vector<Sub> subs(1);
-  subs[0].shard = shard;
-  subs[0].payload.assign(payload.begin(), payload.end());
-  return std::move(scatter(request, subs, expected)[0]);
-}
-
-std::vector<Bytes> RemoteConnection::broadcast(Opcode request,
-                                               ByteView payload,
-                                               Opcode expected) {
-  std::vector<Sub> subs(pools_.size());
-  for (uint32_t s = 0; s < pools_.size(); ++s) {
-    subs[s].shard = s;
-    subs[s].payload.assign(payload.begin(), payload.end());
-  }
-  if (subs.size() > 1) fanouts_.fetch_add(1, std::memory_order_relaxed);
-  return scatter(request, subs, expected);
-}
-
-void RemoteConnection::ensure_topology() {
-  if (pools_.size() <= 1 || !options_.verify_topology) return;
-  std::lock_guard<std::mutex> lk(topo_mu_);
-  if (topology_verified_) return;
-  std::vector<Bytes> infos =
-      broadcast(Opcode::kShardInfo, {}, Opcode::kOkShardInfo);
-  for (uint32_t s = 0; s < infos.size(); ++s) {
-    WireReader r(infos[s]);
-    uint32_t index = r.u32();
-    uint32_t count = r.u32();
-    r.expect_end();
-    if (index != s || count != pools_.size()) {
-      const ShardEndpoint& ep = pools_[s]->endpoint();
-      throw NetworkError(
-          "shard map: " + ep.host + ":" + std::to_string(ep.port) +
-          " reports shard " + std::to_string(index) + " of " +
-          std::to_string(count) + " but the endpoint map places it at " +
-          std::to_string(s) + " of " + std::to_string(pools_.size()) +
-          " (check --shard-index/--shard-count)");
-    }
-  }
-  topology_verified_ = true;
-}
-
-RemoteConnection::ShardKey RemoteConnection::shard_key_for(
-    const std::string& table) {
-  std::string key = sql::to_lower(table);
-  {
-    std::lock_guard<std::mutex> lk(schema_mu_);
-    auto it = shard_key_cache_.find(key);
-    if (it != shard_key_cache_.end()) return it->second;
-  }
-  // DDL broadcasts keep shards uniform, so shard 0's schema is canonical.
-  WireWriter w;
-  w.string(table);
-  Bytes body = roundtrip(0, Opcode::kTableSchema, w.bytes(), Opcode::kOkSchema);
-  WireReader r(body);
-  sql::Schema schema = r.schema();
-  r.expect_end();
-  ShardKey sk;
-  sk.index = shard_key_index(schema);
-  if (sk.index) sk.column = schema.column(*sk.index).name;
-  std::lock_guard<std::mutex> lk(schema_mu_);
-  shard_key_cache_[key] = sk;
-  return sk;
+Bytes RemoteConnection::roundtrip(Opcode request, Bytes payload,
+                                  Opcode expected) {
+  std::vector<Bytes> payloads;
+  payloads.push_back(std::move(payload));
+  return std::move(send(request, std::move(payloads), expected)[0]);
 }
 
 std::vector<sql::ResultSet> RemoteConnection::execute_pipelined(
     const std::vector<std::string>& sqls) {
-  const uint32_t n = shard_count();
-  std::vector<Sub> subs;
-  subs.reserve(sqls.size() * n);
+  std::vector<Bytes> payloads;
+  payloads.reserve(sqls.size());
   for (const std::string& sql : sqls) {
-    if (n > 1 && !looks_like_select(sql)) {
-      throw NetworkError(
-          "remote: sharded transport supports only SELECT through "
-          "execute_pipelined(); mutations must go through insert_batch");
-    }
     WireWriter w;
     w.string(sql);
-    for (uint32_t s = 0; s < n; ++s) subs.push_back(Sub{s, w.bytes()});
+    payloads.push_back(std::move(w.bytes()));
   }
-  if (n > 1 && !sqls.empty()) {
-    fanouts_.fetch_add(sqls.size(), std::memory_order_relaxed);
-  }
-  std::vector<Bytes> bodies = scatter(Opcode::kExecSql, subs, Opcode::kOkResult);
+  std::vector<Bytes> bodies =
+      send(Opcode::kExecSql, std::move(payloads), Opcode::kOkResult);
   std::vector<sql::ResultSet> out;
-  out.reserve(sqls.size());
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    out.push_back(gather(std::span(bodies).subspan(i * n, n)));
-  }
+  out.reserve(bodies.size());
+  for (const Bytes& body : bodies) out.push_back(decode_result(body));
   return out;
 }
 
 sql::ResultSet RemoteConnection::execute(const std::string& sql) {
-  if (shard_count() > 1 && !looks_like_select(sql)) {
-    // Row concatenation is only correct for plain row-returning SELECTs,
-    // and a broadcast INSERT/UPDATE would run once per shard.
-    throw NetworkError(
-        "remote: sharded transport supports only SELECT through execute(); "
-        "mutations must go through insert_batch/create_table");
-  }
   WireWriter w;
   w.string(sql);
-  return gather(broadcast(Opcode::kExecSql, w.bytes(), Opcode::kOkResult));
+  return decode_result(
+      roundtrip(Opcode::kExecSql, std::move(w.bytes()), Opcode::kOkResult));
 }
 
 void RemoteConnection::create_table(const std::string& table,
@@ -452,12 +298,7 @@ void RemoteConnection::create_table(const std::string& table,
   WireWriter w;
   w.string(table);
   w.schema(schema);
-  broadcast(Opcode::kCreateTable, w.bytes(), Opcode::kOkUnit);
-  ShardKey sk;
-  sk.index = shard_key_index(schema);
-  if (sk.index) sk.column = schema.column(*sk.index).name;
-  std::lock_guard<std::mutex> lk(schema_mu_);
-  shard_key_cache_[sql::to_lower(table)] = sk;
+  roundtrip(Opcode::kCreateTable, std::move(w.bytes()), Opcode::kOkUnit);
 }
 
 void RemoteConnection::create_index(const std::string& table,
@@ -465,13 +306,14 @@ void RemoteConnection::create_index(const std::string& table,
   WireWriter w;
   w.string(table);
   w.string(column);
-  broadcast(Opcode::kCreateIndex, w.bytes(), Opcode::kOkUnit);
+  roundtrip(Opcode::kCreateIndex, std::move(w.bytes()), Opcode::kOkUnit);
 }
 
 bool RemoteConnection::has_table(const std::string& table) {
   WireWriter w;
   w.string(table);
-  Bytes body = roundtrip(0, Opcode::kHasTable, w.bytes(), Opcode::kOkBool);
+  Bytes body =
+      roundtrip(Opcode::kHasTable, std::move(w.bytes()), Opcode::kOkBool);
   WireReader r(body);
   bool present = r.u8() != 0;
   r.expect_end();
@@ -481,21 +323,19 @@ bool RemoteConnection::has_table(const std::string& table) {
 uint64_t RemoteConnection::row_count(const std::string& table) {
   WireWriter w;
   w.string(table);
-  std::vector<Bytes> bodies =
-      broadcast(Opcode::kRowCount, w.bytes(), Opcode::kOkCount);
-  uint64_t total = 0;
-  for (const Bytes& body : bodies) {
-    WireReader r(body);
-    total += r.u64();
-    r.expect_end();
-  }
-  return total;
+  Bytes body =
+      roundtrip(Opcode::kRowCount, std::move(w.bytes()), Opcode::kOkCount);
+  WireReader r(body);
+  uint64_t count = r.u64();
+  r.expect_end();
+  return count;
 }
 
 sql::Schema RemoteConnection::table_schema(const std::string& table) {
   WireWriter w;
   w.string(table);
-  Bytes body = roundtrip(0, Opcode::kTableSchema, w.bytes(), Opcode::kOkSchema);
+  Bytes body =
+      roundtrip(Opcode::kTableSchema, std::move(w.bytes()), Opcode::kOkSchema);
   WireReader r(body);
   sql::Schema schema = r.schema();
   r.expect_end();
@@ -504,45 +344,23 @@ sql::Schema RemoteConnection::table_schema(const std::string& table) {
 
 std::vector<int64_t> RemoteConnection::insert_batch(
     const std::string& table, const std::vector<sql::Row>& rows) {
-  const uint32_t n = shard_count();
-  // Partition rows by the hash of their shard-key tag; rows the key
-  // cannot place (one server, tag-less table, short row, non-integer
-  // value — the owning shard will report the schema error) go to shard 0.
-  const ShardKey sk = n > 1 ? shard_key_for(table) : ShardKey{};
-  auto groups = group_by_shard(n, rows.size(), [&](uint32_t i) -> uint32_t {
-    const sql::Row& row = rows[i];
-    if (!sk.index || *sk.index >= row.size() ||
-        row[*sk.index].type() != sql::ValueType::kInt64) {
-      return 0;
-    }
-    return shard_for_tag(row[*sk.index].as_tag(), n);
-  });
-  std::vector<Sub> subs;
-  for (const auto& [s, members] : groups) {
-    WireWriter w;
-    w.string(table);
-    w.u32(static_cast<uint32_t>(members.size()));
-    for (uint32_t i : members) w.row(rows[i]);
-    subs.push_back(Sub{s, std::move(w.bytes())});
+  WireWriter w;
+  w.string(table);
+  w.u32(static_cast<uint32_t>(rows.size()));
+  for (const sql::Row& row : rows) w.row(row);
+  Bytes body =
+      roundtrip(Opcode::kInsertBatch, std::move(w.bytes()), Opcode::kOkIds);
+  // The id count is checked against the rows sent before any id is read.
+  WireReader r(body);
+  uint32_t count = r.u32();
+  if (count != rows.size()) {
+    throw NetworkError("remote: server returned " + std::to_string(count) +
+                       " ids for " + std::to_string(rows.size()) +
+                       " inserted rows");
   }
-  if (subs.size() > 1) fanouts_.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<Bytes> bodies = scatter(Opcode::kInsertBatch, subs, Opcode::kOkIds);
-  // Reassemble the per-shard id lists into input order. Each count is
-  // checked against the rows sent before any id is read.
   std::vector<int64_t> ids(rows.size());
-  for (size_t k = 0; k < bodies.size(); ++k) {
-    const std::vector<uint32_t>& members = groups[k].second;
-    WireReader r(bodies[k]);
-    uint32_t count = r.u32();
-    if (count != members.size()) {
-      throw NetworkError("remote: shard " + std::to_string(subs[k].shard) +
-                         " returned " + std::to_string(count) + " ids for " +
-                         std::to_string(members.size()) + " inserted rows");
-    }
-    for (uint32_t i : members) ids[i] = r.i64();
-    r.expect_end();
-  }
+  for (int64_t& id : ids) id = r.i64();
+  r.expect_end();
   return ids;
 }
 
@@ -550,8 +368,8 @@ void RemoteConnection::scan(const std::string& table,
                             const std::function<void(const sql::Row&)>& fn) {
   WireWriter w;
   w.string(table);
-  sql::ResultSet rs =
-      gather(broadcast(Opcode::kScanTable, w.bytes(), Opcode::kOkResult));
+  sql::ResultSet rs = decode_result(
+      roundtrip(Opcode::kScanTable, std::move(w.bytes()), Opcode::kOkResult));
   for (const sql::Row& row : rs.rows) fn(row);
 }
 
@@ -559,36 +377,14 @@ sql::ResultSet RemoteConnection::tag_scan(const std::string& table,
                                           const std::string& tag_column,
                                           const std::vector<uint64_t>& tags,
                                           bool star) {
-  const uint32_t n = shard_count();
-  auto encode = [&](const std::vector<uint64_t>& probe) {
-    WireWriter w;
-    w.string(table);
-    w.string(tag_column);
-    w.u8(star ? 1 : 0);
-    w.u32(static_cast<uint32_t>(probe.size()));
-    for (uint64_t t : probe) w.u64(t);
-    return std::move(w.bytes());
-  };
-  const ShardKey sk = n > 1 ? shard_key_for(table) : ShardKey{};
-  if (!sk.index || sql::to_lower(tag_column) != sk.column) {
-    // One server, a tag-less table, or a non-key tag column: rows are
-    // placed by another column's tag, so every shard may own matches —
-    // broadcast the full list. Results are still disjoint (each row lives
-    // on one shard).
-    return gather(broadcast(Opcode::kTagScan, encode(tags), Opcode::kOkResult));
-  }
-  // Probing the shard-key column: each probe tag names exactly one shard,
-  // so partition the list and only visit shards that own a tag.
-  std::vector<Sub> subs;
-  for (const auto& [s, members] : group_by_shard(
-           n, tags.size(), [&](uint32_t i) { return shard_for_tag(tags[i], n); })) {
-    std::vector<uint64_t> probe;
-    probe.reserve(members.size());
-    for (uint32_t i : members) probe.push_back(tags[i]);
-    subs.push_back(Sub{s, encode(probe)});
-  }
-  if (subs.size() > 1) fanouts_.fetch_add(1, std::memory_order_relaxed);
-  return gather(scatter(Opcode::kTagScan, subs, Opcode::kOkResult));
+  WireWriter w;
+  w.string(table);
+  w.string(tag_column);
+  w.u8(star ? 1 : 0);
+  w.u32(static_cast<uint32_t>(tags.size()));
+  for (uint64_t t : tags) w.u64(t);
+  return decode_result(
+      roundtrip(Opcode::kTagScan, std::move(w.bytes()), Opcode::kOkResult));
 }
 
 }  // namespace wre::net

@@ -842,12 +842,6 @@ Frame Server::handle_request(Opcode op, ByteView payload, bool mutates,
       r.expect_end();
       return Frame{Opcode::kOkPong, {}};
     }
-    case Opcode::kShardInfo: {
-      r.expect_end();
-      w.u32(options_.shard_index);
-      w.u32(options_.shard_count);
-      return Frame{Opcode::kOkShardInfo, std::move(w.bytes())};
-    }
     case Opcode::kExecSql: {
       std::string sql = r.string();
       r.expect_end();

@@ -40,12 +40,6 @@
 //     eventually idle-reaped (it is not sending either) — it never delays
 //     any other connection.
 //
-// Sharding: a shard is simply a Server owning a hash-partition of the tag
-// space. shard_index/shard_count are topology metadata the server reports
-// through the kShardInfo handshake so a scatter-gather client can verify
-// each endpoint agrees on the map; routing itself is client-side
-// (src/net/shard.h).
-//
 // Shutdown (stop(), also wired to SIGTERM in wre_server): connections
 // already in the accept backlog are accepted, then the listener closes.
 // Every connection is read until its socket holds nothing more, so each
@@ -115,10 +109,6 @@ struct ServerOptions {
   /// requests. Past it the server stops reading that connection until its
   /// queue drains.
   size_t max_pipelined_requests = 128;
-  /// Shard topology this server believes it is part of (reported through
-  /// the kShardInfo handshake; defaults describe an unsharded server).
-  uint32_t shard_index = 0;
-  uint32_t shard_count = 1;
 };
 
 class Server {

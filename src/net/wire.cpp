@@ -16,7 +16,6 @@ const char* opcode_name(Opcode op) {
     case Opcode::kTableSchema: return "TableSchema";
     case Opcode::kTagScan: return "TagScan";
     case Opcode::kScanTable: return "ScanTable";
-    case Opcode::kShardInfo: return "ShardInfo";
     case Opcode::kOkResult: return "OkResult";
     case Opcode::kOkBool: return "OkBool";
     case Opcode::kOkIds: return "OkIds";
@@ -24,7 +23,6 @@ const char* opcode_name(Opcode op) {
     case Opcode::kOkUnit: return "OkUnit";
     case Opcode::kOkCount: return "OkCount";
     case Opcode::kOkPong: return "OkPong";
-    case Opcode::kOkShardInfo: return "OkShardInfo";
     case Opcode::kError: return "Error";
   }
   return "?";
@@ -32,7 +30,7 @@ const char* opcode_name(Opcode op) {
 
 bool is_request_opcode(uint8_t op) {
   return op >= static_cast<uint8_t>(Opcode::kPing) &&
-         op <= static_cast<uint8_t>(Opcode::kShardInfo);
+         op <= static_cast<uint8_t>(Opcode::kScanTable);
 }
 
 StatusCode status_code_for(const std::exception& e) {

@@ -96,9 +96,8 @@ enum class Opcode : uint8_t {
                         //    u32 ntags, u64 tags — the prepared multi-probe
                         //    path: no SQL rendering/parsing for WRE searches
   kScanTable = 0x0A,    // -> kOkResult; payload: table (heap-order full scan)
-  kShardInfo = 0x0B,    // -> kOkShardInfo; empty payload — topology handshake
-                        //    so a sharded client can verify each endpoint
-                        //    agrees on (shard index, shard count)
+  // 0x0B and 0x87 are retired and stay unassigned, so an old peer that
+  // sends 0x0B gets kError instead of a reinterpreted request.
 
   // Responses.
   kOkResult = 0x80,     // result set (columns, rows, counters)
@@ -108,7 +107,6 @@ enum class Opcode : uint8_t {
   kOkUnit = 0x84,       // empty
   kOkCount = 0x85,      // u64
   kOkPong = 0x86,       // empty
-  kOkShardInfo = 0x87,  // u32 shard index, u32 shard count
   kError = 0xFF,        // u16 status code, string message
 };
 

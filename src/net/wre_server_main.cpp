@@ -9,15 +9,12 @@
 //              [--threads=0] [--read-timeout-ms=60000] [--max-frame-mb=64]
 //              [--query-threads=1] [--wal=1] [--checkpoint-interval-ms=60000]
 //              [--max-connections=0] [--request-deadline-ms=0]
-//              [--shard-index=0] [--shard-count=1] [--columnar=0]
+//              [--columnar=0]
 //
-// Sharding: a fleet of wre_servers can split the tag space horizontally.
-// Each process declares its position with --shard-index/--shard-count and
-// answers the kShardInfo handshake with it; the scatter-gather client
-// (RemoteConnection with a shard map) verifies every endpoint against the
-// map before the first sharded operation, so a mis-wired fleet fails
-// loudly instead of scattering rows to the wrong servers. The server
-// itself does not filter by tag — placement is entirely the client's job.
+// Every integer flag is range-checked against the option it sets: a
+// negative value, or one the option cannot hold (say
+// --checkpoint-interval-ms=4294967296, which would wrap to 0 and turn
+// checkpoints off), exits 2 with the usage text, as an unknown flag does.
 //
 // Multi-tenancy: one wre_server serves any number of tenants over a shared
 // table — clients stamp a tenant id into each request (scoping the
@@ -49,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/net/server.h"
@@ -65,6 +63,10 @@ void on_signal(int) {
   [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
+constexpr long kIntMax = std::numeric_limits<int>::max();
+constexpr long kUnsignedMax = std::numeric_limits<unsigned>::max();
+constexpr long kU32Max = std::numeric_limits<uint32_t>::max();
+
 struct Flags {
   std::string dir;
   std::string host = "127.0.0.1";
@@ -77,8 +79,6 @@ struct Flags {
   long checkpoint_interval_ms = 60000;
   long max_connections = 0;
   long request_deadline_ms = 0;
-  long shard_index = 0;
-  long shard_count = 1;
   long columnar = 0;
 };
 
@@ -90,21 +90,28 @@ struct Flags {
                "                  [--max-frame-mb=N] [--query-threads=N]\n"
                "                  [--wal=0|1] [--checkpoint-interval-ms=N]\n"
                "                  [--max-connections=N] [--request-deadline-ms=N]\n"
-               "                  [--shard-index=N] [--shard-count=N]\n"
                "                  [--columnar=0|1]\n",
                message.c_str());
   std::exit(2);
 }
 
-long parse_long(const std::string& flag, const std::string& text) {
+/// Parses `text` as an integer in [lo, hi]: the range of the option the
+/// flag sets, so no value is silently truncated on the way there.
+long parse_long(const std::string& flag, const std::string& text, long lo,
+                long hi) {
+  long v = 0;
   try {
     size_t end = 0;
-    long v = std::stol(text, &end);
+    v = std::stol(text, &end);
     if (end != text.size()) throw std::invalid_argument(text);
-    return v;
   } catch (const std::exception&) {
     usage_error("flag " + flag + " needs an integer, got '" + text + "'");
   }
+  if (v < lo || v > hi) {
+    usage_error("flag " + flag + " must be in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "], got " + text);
+  }
+  return v;
 }
 
 Flags parse_flags(int argc, char** argv) {
@@ -122,51 +129,32 @@ Flags parse_flags(int argc, char** argv) {
     } else if (key == "--host") {
       flags.host = val;
     } else if (key == "--port") {
-      flags.port = parse_long(key, val);
+      flags.port = parse_long(key, val, 0, 65535);
     } else if (key == "--threads") {
-      flags.threads = parse_long(key, val);
+      flags.threads = parse_long(key, val, 0, kUnsignedMax);
     } else if (key == "--read-timeout-ms") {
-      flags.read_timeout_ms = parse_long(key, val);
+      flags.read_timeout_ms = parse_long(key, val, 0, kIntMax);
     } else if (key == "--max-frame-mb") {
-      flags.max_frame_mb = parse_long(key, val);
+      // A frame's length field is a u32, so the cap stays below 4 GiB.
+      flags.max_frame_mb = parse_long(key, val, 1, kU32Max >> 20);
     } else if (key == "--query-threads") {
-      flags.query_threads = parse_long(key, val);
+      flags.query_threads = parse_long(key, val, 0, kUnsignedMax);
     } else if (key == "--wal") {
-      flags.wal = parse_long(key, val);
+      flags.wal = parse_long(key, val, 0, 1);
     } else if (key == "--checkpoint-interval-ms") {
-      flags.checkpoint_interval_ms = parse_long(key, val);
+      flags.checkpoint_interval_ms = parse_long(key, val, 0, kU32Max);
     } else if (key == "--max-connections") {
-      flags.max_connections = parse_long(key, val);
+      flags.max_connections =
+          parse_long(key, val, 0, std::numeric_limits<long>::max());
     } else if (key == "--request-deadline-ms") {
-      flags.request_deadline_ms = parse_long(key, val);
-    } else if (key == "--shard-index") {
-      flags.shard_index = parse_long(key, val);
-    } else if (key == "--shard-count") {
-      flags.shard_count = parse_long(key, val);
+      flags.request_deadline_ms = parse_long(key, val, 0, kU32Max);
     } else if (key == "--columnar") {
-      flags.columnar = parse_long(key, val);
+      flags.columnar = parse_long(key, val, 0, 1);
     } else {
       usage_error("unknown flag '" + key + "'");
     }
   }
   if (flags.dir.empty()) usage_error("--dir is required");
-  if (flags.port < 0 || flags.port > 65535) usage_error("--port out of range");
-  if (flags.max_frame_mb <= 0) usage_error("--max-frame-mb must be positive");
-  if (flags.checkpoint_interval_ms < 0) {
-    usage_error("--checkpoint-interval-ms must be >= 0");
-  }
-  if (flags.max_connections < 0) {
-    usage_error("--max-connections must be >= 0");
-  }
-  if (flags.request_deadline_ms < 0) {
-    usage_error("--request-deadline-ms must be >= 0");
-  }
-  if (flags.shard_count <= 0) {
-    usage_error("--shard-count must be positive");
-  }
-  if (flags.shard_index < 0 || flags.shard_index >= flags.shard_count) {
-    usage_error("--shard-index must be in [0, --shard-count)");
-  }
   return flags;
 }
 
@@ -187,8 +175,7 @@ int main(int argc, char** argv) {
 
   try {
     wre::sql::DatabaseOptions db_options;
-    db_options.query_threads =
-        static_cast<unsigned>(flags.query_threads < 0 ? 0 : flags.query_threads);
+    db_options.query_threads = static_cast<unsigned>(flags.query_threads);
     db_options.durability = flags.wal != 0;
     // Columnar segments live only in memory, so enabling this after crash
     // recovery is always safe: the store starts empty and builds fresh
@@ -215,8 +202,7 @@ int main(int argc, char** argv) {
     wre::net::ServerOptions options;
     options.host = flags.host;
     options.port = static_cast<uint16_t>(flags.port);
-    options.worker_threads =
-        static_cast<unsigned>(flags.threads < 0 ? 0 : flags.threads);
+    options.worker_threads = static_cast<unsigned>(flags.threads);
     options.read_timeout_ms = static_cast<int>(flags.read_timeout_ms);
     options.max_frame_bytes = static_cast<size_t>(flags.max_frame_mb) << 20;
     options.checkpoint_interval_ms =
@@ -225,8 +211,6 @@ int main(int argc, char** argv) {
     options.max_connections = static_cast<size_t>(flags.max_connections);
     options.request_deadline_ms =
         static_cast<uint32_t>(flags.request_deadline_ms);
-    options.shard_index = static_cast<uint32_t>(flags.shard_index);
-    options.shard_count = static_cast<uint32_t>(flags.shard_count);
 
     wre::net::Server server(db, options);
     server.start();

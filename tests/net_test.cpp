@@ -1,9 +1,15 @@
 // The network service layer: wire codec round-trips, error-status mapping,
 // malformed-frame handling against a live server, RemoteConnection
-// transport semantics, and graceful drain.
+// transport semantics, pipelined channels, graceful drain, and the
+// wre_server command line.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -429,9 +435,8 @@ TEST_F(NetServerTest, ServerErrorsRethrowSameType) {
   EXPECT_EQ(server_->sessions_accepted(), sessions_before);
 }
 
-// One server is the one-shard case of the scatter path. Each call is one
-// request frame: the fleet's extra requests (kShardInfo, kTableSchema)
-// never appear, even for a table this connection did not create.
+// Each call is one request frame on one session, even for a table this
+// connection did not create.
 TEST_F(NetServerTest, OneServerSendsOneFramePerCall) {
   {
     RemoteConnection setup = client();
@@ -472,6 +477,41 @@ TEST_F(NetServerTest, OneServerSendsOneFramePerCall) {
     EXPECT_EQ(remote.execute("SELECT id FROM kv WHERE tag = 2").rows.size(),
               10u);
   });
+  EXPECT_EQ(server_->sessions_accepted(), sessions_before);
+}
+
+// execute_pipelined is the one call that sends several frames: one per
+// statement, all on one session, each answered as execute() answers it.
+TEST_F(NetServerTest, PipelinedExecuteMatchesSequentialExecute) {
+  RemoteConnection remote = client();
+  remote.create_table("kv", kv_schema());
+  remote.create_index("kv", "tag");
+  std::vector<sql::Row> rows;
+  for (int64_t id = 0; id < 200; ++id) {
+    rows.push_back({sql::Value::int64(id), sql::Value::int64(id % 17),
+                    sql::Value::blob(Bytes{static_cast<uint8_t>(id)})});
+  }
+  remote.insert_batch("kv", rows);
+
+  std::vector<std::string> sqls;
+  for (int q = 0; q < 20; ++q) {
+    sqls.push_back("SELECT id FROM kv WHERE tag IN (" +
+                   std::to_string(q % 17) + ")");
+  }
+  const uint64_t sessions_before = server_->sessions_accepted();
+  const uint64_t frames_before = server_->frames_served();
+  std::vector<sql::ResultSet> batch = remote.execute_pipelined(sqls);
+  EXPECT_EQ(server_->frames_served(), frames_before + sqls.size());
+  ASSERT_EQ(batch.size(), sqls.size());
+  size_t total = 0;
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    sql::ResultSet one = remote.execute(sqls[i]);
+    EXPECT_EQ(batch[i].columns, one.columns) << sqls[i];
+    EXPECT_EQ(batch[i].rows, one.rows) << sqls[i];
+    total += one.rows.size();
+  }
+  // Tags 0..16 cover all 200 rows once; tags 0, 1, 2 (12 rows each) repeat.
+  EXPECT_EQ(total, 236u);
   EXPECT_EQ(server_->sessions_accepted(), sessions_before);
 }
 
@@ -639,6 +679,31 @@ TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
   RemoteConnection remote = client();
   remote.ping();
   EXPECT_FALSE(remote.has_table("kv"));
+}
+
+// Opcodes outside the request range — the retired 0x0B, the next unused
+// 0x0C, the zero byte, and a response opcode — are protocol errors the
+// server answers with kNetwork on the same session, which keeps serving.
+TEST_F(NetServerTest, UnassignedAndResponseOpcodesAreProtocolErrors) {
+  Socket s = Socket::connect("127.0.0.1", server_->port());
+  uint8_t header[kFrameHeaderBytes];
+  for (uint8_t op : {0x0B, 0x0C, 0x00, 0x80}) {
+    SCOPED_TRACE("opcode " + std::to_string(op));
+    const uint64_t errors_before = server_->protocol_errors();
+    s.send_all(encode_frame(static_cast<Opcode>(op), {}));
+    ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
+    FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
+    EXPECT_EQ(fh.opcode, Opcode::kError);
+    Bytes body(fh.payload_length);
+    s.recv_all(body.data(), body.size());
+    WireReader r(body);
+    EXPECT_EQ(static_cast<StatusCode>(r.u16()), StatusCode::kNetwork);
+    EXPECT_EQ(server_->protocol_errors(), errors_before + 1);
+  }
+  s.send_all(encode_frame(Opcode::kPing, {}));
+  ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
+  EXPECT_EQ(decode_frame_header(header, kDefaultMaxFrameBytes).opcode,
+            Opcode::kOkPong);
 }
 
 TEST_F(NetServerTest, GracefulDrainClosesIdleSessions) {
@@ -873,6 +938,57 @@ TEST(NetServerIsolation, StalledClientDoesNotDelayOthers) {
   server.stop();
 }
 
+// ---------------------------------------------------------------------------
+// Pipelined channel semantics against a live server.
+
+TEST(PipelinedChannel, OutOfOrderAwaitParksEarlierResponses) {
+  TempDir dir;
+  sql::Database db(dir.str());
+  Server server(db, {});
+  server.start();
+  {
+    PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
+                        kDefaultMaxFrameBytes, 5000);
+    RequestExt ext;
+    uint64_t t0 = ch.submit(Opcode::kPing, {}, ext);
+    uint64_t t1 = ch.submit(Opcode::kPing, {}, ext);
+    uint64_t t2 = ch.submit(Opcode::kPing, {}, ext);
+    EXPECT_EQ(ch.in_flight(), 3u);
+    // Awaiting the newest ticket first forces reads past t0/t1, which must
+    // be parked and returned later — not lost, not reordered.
+    EXPECT_EQ(ch.await(t2).opcode, Opcode::kOkPong);
+    EXPECT_EQ(ch.await(t0).opcode, Opcode::kOkPong);
+    EXPECT_EQ(ch.await(t1).opcode, Opcode::kOkPong);
+    EXPECT_FALSE(ch.dead());
+    // A ticket can be redeemed exactly once.
+    EXPECT_THROW(ch.await(t1), NetworkError);
+  }
+  server.stop();
+}
+
+TEST(PipelinedChannel, TransportFailurePoisonsEveryLaterCall) {
+  TempDir dir;
+  sql::Database db(dir.str());
+  Server server(db, {});
+  server.start();
+  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
+                      kDefaultMaxFrameBytes, /*recv_timeout_ms=*/200);
+  RequestExt ext;
+  ch.submit(Opcode::kPing, {}, ext);
+  uint64_t never = ch.submit(Opcode::kPing, {}, ext);
+  server.stop();  // drain answers the pipeline, then closes
+  // Whatever the close/drain race yields, once the channel reports a
+  // transport failure every later call fails fast with the same reason.
+  try {
+    ch.await(never, 500);
+    ch.await(ch.submit(Opcode::kPing, {}, ext), 500);
+    FAIL() << "channel survived server shutdown indefinitely";
+  } catch (const NetworkError&) {
+  }
+  EXPECT_TRUE(ch.dead());
+  EXPECT_THROW(ch.submit(Opcode::kPing, {}, ext), NetworkError);
+}
+
 TEST(NetServerDrain, DrainAnswersAlreadySubmittedPipeline) {
   // SIGTERM mid-pipeline: every request the client already put on the wire
   // is executed and flushed before the connection closes — a drain is a
@@ -882,7 +998,7 @@ TEST(NetServerDrain, DrainAnswersAlreadySubmittedPipeline) {
   Server server(db, {});
   server.start();
 
-  PipelinedChannel ch(ShardEndpoint{"127.0.0.1", server.port()},
+  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
                       kDefaultMaxFrameBytes, /*recv_timeout_ms=*/5000);
   RequestExt ext;
   std::vector<uint64_t> tickets;
@@ -914,7 +1030,7 @@ TEST(NetServerDrain, DrainAnswersPipelineBeyondTheQueueCap) {
   Server server(db, options);
   server.start();
 
-  PipelinedChannel ch(ShardEndpoint{"127.0.0.1", server.port()},
+  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
                       kDefaultMaxFrameBytes, /*recv_timeout_ms=*/5000);
   RequestExt ext;
   std::vector<uint64_t> tickets;
@@ -933,6 +1049,114 @@ TEST(NetServerDrain, DrainAnswersPipelineBeyondTheQueueCap) {
   }
   stopper.join();
   EXPECT_EQ(answered, 100);
+}
+
+// ---------------------------------------------------------------------------
+// wre_server's command line, against the real binary.
+
+#ifndef WRE_SERVER_BIN_DEFAULT
+#define WRE_SERVER_BIN_DEFAULT "../src/net/wre_server"
+#endif
+
+struct ServerExit {
+  bool listened = false;  // printed LISTENING: it accepted the flags
+  int code = -1;          // exit code; -1 if a signal ended it
+  std::string err;        // what it wrote to stderr
+};
+
+/// Runs wre_server with `flags` until it exits or reports its port, for at
+/// most 20 s. A server that comes up is sent SIGTERM (a clean drain exits
+/// 0); one that neither exits nor comes up in time is killed.
+ServerExit run_wre_server(const std::vector<std::string>& flags) {
+  std::string bin = WRE_SERVER_BIN_DEFAULT;
+  std::vector<std::string> args = {bin};
+  args.insert(args.end(), flags.begin(), flags.end());
+  int out[2];
+  int err[2];
+  if (::pipe(out) != 0 || ::pipe(err) != 0) {
+    ADD_FAILURE() << "pipe failed";
+    return {};
+  }
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(out[1], STDOUT_FILENO);
+    ::dup2(err[1], STDERR_FILENO);
+    for (int fd : {out[0], out[1], err[0], err[1]}) ::close(fd);
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    ::execv(bin.c_str(), argv.data());
+    ::_exit(127);
+  }
+  ::close(out[1]);
+  ::close(err[1]);
+
+  ServerExit result;
+  bool exited = false;  // stdout hit EOF: the process is gone
+  std::string line;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (;;) {
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - std::chrono::steady_clock::now())
+                    .count();
+    pollfd pfd{out[0], POLLIN, 0};
+    if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) <= 0) break;
+    char c = 0;
+    if (::read(out[0], &c, 1) <= 0) {
+      exited = true;
+      break;
+    }
+    if (c == '\n') {
+      result.listened = line.rfind("LISTENING ", 0) == 0;
+      break;
+    }
+    line.push_back(c);
+  }
+  if (!exited) ::kill(pid, result.listened ? SIGTERM : SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  if (WIFEXITED(status)) result.code = WEXITSTATUS(status);
+  char buf[4096];
+  for (ssize_t n; (n = ::read(err[0], buf, sizeof(buf))) > 0;) {
+    result.err.append(buf, static_cast<size_t>(n));
+  }
+  ::close(out[0]);
+  ::close(err[0]);
+  return result;
+}
+
+// Each value is negative, beyond what its option holds, or for a flag that
+// does not exist; the server must refuse it before it opens the database.
+// Every run also passes --threads=1, so none of them can start more than
+// one worker even where a value is accepted by mistake.
+TEST(WreServerFlags, RejectsNegativeAndUnrepresentableValues) {
+  TempDir dir;
+  for (const char* bad :
+       {"--checkpoint-interval-ms=4294967296", "--checkpoint-interval-ms=-1",
+        "--request-deadline-ms=4294967296", "--request-deadline-ms=-1",
+        "--threads=4294967297", "--read-timeout-ms=2147483648",
+        "--read-timeout-ms=-1", "--max-frame-mb=4096", "--max-frame-mb=0",
+        "--max-connections=-1", "--port=65536", "--wal=2", "--columnar=-1",
+        "--shard-count=3", "--shard-index=0"}) {
+    SCOPED_TRACE(bad);
+    ServerExit r =
+        run_wre_server({"--dir=" + dir.str(), "--port=0", "--threads=1", bad});
+    EXPECT_FALSE(r.listened);
+    EXPECT_EQ(r.code, 2);
+    EXPECT_NE(r.err.find("usage: wre_server"), std::string::npos) << r.err;
+  }
+}
+
+TEST(WreServerFlags, AcceptsTheLargestValueEachOptionHolds) {
+  TempDir dir;
+  ServerExit r = run_wre_server(
+      {"--dir=" + dir.str(), "--port=0", "--threads=1",
+       "--checkpoint-interval-ms=4294967295",
+       "--request-deadline-ms=4294967295", "--read-timeout-ms=2147483647",
+       "--max-frame-mb=4095"});
+  EXPECT_TRUE(r.listened) << r.err;
+  EXPECT_EQ(r.code, 0) << r.err;
 }
 
 }  // namespace
