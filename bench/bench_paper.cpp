@@ -343,46 +343,6 @@ void fig4_7(const Options& o, Section& s) {
               mean_tags("poisson-1000") <= mean_tags("poisson-10000"));
   s.check("fixed-1000 tags_in_query > fixed-100",
           mean_tags("fixed-1000") > mean_tags("fixed-100"));
-
-  if (o.threads <= 1) return;
-  // Parallel executor, SELECT id, 1 vs --threads executor threads: warm
-  // (pure CPU overlap) and disk (cold cache per query under --io-us, where
-  // concurrent probes overlap their page reads). The parallel merge is
-  // deterministic, so every parallel run must return the serial ids.
-  auto threads = static_cast<unsigned>(o.threads);
-  bool match = true;
-  for (auto& db : dbs) {
-    std::vector<std::vector<int64_t>> serial(queries.size());
-    auto qps = [&](bool cold, bool parallel) {
-      db.db->set_query_threads(parallel ? threads : 1);
-      Timer t;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        if (cold) db.db->clear_cache();
-        auto ids = db.select_ids(queries[i].column, queries[i].value).ids;
-        if (!parallel) {
-          serial[i] = std::move(ids);
-        } else {
-          match = match && ids == serial[i];
-        }
-      }
-      double seconds = t.elapsed_seconds();
-      db.db->set_query_threads(1);
-      return static_cast<double>(queries.size()) / seconds;
-    };
-    for (const auto& q : queries) db.select_ids(q.column, q.value);
-    double warm1 = qps(false, false), warm_n = qps(false, true);
-    db.db->disk().set_read_latency_micros(io_us);
-    double disk1 = qps(true, false), disk_n = qps(true, true);
-    db.db->disk().set_read_latency_micros(0);
-    s.row("scaling/" + db.config.label,
-          {{"warm_1_qps", warm1},
-           {"warm_n_qps", warm_n},
-           {"warm_speedup", warm_n / warm1},
-           {"disk_1_qps", disk1},
-           {"disk_n_qps", disk_n},
-           {"disk_speedup", disk_n / disk1}});
-  }
-  s.check("parallel executor returns the serial ids", match);
 }
 
 // ---------------------------------------------------------------- fig8_9
@@ -704,7 +664,7 @@ const std::vector<Subcommand> kSubcommands = {
     {"creation", "Section VI-B: database creation time",
      {"records", "threads"}, creation},
     {"fig4_7", "Figures 4-7: query latency by result size",
-     {"records", "queries", "threads", "io-us"}, fig4_7},
+     {"records", "queries", "io-us"}, fig4_7},
     {"fig8_9", "Figures 8-9: bucketized Poisson false positives",
      {"records", "queries"}, fig8_9},
     {"ind_cuda", "Section V: IND-CUDA advantage per scheme", {"trials"},

@@ -95,7 +95,10 @@ PipelinedChannel::Response PipelinedChannel::await(uint64_t ticket,
     try {
       resp = read_one(deadline_hint_ms);
     } catch (const NetworkError& e) {
-      die(e.what());
+      // The stream position is lost; the error keeps its type, so a
+      // FrameTooLargeError stays distinguishable from a dropped link.
+      poison(e.what());
+      throw;
     }
     uint64_t answered = next_response_++;
     if (answered == ticket) return resp;

@@ -74,7 +74,8 @@ class PipelinedChannel {
   /// any earlier in-flight responses on the way. `deadline_hint_ms`, if
   /// non-zero, tightens the receive timeout for reads done by this call.
   /// Tickets must be awaited at most once. Throws NetworkError on
-  /// transport failure (channel is then dead).
+  /// transport failure, FrameTooLargeError on a response over
+  /// max_frame_bytes (the channel is dead after either).
   Response await(uint64_t ticket, uint64_t deadline_hint_ms = 0);
 
   /// Requests submitted but not yet awaited/read.

@@ -193,6 +193,11 @@ std::vector<Bytes> RemoteConnection::send(Opcode request,
             std::lock_guard<std::mutex> lk(retry_mu_);
             budget_ = std::min(rp.budget_tokens, budget_ + 0.1);
           }
+        } catch (const FrameTooLargeError&) {
+          // The response outgrew max_frame_bytes. The channel is poisoned
+          // (its stream sits before an unread payload), but the request
+          // would draw the same response again: terminal.
+          p.terminal = std::current_exception();
         } catch (const NetworkError& e) {
           p.last_error = e.what();
         }

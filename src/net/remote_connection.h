@@ -23,6 +23,8 @@
 //     Each request of a pipelined batch retries on its own;
 //   - when retries stop, the caller gets RetriesExhaustedError naming the
 //     attempt count, elapsed time and last underlying error;
+//   - a response over max_frame_bytes fails its request without a retry:
+//     FrameTooLargeError at the client's limit, kNetwork at the server's;
 //   - kError responses re-throw as the same wre::Error subclass the server
 //     caught, so remote and in-process error handling are interchangeable.
 //     Server-reported errors other than kOverloaded are deterministic and
@@ -63,6 +65,7 @@ struct RetryOptions {
 
 struct RemoteOptions {
   /// Per-response payload ceiling (mirrors ServerOptions::max_frame_bytes).
+  /// A larger response fails its request with FrameTooLargeError.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Bounds how long one response may take (0 = wait forever). Each
   /// attempt's receive timeout is the tighter of this and what remains of

@@ -8,9 +8,11 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "src/core/transport.h"
+#include "src/sql/parser.h"
 
 namespace wre::net {
 
@@ -36,45 +38,29 @@ constexpr size_t kReadBudgetBytes = 256u << 10;
 /// drains (a never-reading client is idle-reaped, not ballooned).
 constexpr size_t kMaxOutbufBytes = 8u << 20;
 
-/// Conservative write detection for ExecSql: only statements that are
-/// syntactically reads take the shared lock; everything else (INSERT,
-/// CREATE, and any future statement kind) is treated as a write.
-bool is_read_sql(std::string_view sql) {
-  size_t i = 0;
-  while (i < sql.size() && std::isspace(static_cast<unsigned char>(sql[i]))) {
-    ++i;
-  }
-  auto starts_with_kw = [&](std::string_view kw) {
-    if (sql.size() - i < kw.size()) return false;
-    for (size_t k = 0; k < kw.size(); ++k) {
-      if (std::tolower(static_cast<unsigned char>(sql[i + k])) != kw[k]) {
-        return false;
-      }
-    }
-    return true;
-  };
-  return starts_with_kw("select") || starts_with_kw("explain");
+/// A kExecSql payload (one length-prefixed string) parsed into its
+/// statement. Malformed SQL throws its SqlError here, before the request
+/// takes a lock or a dedup claim.
+sql::Statement parse_exec_sql(ByteView payload) {
+  WireReader r(payload);
+  std::string sql = r.string();
+  r.expect_end();
+  return sql::parse_statement(sql);
 }
 
 /// Whether executing this request can change database state: the requests
 /// the idempotency cache must dedup, and the ones that take the write
-/// lock. Decided once per request. Peeks the SQL text for kExecSql (its
-/// payload is a single length-prefixed string); malformed payloads return
-/// false and fail later in the decoder, before any mutation.
-bool request_mutates(Opcode op, ByteView payload) {
+/// lock. Decided once per request. `stmt` is a kExecSql request's parsed
+/// statement: a SELECT (EXPLAIN included) reads, any other statement
+/// writes.
+bool request_mutates(Opcode op, const sql::Statement* stmt) {
   switch (op) {
     case Opcode::kInsertBatch:
     case Opcode::kCreateTable:
     case Opcode::kCreateIndex:
       return true;
-    case Opcode::kExecSql: {
-      if (payload.size() < 4) return false;
-      uint32_t len = load_le32(payload.data());
-      if (len > payload.size() - 4) return false;
-      std::string_view sql(reinterpret_cast<const char*>(payload.data() + 4),
-                           len);
-      return !is_read_sql(sql);
-    }
+    case Opcode::kExecSql:
+      return !std::holds_alternative<sql::SelectStmt>(*stmt);
     default:
       return false;
   }
@@ -741,7 +727,10 @@ Bytes Server::process_request(const PendingRequest& req) {
       throw NetworkError("wire: unknown request opcode " +
                          std::to_string(static_cast<int>(req.op)));
     }
-    const bool mutates = request_mutates(req.op, req.payload);
+    std::optional<sql::Statement> parsed;
+    if (req.op == Opcode::kExecSql) parsed = parse_exec_sql(req.payload);
+    const sql::Statement* stmt = parsed ? &*parsed : nullptr;
+    const bool mutates = request_mutates(req.op, stmt);
     if (req.ext.has_key && mutates) {
       // Exactly-once: first arrival executes and records; a retry of
       // the same key replays the recorded response. A request shed
@@ -755,8 +744,7 @@ Bytes Server::process_request(const PendingRequest& req) {
         response = std::move(cached);
       } else {
         try {
-          response =
-              handle_request(req.op, req.payload, mutates, deadline_ms);
+          response = handle_request(req.op, req.payload, stmt, deadline_ms);
           dedup_.complete(dkey, response);
         } catch (const OverloadedError&) {
           dedup_.abort(dkey);
@@ -773,7 +761,7 @@ Bytes Server::process_request(const PendingRequest& req) {
         }
       }
     } else {
-      response = handle_request(req.op, req.payload, mutates, deadline_ms);
+      response = handle_request(req.op, req.payload, stmt, deadline_ms);
     }
   } catch (const OverloadedError& e) {
     // A shed request is load, not a protocol violation.
@@ -783,6 +771,17 @@ Bytes Server::process_request(const PendingRequest& req) {
     response = error_frame(e);
   } catch (const std::exception& e) {
     response = error_frame(e);
+  }
+  // A response larger than a frame may carry fails its request for good:
+  // running it again yields the same rows. It is answered with a
+  // deterministic error, never kOverloaded, so the client does not retry.
+  const size_t frame_limit =
+      std::min(options_.max_frame_bytes, kMaxFramePayloadBytes);
+  if (response.payload.size() > frame_limit) {
+    response = error_frame(FrameTooLargeError(
+        "server: response payload of " +
+        std::to_string(response.payload.size()) + " bytes exceeds the " +
+        std::to_string(frame_limit) + "-byte frame limit"));
   }
   return encode_frame(response.opcode, response.payload);
 }
@@ -833,7 +832,8 @@ void Server::write_and_commit(uint32_t deadline_ms,
   commit.wait();
 }
 
-Frame Server::handle_request(Opcode op, ByteView payload, bool mutates,
+Frame Server::handle_request(Opcode op, ByteView payload,
+                             const sql::Statement* stmt,
                              uint32_t deadline_ms) {
   WireReader r(payload);
   WireWriter w;
@@ -843,21 +843,16 @@ Frame Server::handle_request(Opcode op, ByteView payload, bool mutates,
       return Frame{Opcode::kOkPong, {}};
     }
     case Opcode::kExecSql: {
-      std::string sql = r.string();
-      r.expect_end();
-      sql::ResultSet rs;
-      if (mutates) {
-        write_and_commit(deadline_ms, [&] { rs = db_.execute(sql); });
-      } else {
+      // A SELECT encodes its response straight from the heap records or
+      // column segment; no sql::Row is built on the server.
+      if (const auto* select = std::get_if<sql::SelectStmt>(stmt)) {
         auto lock = lock_db<SharedDbLock>(deadline_ms);
-        // Every SELECT plan encodes its response straight from the heap
-        // records or column segment; no sql::Row is built on the server.
         Bytes payload;
-        if (db_.execute_sql_wire(sql, &payload)) {
-          return Frame{Opcode::kOkResult, std::move(payload)};
-        }
-        rs = db_.execute(sql);
+        db_.execute_select_wire(*select, &payload);
+        return Frame{Opcode::kOkResult, std::move(payload)};
       }
+      sql::ResultSet rs;
+      write_and_commit(deadline_ms, [&] { rs = db_.execute(*stmt); });
       encode_result_set(rs, w);
       return Frame{Opcode::kOkResult, std::move(w.bytes())};
     }

@@ -79,9 +79,11 @@ struct ServerOptions {
   /// the event thread — so the pool bounds CPU concurrency, not the number
   /// of connected clients.
   unsigned worker_threads = 0;
-  /// Per-request payload ceiling; oversized frames are refused before their
+  /// Per-frame payload ceiling. Oversized requests are refused before their
   /// payload is read (the client gets a kNetwork error, then the session
-  /// closes — the stream offset is unrecoverable past a bad header).
+  /// closes — the stream offset is unrecoverable past a bad header). A
+  /// response over it is replaced by a kNetwork error (FrameTooLargeError),
+  /// and the session continues.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Idle timeout per connection in milliseconds (0 = no timeout): a
   /// connection with no traffic for this long is closed by the event
@@ -238,11 +240,13 @@ class Server {
   /// returns the encoded response frame. Never throws.
   Bytes process_request(const PendingRequest& req);
   /// Decodes and executes one request frame; returns the response frame.
-  /// `mutates` is request_mutates' verdict, decided once per request by
-  /// process_request. `deadline_ms` (0 = none) bounds the db-lock wait;
-  /// expiry throws OverloadedError before any state changes.
-  Frame handle_request(Opcode op, ByteView payload, bool mutates,
-                       uint32_t deadline_ms);
+  /// `stmt` is a kExecSql request's statement, parsed once by
+  /// process_request (null for every other opcode): a SELECT runs under
+  /// the shared lock, any other statement through write_and_commit.
+  /// `deadline_ms` (0 = none) bounds the db-lock wait; expiry throws
+  /// OverloadedError before any state changes.
+  Frame handle_request(Opcode op, ByteView payload,
+                       const sql::Statement* stmt, uint32_t deadline_ms);
   /// Timed db_mu_ acquisition, shared or exclusive as `Lock` is a
   /// std::shared_lock or std::unique_lock; throws OverloadedError when the
   /// deadline passes first (and counts it in deadline_rejects_).

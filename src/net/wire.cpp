@@ -58,27 +58,45 @@ void rethrow_status(StatusCode code, const std::string& message) {
   throw Error(message);
 }
 
+namespace {
+
+/// The header's length field for `payload`; a payload it cannot express is
+/// refused rather than sent with a truncated length, which would desync
+/// the stream.
+uint32_t frame_length(ByteView payload) {
+  if (payload.size() > kMaxFramePayloadBytes) {
+    throw FrameTooLargeError("wire: frame payload of " +
+                             std::to_string(payload.size()) +
+                             " bytes exceeds the u32 length field");
+  }
+  return static_cast<uint32_t>(payload.size());
+}
+
+}  // namespace
+
 Bytes encode_frame(Opcode opcode, ByteView payload) {
+  const uint32_t length = frame_length(payload);
   Bytes out;
   out.reserve(kFrameHeaderBytes + payload.size());
   out.push_back(kMagic0);
   out.push_back(kMagic1);
   out.push_back(kWireVersion);
   out.push_back(static_cast<uint8_t>(opcode));
-  store_le32(out, static_cast<uint32_t>(payload.size()));
+  store_le32(out, length);
   append(out, payload);
   return out;
 }
 
 Bytes encode_request_frame(Opcode opcode, ByteView payload,
                            const RequestExt& ext) {
+  const uint32_t length = frame_length(payload);
   Bytes out;
   out.reserve(kFrameHeaderBytes + 1 + kRequestExtTenantBytes + payload.size());
   out.push_back(kMagic0);
   out.push_back(kMagic1);
   out.push_back(kWireVersionExt);
   out.push_back(static_cast<uint8_t>(opcode));
-  store_le32(out, static_cast<uint32_t>(payload.size()));
+  store_le32(out, length);
   out.push_back(static_cast<uint8_t>(kRequestExtTenantBytes));
   uint8_t flags = ext.has_key ? 0x01 : 0x00;
   flags |= 0x02;  // tenant id field present
@@ -123,9 +141,9 @@ FrameHeader decode_frame_header(const uint8_t (&header)[kFrameHeaderBytes],
   }
   uint32_t length = load_le32(header + 4);
   if (length > max_frame_bytes) {
-    throw NetworkError("wire: frame payload of " + std::to_string(length) +
-                       " bytes exceeds the " +
-                       std::to_string(max_frame_bytes) + "-byte limit");
+    throw FrameTooLargeError("wire: frame payload of " +
+                             std::to_string(length) + " bytes exceeds the " +
+                             std::to_string(max_frame_bytes) + "-byte limit");
   }
   return FrameHeader{static_cast<Opcode>(header[3]), length, header[2]};
 }

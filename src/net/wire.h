@@ -79,6 +79,8 @@ inline constexpr size_t kMaxRequestExtBytes = 64;
 /// without being read — the server's backpressure limit against hostile or
 /// buggy clients allocating unbounded memory server-side.
 inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;  // 64 MiB
+/// What a frame's u32 length field can carry; encode_frame refuses more.
+inline constexpr size_t kMaxFramePayloadBytes = UINT32_MAX;
 
 /// Message types. Requests pair with the response listed next to them; any
 /// request may instead receive kError.
@@ -155,7 +157,9 @@ struct RequestExt {
   uint64_t tenant_id = 0;
 };
 
-/// Renders a base (v1) frame: header + payload, ready for send().
+/// Renders a base (v1) frame: header + payload, ready for send(). Throws
+/// FrameTooLargeError for a payload over kMaxFramePayloadBytes, as
+/// encode_request_frame does.
 Bytes encode_frame(Opcode opcode, ByteView payload);
 
 /// Renders a v2 request frame: header + extension + payload.
@@ -176,7 +180,8 @@ struct FrameHeader {
 };
 
 /// Validates magic, version and length (<= max_frame_bytes). Throws
-/// NetworkError describing exactly what was malformed.
+/// NetworkError describing exactly what was malformed: FrameTooLargeError
+/// for a length over max_frame_bytes.
 FrameHeader decode_frame_header(const uint8_t (&header)[kFrameHeaderBytes],
                                 size_t max_frame_bytes);
 

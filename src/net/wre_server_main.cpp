@@ -7,7 +7,7 @@
 // Usage:
 //   wre_server --dir=/path/to/db [--host=127.0.0.1] [--port=7433]
 //              [--threads=0] [--read-timeout-ms=60000] [--max-frame-mb=64]
-//              [--query-threads=1] [--wal=1] [--checkpoint-interval-ms=60000]
+//              [--wal=1] [--checkpoint-interval-ms=60000]
 //              [--max-connections=0] [--request-deadline-ms=0]
 //              [--columnar=0]
 //
@@ -74,7 +74,6 @@ struct Flags {
   long threads = 0;
   long read_timeout_ms = 60000;
   long max_frame_mb = 64;
-  long query_threads = 1;
   long wal = 1;
   long checkpoint_interval_ms = 60000;
   long max_connections = 0;
@@ -87,8 +86,8 @@ struct Flags {
                "wre_server: %s\n"
                "usage: wre_server --dir=PATH [--host=ADDR] [--port=N]\n"
                "                  [--threads=N] [--read-timeout-ms=N]\n"
-               "                  [--max-frame-mb=N] [--query-threads=N]\n"
-               "                  [--wal=0|1] [--checkpoint-interval-ms=N]\n"
+               "                  [--max-frame-mb=N] [--wal=0|1]\n"
+               "                  [--checkpoint-interval-ms=N]\n"
                "                  [--max-connections=N] [--request-deadline-ms=N]\n"
                "                  [--columnar=0|1]\n",
                message.c_str());
@@ -137,8 +136,6 @@ Flags parse_flags(int argc, char** argv) {
     } else if (key == "--max-frame-mb") {
       // A frame's length field is a u32, so the cap stays below 4 GiB.
       flags.max_frame_mb = parse_long(key, val, 1, kU32Max >> 20);
-    } else if (key == "--query-threads") {
-      flags.query_threads = parse_long(key, val, 0, kUnsignedMax);
     } else if (key == "--wal") {
       flags.wal = parse_long(key, val, 0, 1);
     } else if (key == "--checkpoint-interval-ms") {
@@ -175,7 +172,6 @@ int main(int argc, char** argv) {
 
   try {
     wre::sql::DatabaseOptions db_options;
-    db_options.query_threads = static_cast<unsigned>(flags.query_threads);
     db_options.durability = flags.wal != 0;
     // Columnar segments live only in memory, so enabling this after crash
     // recovery is always safe: the store starts empty and builds fresh

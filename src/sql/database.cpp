@@ -4,13 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "src/columnar/store_manager.h"
 #include "src/sql/parser.h"
@@ -21,47 +18,6 @@ namespace wre::sql {
 namespace {
 
 constexpr const char* kCatalogFile = "catalog.wre";
-
-/// Runs fn(0..n-1) on `pool` and blocks until all complete. Completion is
-/// tracked per call (not via ThreadPool::wait_idle), so concurrent SELECTs
-/// can share one pool without waiting on each other's tasks. The first
-/// exception thrown by any task is rethrown here.
-void run_tasks(util::ThreadPool& pool, size_t n,
-               const std::function<void(size_t)>& fn) {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = n;
-  std::exception_ptr error;
-
-  for (size_t i = 0; i < n; ++i) {
-    pool.submit([&, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!error) error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lk(mu);
-      if (--remaining == 0) cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return remaining == 0; });
-  if (error) std::rethrow_exception(error);
-}
-
-/// Splits [0, n) into at most `max_slices` contiguous slices of near-equal
-/// size; returns the slice boundaries (size() - 1 slices).
-std::vector<size_t> slice_bounds(size_t n, size_t max_slices) {
-  size_t slices = std::min(max_slices, n);
-  if (slices == 0) slices = 1;
-  std::vector<size_t> bounds;
-  bounds.reserve(slices + 1);
-  for (size_t s = 0; s <= slices; ++s) {
-    bounds.push_back(n * s / slices);
-  }
-  return bounds;
-}
 
 ValueType type_from_name(const std::string& t) {
   if (t == "INTEGER") return ValueType::kInt64;
@@ -125,7 +81,6 @@ Database::Database(std::string dir, DatabaseOptions options)
     pool_->set_wal_tracking(true);
   }
   load_catalog();
-  if (options.query_threads != 1) set_query_threads(options.query_threads);
   if (options.columnar) set_columnar_enabled(true);
 }
 
@@ -144,16 +99,6 @@ void Database::set_columnar_enabled(bool on) {
   if (on && columnar_mgr_ == nullptr) {
     columnar_mgr_ = std::make_unique<columnar::ColumnStoreManager>();
   }
-}
-
-void Database::set_query_threads(unsigned n) {
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
-  query_threads_ = n;
-  query_pool_.reset();
-  if (n > 1) query_pool_ = std::make_unique<util::ThreadPool>(n);
 }
 
 Table& Database::create_table(const std::string& name, Schema schema) {
@@ -191,7 +136,10 @@ std::vector<int64_t> Database::insert_batch(const std::string& table_name,
 }
 
 ResultSet Database::execute(std::string_view sql) {
-  Statement stmt = parse_statement(sql);
+  return execute(parse_statement(sql));
+}
+
+ResultSet Database::execute(const Statement& stmt) {
   return std::visit(
       [&](auto&& s) -> ResultSet {
         using T = std::decay_t<decltype(s)>;
@@ -352,20 +300,15 @@ struct SelectPlan {
   /// Non-null when the column store serves this table (DESIGN.md §5.9):
   /// it then runs the scan outright, and the record fetch of index plans.
   columnar::ColumnStoreManager* columnar = nullptr;
-  util::ThreadPool* pool = nullptr;  // null = serial
-  unsigned threads = 1;
 };
 
 SelectPlan make_plan(const SelectStmt& stmt, const Table& t,
-                     columnar::ColumnStoreManager* columnar,
-                     util::ThreadPool* pool, unsigned threads) {
+                     columnar::ColumnStoreManager* columnar) {
   const Schema& schema = t.schema();
   SelectPlan p;
   p.stmt = &stmt;
   p.table = &t;
   p.columnar = columnar;
-  p.pool = pool;
-  p.threads = threads;
   // Plan-time validation: every column the predicate names must exist,
   // even if the plan never evaluates it (e.g. empty tables).
   if (stmt.where) p.where.emplace(*stmt.where, schema);
@@ -441,7 +384,6 @@ struct ExecStats {
   uint64_t columnar_rows = 0;
   bool used_index = false;
   bool used_columnar = false;
-
 };
 
 /// Row sink for execute_select_wire: appends each result row as
@@ -453,8 +395,6 @@ class WireRows {
   explicit WireRows(const SelectPlan& p) : plan_(&p) {}
 
   Bytes bytes;
-
-  void join(WireRows&& o) { append(bytes, o.bytes); }
 
   void pk(int64_t pk) {
     store_le32(bytes, static_cast<uint32_t>(plan_->projection.size()));
@@ -492,11 +432,6 @@ class ResultRows {
 
   std::vector<Row> rows;
 
-  void join(ResultRows&& o) {
-    rows.insert(rows.end(), std::make_move_iterator(o.rows.begin()),
-                std::make_move_iterator(o.rows.end()));
-  }
-
   void pk(int64_t pk) {
     rows.emplace_back(plan_->projection.size(), Value::int64(pk));
   }
@@ -515,40 +450,14 @@ class ResultRows {
   const SelectPlan* plan_;
 };
 
-/// Below this many items per task, fan-out overhead beats the win.
-constexpr size_t kMinItemsPerTask = 8;
-
-/// Probe phase: the matching pks, sorted and unique. With a worker pool
-/// the probes fan out in contiguous value slices; each slice collects its
-/// own pks and probe count, and the slice-ordered concatenation feeds the
-/// same sort+unique as the serial path — parallel and serial runs produce
-/// identical pk lists.
+/// Probe phase: the matching pks, sorted and unique.
 std::vector<int64_t> probe_pks(const SelectPlan& p, ExecStats& st) {
-  const std::vector<Value>& values = p.probe_values;
   std::vector<int64_t> pks;
-  auto probe_range = [&](size_t from, size_t to, uint64_t* probes,
-                         std::vector<int64_t>* out) {
-    for (size_t i = from; i < to; ++i) {
-      if (values[i].is_null()) continue;
-      ++*probes;
-      auto matches = p.table->probe_index(p.probe_column, values[i]);
-      out->insert(out->end(), matches.begin(), matches.end());
-    }
-  };
-  if (p.pool != nullptr && values.size() >= 2 * kMinItemsPerTask) {
-    auto bounds = slice_bounds(values.size(), p.threads);
-    size_t slices = bounds.size() - 1;
-    std::vector<std::vector<int64_t>> slice_pks(slices);
-    std::vector<uint64_t> slice_probes(slices, 0);
-    run_tasks(*p.pool, slices, [&](size_t s) {
-      probe_range(bounds[s], bounds[s + 1], &slice_probes[s], &slice_pks[s]);
-    });
-    for (size_t s = 0; s < slices; ++s) {
-      st.index_probes += slice_probes[s];
-      pks.insert(pks.end(), slice_pks[s].begin(), slice_pks[s].end());
-    }
-  } else {
-    probe_range(0, values.size(), &st.index_probes, &pks);
+  for (const Value& v : p.probe_values) {
+    if (v.is_null()) continue;
+    ++st.index_probes;
+    auto matches = p.table->probe_index(p.probe_column, v);
+    pks.insert(pks.end(), matches.begin(), matches.end());
   }
   std::sort(pks.begin(), pks.end());
   pks.erase(std::unique(pks.begin(), pks.end()), pks.end());
@@ -565,18 +474,18 @@ ExecStats execute_plan(const SelectPlan& p, Sink& sink) {
   const bool emit = !stmt.count_star;
   ExecStats st;
 
+  std::vector<CellView> cells(schema.column_count());
   // Fetches the record of `pk` from the heap, rechecks the predicate on
   // its encoded cells and emits it — no Row, no record copy.
-  auto fetch = [&](int64_t pk, CellView* cells, Sink& out, ExecStats& s) {
+  auto fetch = [&](int64_t pk) {
     t.visit_by_pk(pk, [&](ByteView record) {
-      schema.split_record(record, cells);
-      ++s.heap_fetches;
-      if (!p.where->matches(cells)) return;
-      ++s.rows;
-      if (emit) out.record(cells, record);
+      schema.split_record(record, cells.data());
+      ++st.heap_fetches;
+      if (!p.where->matches(cells.data())) return;
+      ++st.rows;
+      if (emit) sink.record(cells.data(), record);
     });
   };
-  std::vector<CellView> cells(schema.column_count());
   // Index-only plans never read rows, so they leave the segment alone: a
   // snapshot would make it catch up with every insert.
   std::shared_ptr<const columnar::TableSegment> seg =
@@ -646,7 +555,7 @@ ExecStats execute_plan(const SelectPlan& p, Sink& sink) {
       if (!row_pos) {
         // Defensive only: a fresh segment contains every indexed pk.
         flush();
-        fetch(pk, cells.data(), sink, st);
+        fetch(pk);
         continue;
       }
       if (!seg->row_matches(*stmt.where, *row_pos)) continue;  // recheck
@@ -654,32 +563,10 @@ ExecStats execute_plan(const SelectPlan& p, Sink& sink) {
       sel.push_back(*row_pos);
     }
     flush();
-  } else if (p.pool != nullptr && p.limit == UINT64_MAX &&
-             pks.size() >= 2 * kMinItemsPerTask) {
-    // Parallel record fetch (no LIMIT, so every pk is needed): each slice
-    // of the pk list fetches, rechecks and encodes into its own sink; the
-    // slices join in pk order, exactly the serial loop's output.
-    auto bounds = slice_bounds(pks.size(), p.threads);
-    const size_t slices = bounds.size() - 1;
-    std::vector<Sink> slice_sinks;
-    slice_sinks.reserve(slices);
-    for (size_t s = 0; s < slices; ++s) slice_sinks.emplace_back(p);
-    std::vector<ExecStats> slice_stats(slices);
-    run_tasks(*p.pool, slices, [&](size_t s) {
-      std::vector<CellView> slice_cells(schema.column_count());
-      for (size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-        fetch(pks[i], slice_cells.data(), slice_sinks[s], slice_stats[s]);
-      }
-    });
-    for (size_t s = 0; s < slices; ++s) {
-      st.rows += slice_stats[s].rows;
-      st.heap_fetches += slice_stats[s].heap_fetches;
-      sink.join(std::move(slice_sinks[s]));
-    }
   } else {
     for (int64_t pk : pks) {
       if (st.rows >= p.limit) break;
-      fetch(pk, cells.data(), sink, st);
+      fetch(pk);
     }
   }
   return st;
@@ -693,8 +580,7 @@ columnar::ColumnStoreManager* Database::columnar_store() const {
 
 ResultSet Database::execute_select(const SelectStmt& stmt) {
   const Table& t = table(stmt.table);
-  const SelectPlan plan = make_plan(stmt, t, columnar_store(),
-                                    query_pool_.get(), query_threads_);
+  const SelectPlan plan = make_plan(stmt, t, columnar_store());
   ResultSet rs;
   rs.columns = plan.columns;
   if (stmt.explain) {
@@ -717,8 +603,7 @@ ResultSet Database::execute_select(const SelectStmt& stmt) {
 
 void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
   const Table& t = table(stmt.table);
-  const SelectPlan plan = make_plan(stmt, t, columnar_store(),
-                                    query_pool_.get(), query_threads_);
+  const SelectPlan plan = make_plan(stmt, t, columnar_store());
   // The rows go straight into `*out`, after the envelope's column names
   // and a row-count slot patched once the count is known.
   WireRows sink(plan);
@@ -755,14 +640,6 @@ void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
     throw;
   }
   sink.bytes.swap(*out);
-}
-
-bool Database::execute_sql_wire(std::string_view sql, Bytes* out) {
-  Statement stmt = parse_statement(sql);
-  auto* select = std::get_if<SelectStmt>(&stmt);
-  if (select == nullptr) return false;
-  execute_select_wire(*select, out);
-  return true;
 }
 
 void Database::clear_cache() {

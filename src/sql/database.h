@@ -13,7 +13,6 @@
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"
 #include "src/storage/wal.h"
-#include "src/util/thread_pool.h"
 
 namespace wre::columnar {
 class ColumnStoreManager;
@@ -42,10 +41,6 @@ struct ResultSet {
 struct DatabaseOptions {
   /// Buffer-pool capacity in 4 KiB pages (default 64 MiB).
   size_t buffer_pool_pages = 16384;
-  /// Worker threads for multi-probe index scans (WRE's `tag IN (t1..tn)`
-  /// queries fan out up to thousands of probes). 1 = serial executor;
-  /// 0 = one per hardware thread. See set_query_threads().
-  unsigned query_threads = 1;
   /// Write-ahead logging (DESIGN.md §5.5). When true, every mutation is
   /// buffered in memory until commit()/commit_async() logs its page
   /// after-images; a crash loses at most the uncommitted tail. Off by
@@ -68,11 +63,10 @@ struct DatabaseOptions {
 /// An embedded relational database rooted at a directory.
 ///
 /// Concurrency: any number of threads may run SELECTs concurrently (the
-/// storage layer latches pages; the executor additionally fans large
-/// multi-probe scans over an internal worker pool). Statements that write
-/// (CREATE/INSERT) or mutate cache state (clear_cache, checkpoint,
-/// set_query_threads) require exclusion from all other calls — the engine's
-/// single-writer rule.
+/// storage layer latches pages); each SELECT runs serially on its caller's
+/// thread. Statements that write (CREATE/INSERT) or mutate cache state
+/// (clear_cache, checkpoint, set_columnar_enabled) require exclusion from
+/// all other calls — the engine's single-writer rule.
 class Database {
  public:
   /// Opens (or creates) the database in `dir`. The directory must exist.
@@ -87,6 +81,8 @@ class Database {
 
   /// Parses and executes one SQL statement.
   ResultSet execute(std::string_view sql);
+  /// Executes one parsed statement.
+  ResultSet execute(const Statement& stmt);
 
   /// Programmatic fast paths (used for bulk load; equivalent to SQL).
   Table& create_table(const std::string& name, Schema schema);
@@ -114,24 +110,13 @@ class Database {
   /// execute_select.
   void execute_select_wire(const SelectStmt& stmt, Bytes* out);
 
-  /// execute_select_wire over SQL text. Returns false, leaving `*out`
-  /// untouched, for statements other than SELECT.
-  bool execute_sql_wire(std::string_view sql, Bytes* out);
-
   /// Drops every cached page: the next query runs cold. Reproduces the
   /// paper's drop_caches + server-restart procedure.
   void clear_cache();
 
-  /// Resizes the multi-probe worker pool (0 = one thread per hardware
-  /// thread, 1 = serial). Must not race with in-flight queries. Parallel
-  /// and serial executions of the same SELECT return identical results in
-  /// identical order — the merge is deterministic.
-  void set_query_threads(unsigned n);
-  unsigned query_threads() const { return query_threads_; }
-
-  /// Toggles the columnar scan path at runtime (requires write exclusion,
-  /// like set_query_threads). Enabling creates the store manager on first
-  /// use; disabling keeps built segments cached but stops routing to them.
+  /// Toggles the columnar scan path at runtime (requires write exclusion).
+  /// Enabling creates the store manager on first use; disabling keeps
+  /// built segments cached but stops routing to them.
   void set_columnar_enabled(bool on);
   bool columnar_enabled() const { return columnar_enabled_; }
 
@@ -194,8 +179,6 @@ class Database {
   // data applies to the catalog too). Checkpoint/recovery write the file.
   bool catalog_dirty_ = false;
   std::map<std::string, std::unique_ptr<Table>> tables_;
-  unsigned query_threads_ = 1;
-  std::unique_ptr<util::ThreadPool> query_pool_;  // null when serial
   std::unique_ptr<columnar::ColumnStoreManager> columnar_mgr_;
   bool columnar_enabled_ = false;
 };

@@ -55,6 +55,14 @@ class NetworkError : public Error {
   using Error::Error;
 };
 
+/// A frame's payload is larger than a frame may carry: the u32 length
+/// field, or the receiver's max_frame_bytes. The same request draws the
+/// same payload again, so clients do not retry it.
+class FrameTooLargeError : public NetworkError {
+ public:
+  using NetworkError::NetworkError;
+};
+
 /// The server shed this request under overload (admission control or a
 /// server-side deadline). Always safe to retry after a backoff: the request
 /// was rejected before execution, or the retry is deduplicated by its

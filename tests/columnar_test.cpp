@@ -351,6 +351,12 @@ TEST(ColumnStoreManager, SnapshotAppendsTailAfterInsert) {
 
 // --------------------------------------------------- Database integration
 
+/// Database::execute_select_wire over the text of a SELECT.
+void select_wire(sql::Database& db, const std::string& sql, Bytes* out) {
+  db.execute_select_wire(std::get<sql::SelectStmt>(sql::parse_statement(sql)),
+                         out);
+}
+
 class ColumnarDbTest : public ::testing::Test {
  protected:
   ColumnarDbTest() : dir_("wre_coldb") {
@@ -446,7 +452,7 @@ TEST_F(ColumnarDbTest, IndexOnlyPlansLeaveTheSegmentAlone) {
   EXPECT_FALSE(rs.used_columnar);
   EXPECT_EQ(rs.rows.size(), 11u);
   Bytes out;
-  ASSERT_TRUE(db_->execute_sql_wire(sql, &out));
+  select_wire(*db_, sql, &out);
   const auto after = db_->column_store()->stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.appends, before.appends);
@@ -470,7 +476,7 @@ TEST_F(ColumnarDbTest, WireFastPathIsByteIdenticalToEncodedResultSet) {
   };
   for (const char* sql : shapes) {
     Bytes fast;
-    ASSERT_TRUE(db_->execute_sql_wire(sql, &fast)) << sql;
+    select_wire(*db_, sql, &fast);
     net::WireWriter w;
     net::encode_result_set(db_->execute(sql), w);
     EXPECT_EQ(fast, w.bytes()) << sql;
@@ -478,11 +484,6 @@ TEST_F(ColumnarDbTest, WireFastPathIsByteIdenticalToEncodedResultSet) {
 }
 
 TEST_F(ColumnarDbTest, WirePathServesEveryPlanByteIdentically) {
-  Bytes out;
-  // Statements other than SELECT are not served and leave the buffer be.
-  EXPECT_FALSE(db_->execute_sql_wire("INSERT INTO t VALUES (200, 'x', 1)",
-                                     &out));
-  EXPECT_TRUE(out.empty());
   db_->execute("CREATE INDEX i_city ON t (city)");
   const char* shapes[] = {
       "EXPLAIN SELECT * FROM t",
@@ -498,16 +499,15 @@ TEST_F(ColumnarDbTest, WirePathServesEveryPlanByteIdentically) {
     db_->set_columnar_enabled(columnar);
     for (const char* sql : shapes) {
       Bytes fast;
-      ASSERT_TRUE(db_->execute_sql_wire(sql, &fast)) << sql;
+      select_wire(*db_, sql, &fast);
       net::WireWriter w;
       net::encode_result_set(db_->execute(sql), w);
       EXPECT_EQ(fast, w.bytes()) << sql << " columnar " << columnar;
     }
   }
   // An error leaves what the buffer already held.
-  out = {1, 2, 3};
-  EXPECT_THROW(db_->execute_sql_wire("SELECT nope FROM t", &out),
-               SqlError);
+  Bytes out = {1, 2, 3};
+  EXPECT_THROW(select_wire(*db_, "SELECT nope FROM t", &out), SqlError);
   EXPECT_EQ(out, (Bytes{1, 2, 3}));
 }
 
@@ -627,7 +627,7 @@ class InterleavedWritesTest : public ::testing::Test {
     EXPECT_EQ(row.rows, col.rows) << sql;
     // The wire path serves every plan, byte-identically.
     Bytes fast;
-    ASSERT_TRUE(db_->execute_sql_wire(sql, &fast)) << sql;
+    select_wire(*db_, sql, &fast);
     net::WireWriter w;
     net::encode_result_set(col, w);
     EXPECT_EQ(fast, w.bytes()) << sql;

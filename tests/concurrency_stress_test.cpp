@@ -232,11 +232,9 @@ TEST(IngestStress, TableInsertBatchManyRaggedBatches) {
 // --------------------------------------------------- concurrent read path
 
 // Many reader threads hammer one shared connection with mixed SELECT id /
-// SELECT * while a tiny buffer pool keeps pages evicting underneath them,
-// and the executor itself fans probes across its own worker pool (nested
-// parallelism). Run under WRE_SANITIZE=thread this is the data-race proof
-// for the latched read path; functionally every query must see exactly the
-// loaded rows.
+// SELECT * while a tiny buffer pool keeps pages evicting underneath them.
+// Run under WRE_SANITIZE=thread this is the data-race proof for the latched
+// read path; functionally every query must see exactly the loaded rows.
 TEST(ReadStress, ManyReadersSharedConnectionUnderEviction) {
   TempDir dir("read_stress");
   sql::DatabaseOptions options;
@@ -261,7 +259,6 @@ TEST(ReadStress, ManyReadersSharedConnectionUnderEviction) {
     ++expected[name];
   }
   db.checkpoint();
-  db.set_query_threads(2);
 
   constexpr int kReaders = 8;
   constexpr int kQueriesPerReader = 25;
@@ -282,7 +279,6 @@ TEST(ReadStress, ManyReadersSharedConnectionUnderEviction) {
     });
   }
   for (auto& t : readers) t.join();
-  db.set_query_threads(1);
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(db.buffer_pool().stats().evictions, 0u);
 }

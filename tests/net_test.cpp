@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -198,7 +199,23 @@ TEST(Wire, FrameHeaderValidation) {
   Bytes oversized = encode_frame(Opcode::kPing, Bytes(1024, 0));
   load(oversized);
   EXPECT_THROW(decode_frame_header(header, /*max_frame_bytes=*/512),
-               NetworkError);
+               FrameTooLargeError);
+}
+
+// A payload the u32 length field cannot express is refused, not sent with
+// a truncated length. The view spans a 4 GiB + 1 mapping that reserves no
+// memory and cannot be read: an encoder that copied it would crash on the
+// first byte instead of allocating 4 GiB.
+TEST(Wire, EncodeRefusesPayloadsPastTheLengthField) {
+  const size_t size = kMaxFramePayloadBytes + 1;
+  void* mem = ::mmap(nullptr, size, PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  ByteView huge(static_cast<const uint8_t*>(mem), size);
+  EXPECT_THROW(encode_frame(Opcode::kOkResult, huge), FrameTooLargeError);
+  EXPECT_THROW(encode_request_frame(Opcode::kExecSql, huge, RequestExt{}),
+               FrameTooLargeError);
+  ::munmap(mem, size);
 }
 
 TEST(Wire, RequestExtRoundTrip) {
@@ -433,6 +450,122 @@ TEST_F(NetServerTest, ServerErrorsRethrowSameType) {
   // carried every request — no silent reconnects.
   EXPECT_EQ(server_->protocol_errors(), 0u);
   EXPECT_EQ(server_->sessions_accepted(), sessions_before);
+}
+
+// A kExecSql request is routed by its parsed statement. A SELECT (EXPLAIN
+// included, in any case, after leading blanks) reads, so a repeat of its
+// idempotency key runs it again; an INSERT in either case writes, so a
+// repeat replays the recorded answer instead of inserting twice; text that
+// does not parse gets its SqlError and changes nothing.
+TEST_F(NetServerTest, ExecSqlIsRoutedByItsParsedStatement) {
+  RemoteConnection remote = client();
+  remote.execute("CREATE TABLE n (id INTEGER PRIMARY KEY, v INTEGER)");
+  remote.execute("CREATE INDEX i_v ON n (v)");
+  PipelinedChannel ch(Endpoint{"127.0.0.1", server_->port()},
+                      kDefaultMaxFrameBytes, 5000);
+  uint8_t next_key = 0;
+  // Sends `sql` twice under one idempotency key; returns both responses.
+  auto send_twice = [&](const std::string& sql) {
+    RequestExt ext;
+    ext.has_key = true;
+    ext.key.fill(++next_key);
+    WireWriter w;
+    w.string(sql);
+    const uint64_t first = ch.submit(Opcode::kExecSql, w.bytes(), ext);
+    const uint64_t second = ch.submit(Opcode::kExecSql, w.bytes(), ext);
+    return std::vector<PipelinedChannel::Response>{ch.await(first),
+                                                   ch.await(second)};
+  };
+
+  uint64_t hits = server_->dedup_hits();
+  for (const auto& resp :
+       send_twice("  ExPlAiN select id FROM n WHERE v = 10")) {
+    ASSERT_EQ(resp.opcode, Opcode::kOkResult);
+    WireReader r(resp.payload);
+    sql::ResultSet rs = decode_result_set(r);
+    ASSERT_EQ(rs.rows.size(), 1u);
+    EXPECT_EQ(rs.columns, std::vector<std::string>{"plan"});
+    EXPECT_EQ(rs.rows[0][0].as_text().rfind("multi-probe index scan", 0), 0u)
+        << rs.rows[0][0].as_text();
+  }
+  EXPECT_EQ(server_->dedup_hits(), hits);
+
+  int64_t id = 0;
+  for (const char* insert : {"insert into n values (%, 10)",
+                             "INSERT INTO n VALUES (%, 20)"}) {
+    std::string sql = insert;
+    sql.replace(sql.find('%'), 1, std::to_string(++id));
+    for (const auto& resp : send_twice(sql)) {
+      ASSERT_EQ(resp.opcode, Opcode::kOkResult) << sql;
+      WireReader r(resp.payload);
+      EXPECT_EQ(decode_result_set(r).rows_affected, 1u) << sql;
+    }
+    EXPECT_EQ(server_->dedup_hits(), ++hits) << sql;
+    EXPECT_EQ(remote.row_count("n"), static_cast<uint64_t>(id)) << sql;
+  }
+
+  for (const auto& resp : send_twice("selectx 1")) {
+    ASSERT_EQ(resp.opcode, Opcode::kError);
+    WireReader r(resp.payload);
+    EXPECT_EQ(static_cast<StatusCode>(r.u16()), StatusCode::kSql);
+  }
+  EXPECT_THROW(remote.execute("selectx 1"), SqlError);
+  EXPECT_EQ(server_->dedup_hits(), hits);
+  EXPECT_EQ(server_->protocol_errors(), 0u);
+  EXPECT_EQ(remote.row_count("n"), 2u);
+}
+
+// A response larger than a frame may carry fails its request once, with a
+// typed error, whichever side's limit it crosses; the request is never run
+// again and the connection keeps serving. The server here allows 2 MiB and
+// the first client 1 MiB, so a 1.5 MB answer crosses only the client's
+// limit and a 2.7 MB one crosses the server's.
+TEST(NetServerFrameLimit, OversizedResponseFailsOnceWithATypedError) {
+  TempDir dir;
+  sql::Database db(dir.str());
+  db.create_table("t", kv_schema());
+  std::vector<sql::Row> rows;
+  for (int64_t i = 0; i < 900; ++i) {
+    rows.push_back({sql::Value::int64(i), sql::Value::int64(i % 7),
+                    sql::Value::blob(Bytes(3000, static_cast<uint8_t>(i)))});
+  }
+  db.insert_batch("t", rows);
+  ServerOptions server_options;
+  server_options.max_frame_bytes = 2u << 20;
+  Server server(db, server_options);
+  server.start();
+
+  RemoteOptions small;
+  small.max_frame_bytes = 1u << 20;
+  RemoteConnection narrow("127.0.0.1", server.port(), small);
+  narrow.ping();
+  uint64_t frames = server.frames_served();
+  EXPECT_THROW(narrow.execute("SELECT * FROM t LIMIT 500"),
+               FrameTooLargeError);
+  EXPECT_EQ(server.frames_served(), frames + 1);
+  EXPECT_EQ(narrow.stats().retries, 0u);
+  narrow.ping();  // a fresh channel replaces the poisoned one
+  EXPECT_EQ(narrow.execute("SELECT id FROM t LIMIT 3").rows.size(), 3u);
+
+  RemoteConnection wide("127.0.0.1", server.port());
+  wide.ping();
+  const uint64_t sessions = server.sessions_accepted();
+  frames = server.frames_served();
+  try {
+    wide.execute("SELECT * FROM t");
+    ADD_FAILURE() << "a 2.7 MB response crossed a 2 MiB frame limit";
+  } catch (const RetriesExhaustedError& e) {
+    ADD_FAILURE() << "retried: " << e.what();
+  } catch (const NetworkError& e) {
+    EXPECT_NE(std::string(e.what()).find("frame limit"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(server.frames_served(), frames + 1);
+  EXPECT_EQ(wide.stats().retries, 0u);
+  wide.ping();
+  EXPECT_EQ(server.sessions_accepted(), sessions);  // same session
+  EXPECT_EQ(server.protocol_errors(), 0u);
+  server.stop();
 }
 
 // Each call is one request frame on one session, even for a table this
@@ -1138,7 +1271,7 @@ TEST(WreServerFlags, RejectsNegativeAndUnrepresentableValues) {
         "--threads=4294967297", "--read-timeout-ms=2147483648",
         "--read-timeout-ms=-1", "--max-frame-mb=4096", "--max-frame-mb=0",
         "--max-connections=-1", "--port=65536", "--wal=2", "--columnar=-1",
-        "--shard-count=3", "--shard-index=0"}) {
+        "--shard-count=3", "--shard-index=0", "--query-threads=1"}) {
     SCOPED_TRACE(bad);
     ServerExit r =
         run_wre_server({"--dir=" + dir.str(), "--port=0", "--threads=1", bad});

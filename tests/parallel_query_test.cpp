@@ -1,8 +1,7 @@
-// The concurrent read path, fast tier: parallel-vs-serial executor
-// determinism (plain SQL and encrypted), concurrent readers sharing one
-// connection while pages evict, and shared-latch behavior of the buffer
-// pool itself. The heavier many-thread soak lives in
-// concurrency_stress_test.cpp under the `stress` label.
+// The concurrent read path, fast tier: a stable client-side tag cache,
+// concurrent readers sharing one connection while pages evict, and
+// shared-latch behavior of the buffer pool itself. The heavier many-thread
+// soak lives in concurrency_stress_test.cpp under the `stress` label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,90 +24,10 @@ using core::EncryptedConnection;
 using core::PlaintextDistribution;
 using core::SaltMethod;
 using sql::Column;
-using sql::Row;
 using sql::Schema;
 using sql::Value;
 using sql::ValueType;
 using wre::testing::TempDir;
-
-// ------------------------------------------------------- plain SQL engine
-
-// A WHERE clause with enough IN values to cross the executor's parallel
-// threshold, executed serially and with a worker pool: identical rows in
-// identical order, identical executor counters.
-TEST(ParallelQuery, PlainSqlMatchesSerial) {
-  TempDir dir("pq_plain");
-  sql::Database db(dir.str());
-  Schema schema({Column{"id", ValueType::kInt64, true},
-                 Column{"k", ValueType::kInt64},
-                 Column{"s", ValueType::kText}});
-  db.create_table("t", schema);
-  db.create_index("t", "k");
-  for (int64_t id = 0; id < 500; ++id) {
-    db.table("t").insert({Value::int64(id), Value::int64(id % 97),
-                          Value::text("row" + std::to_string(id))});
-  }
-
-  std::string in_list;
-  for (int k = 0; k < 60; ++k) {
-    if (k > 0) in_list += ", ";
-    in_list += std::to_string(k);  // includes values with no matches (>96)
-  }
-  for (const char* query :
-       {"SELECT id FROM t WHERE k IN (%)", "SELECT * FROM t WHERE k IN (%)",
-        "SELECT count(*) FROM t WHERE k IN (%)"}) {
-    std::string sql(query);
-    sql.replace(sql.find('%'), 1, in_list);
-
-    db.set_query_threads(1);
-    sql::ResultSet serial = db.execute(sql);
-    db.set_query_threads(4);
-    sql::ResultSet parallel = db.execute(sql);
-    db.set_query_threads(1);
-
-    EXPECT_TRUE(parallel.used_index);
-    EXPECT_EQ(parallel.rows, serial.rows) << sql;
-    EXPECT_EQ(parallel.index_probes, serial.index_probes) << sql;
-    EXPECT_EQ(parallel.heap_fetches, serial.heap_fetches) << sql;
-  }
-}
-
-// LIMIT must keep its serial semantics (the parallel record-fetch phase is
-// bypassed so no row past the limit is ever fetched twice differently).
-TEST(ParallelQuery, LimitMatchesSerial) {
-  TempDir dir("pq_limit");
-  sql::Database db(dir.str());
-  Schema schema({Column{"id", ValueType::kInt64, true},
-                 Column{"k", ValueType::kInt64}});
-  db.create_table("t", schema);
-  db.create_index("t", "k");
-  for (int64_t id = 0; id < 300; ++id) {
-    db.table("t").insert({Value::int64(id), Value::int64(id % 20)});
-  }
-  std::string sql = "SELECT * FROM t WHERE k IN (";
-  for (int k = 0; k < 20; ++k) sql += (k ? ", " : "") + std::to_string(k);
-  sql += ") LIMIT 37";
-
-  db.set_query_threads(1);
-  sql::ResultSet serial = db.execute(sql);
-  db.set_query_threads(3);
-  sql::ResultSet parallel = db.execute(sql);
-
-  EXPECT_EQ(serial.rows.size(), 37u);
-  EXPECT_EQ(parallel.rows, serial.rows);
-}
-
-TEST(ParallelQuery, QueryThreadsOptionAndSetter) {
-  TempDir dir("pq_opts");
-  sql::DatabaseOptions options;
-  options.query_threads = 3;
-  sql::Database db(dir.str(), options);
-  EXPECT_EQ(db.query_threads(), 3u);
-  db.set_query_threads(1);
-  EXPECT_EQ(db.query_threads(), 1u);
-  db.set_query_threads(0);  // 0 = one per hardware thread
-  EXPECT_GE(db.query_threads(), 1u);
-}
 
 // ----------------------------------------------------- encrypted queries
 
@@ -129,27 +48,6 @@ EncryptedConnection make_encrypted(sql::Database& db, int64_t rows) {
                       Value::text("name" + std::to_string(id % 10))});
   }
   return conn;
-}
-
-TEST(ParallelQuery, EncryptedSelectMatchesSerial) {
-  TempDir dir("pq_enc");
-  sql::Database db(dir.str());
-  EncryptedConnection conn = make_encrypted(db, 400);
-
-  for (int i = 0; i < 10; ++i) {
-    std::string value = "name" + std::to_string(i);
-    db.set_query_threads(1);
-    auto serial_ids = conn.select_ids("t", "name", value);
-    auto serial_rows = conn.select_star("t", "name", value);
-    db.set_query_threads(4);
-    auto parallel_ids = conn.select_ids("t", "name", value);
-    auto parallel_rows = conn.select_star("t", "name", value);
-    db.set_query_threads(1);
-
-    EXPECT_EQ(parallel_ids.ids, serial_ids.ids) << value;
-    EXPECT_EQ(parallel_rows.rows, serial_rows.rows) << value;
-    EXPECT_EQ(parallel_rows.false_positives, serial_rows.false_positives);
-  }
 }
 
 // Repeated searches hit the client-side tag cache: the rewritten SQL (and
@@ -180,7 +78,6 @@ TEST(ParallelQuery, ConcurrentReadersUnderEviction) {
   options.buffer_pool_pages = 16;  // working set far exceeds this
   sql::Database db(dir.str(), options);
   EncryptedConnection conn = make_encrypted(db, 400);
-  db.set_query_threads(2);  // nested parallelism inside each reader's query
 
   std::map<std::string, size_t> expected;
   for (int64_t id = 0; id < 400; ++id) ++expected["name" + std::to_string(id % 10)];

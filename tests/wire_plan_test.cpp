@@ -1,15 +1,14 @@
 // The wire executor (Database::execute_select_wire) against its reference,
 // net::encode_result_set(execute_select(stmt)), on every plan shape, with
-// the column store off and on and with 1 and 4 query threads; plus the
-// record codec it rests on: a heap record is the body of a wire row, and
-// the non-allocating record walker (Schema::split_record) accepts and
-// rejects exactly what Schema::decode_row does.
+// the column store off and on; plus the record codec it rests on: a heap
+// record is the body of a wire row, and the non-allocating record walker
+// (Schema::split_record) accepts and rejects exactly what Schema::decode_row
+// does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/net/wire.h"
@@ -24,14 +23,12 @@ using wre::testing::TempDir;
 
 // ------------------------------------------------- Plans: wire == ResultSet
 
-/// (columnar, query threads)
-class WirePlanTest
-    : public ::testing::TestWithParam<std::tuple<bool, unsigned>> {
+/// The parameter turns the column store on.
+class WirePlanTest : public ::testing::TestWithParam<bool> {
  protected:
   WirePlanTest() : dir_("wre_wire_plan"), rng_(20190625) {
     DatabaseOptions opt;
-    opt.columnar = std::get<0>(GetParam());
-    opt.query_threads = std::get<1>(GetParam());
+    opt.columnar = GetParam();
     db_ = std::make_unique<Database>(dir_.str(), opt);
     db_->execute(
         "CREATE TABLE m (id INTEGER PRIMARY KEY, tag INTEGER, name TEXT, "
@@ -162,12 +159,10 @@ class WirePlanTest
     net::encode_result_set(rs, w);
     ASSERT_EQ(wire, w.bytes()) << sql;
     if (stmt.explain) return;
-    // The answer itself matches a serial row-path run.
+    // The answer itself matches a row-path run.
     db_->set_columnar_enabled(false);
-    db_->set_query_threads(1);
     const ResultSet ref = db_->execute_select(stmt);
-    db_->set_columnar_enabled(std::get<0>(GetParam()));
-    db_->set_query_threads(std::get<1>(GetParam()));
+    db_->set_columnar_enabled(GetParam());
     EXPECT_EQ(rs.columns, ref.columns) << sql;
     EXPECT_EQ(rs.rows, ref.rows) << sql;
     EXPECT_EQ(rs.index_probes, ref.index_probes) << sql;
@@ -193,15 +188,11 @@ TEST_P(WirePlanTest, LimitZeroFetchesNothing) {
   EXPECT_EQ(rs.columnar_rows, 0u);
 }
 
-std::string ConfigName(
-    const ::testing::TestParamInfo<std::tuple<bool, unsigned>>& info) {
-  return std::string(std::get<0>(info.param) ? "Columnar" : "Row") +
-         "Threads" + std::to_string(std::get<1>(info.param));
+std::string ConfigName(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "Columnar" : "Row";
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, WirePlanTest,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Values(1u, 4u)),
+INSTANTIATE_TEST_SUITE_P(Configs, WirePlanTest, ::testing::Bool(),
                          ConfigName);
 
 // ----------------------------------------------- Record codec and walker
