@@ -19,11 +19,10 @@
 // the faults, plus the retry/overload/dedup counters from both sides.
 // --chaos-rate 0 skips the pass.
 //
-// Transport passes: --pipeline-depth replays a multi-probe SELECT workload
-// both sequentially and pipelined on a single connection (request frames
-// batched ahead of the responses); --connections fans the same workload
-// over a client-side connection pool. Both check row counts against the
-// sequential pass. Each knob can be set to 0/1 to skip its pass.
+// Connection-pool pass: --connections fans a multi-probe SELECT workload
+// over a client-side connection pool and compares it with the same
+// statements run one at a time, in 5 alternating pairs (median speedup and
+// quartiles); every pass must return the same row counts. 0/1 skips it.
 //
 // A columnar sweep re-runs the workload with the server's in-memory
 // column store enabled (--scans full-table SELECT * iterations per path,
@@ -31,8 +30,8 @@
 // the scan speedup.
 //
 //   $ ./bench_remote_query [--records N] [--queries Q] [--lambda L]
-//       [--server-threads N] [--chaos-rate P] [--pipeline-depth D]
-//       [--connections C] [--scans K] [--out BENCH_net.json]
+//       [--server-threads N] [--chaos-rate P] [--connections C]
+//       [--scans K] [--out BENCH_net.json]
 // An unknown flag exits 2 before anything runs.
 #include <algorithm>
 #include <atomic>
@@ -60,17 +59,16 @@ int main(int argc, char** argv) {
   bench::Args args(argc, argv);
   args.reject_unknown(
       {"records", "queries", "lambda", "server-threads", "chaos-rate",
-       "pipeline-depth", "connections", "scans", "out"},
+       "connections", "scans", "out"},
       "bench_remote_query [--records N] [--queries Q] [--lambda L] "
-      "[--server-threads N] [--chaos-rate P] [--pipeline-depth D] "
-      "[--connections C] [--scans K] [--out BENCH_net.json]");
+      "[--server-threads N] [--chaos-rate P] [--connections C] "
+      "[--scans K] [--out BENCH_net.json]");
   int64_t records = args.get_int("records", 5000);
   int64_t n_queries = args.get_int("queries", 200);
   double lambda = args.get_double("lambda", 1000);
   auto server_threads =
       static_cast<unsigned>(args.get_int("server-threads", 2));
   double chaos_rate = args.get_double("chaos-rate", 0.01);
-  int64_t pipeline_depth = args.get_int("pipeline-depth", 16);
   int64_t n_connections = args.get_int("connections", 4);
   int64_t n_scans = args.get_int("scans", 20);
   std::string out_path = args.get_string("out", "BENCH_net.json");
@@ -265,25 +263,23 @@ int main(int argc, char** argv) {
                 {"parity_mismatches",
                  static_cast<double>(columnar_mismatches)}});
 
-    // The scale-out and chaos passes below predate the column store;
+    // The pool and chaos passes below predate the column store;
     // keep them on the row path so their numbers stay comparable.
     db.set_columnar_enabled(false);
   }
 
   // ------------------------------------------------------------------
-  // Transport passes: pipelining and connection pooling. The context
-  // block records the knobs so a BENCH_net.json is self-describing when
-  // runs are compared.
+  // Connection-pool pass. The context block records the knobs so a
+  // BENCH_net.json is self-describing when runs are compared.
   // ------------------------------------------------------------------
   report.set_context("server_workers", std::to_string(server_threads));
-  report.set_context("pipeline_depth", std::to_string(pipeline_depth));
   report.set_context("client_connections", std::to_string(n_connections));
 
   // Raw multi-probe statements over the physical tag column — the shape
-  // EncryptedConnection's rewriter emits, minus client crypto, so the
-  // pipeline and pooling passes isolate the transport's contribution.
+  // EncryptedConnection's rewriter emits, minus client crypto, so the pass
+  // isolates the transport's contribution.
   std::vector<std::string> probe_sqls;
-  if (pipeline_depth > 1 || n_connections > 1) {
+  if (n_connections > 1) {
     auto tag_rs = remote.execute("SELECT fname_tag FROM main");
     std::vector<uint64_t> live_tags;
     live_tags.reserve(tag_rs.rows.size());
@@ -304,92 +300,84 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sequential baseline for the two transport passes: one statement at a
-  // time on the default single pooled connection.
-  double probe_qps_seq = 0;
-  std::vector<size_t> seq_row_counts;
+  // The statements run one at a time on `remote`'s single connection, then
+  // fanned over N client threads sharing one RemoteConnection, whose pool
+  // grows to N channels. A fixed number of pairs alternate the two passes;
+  // each pair's speedup is pooled over sequential q/s, reported as the
+  // median and quartiles so one noisy pass cannot set the number. Every
+  // pass must return the first sequential pass's row counts.
   if (!probe_sqls.empty()) {
-    remote.execute(probe_sqls[0]);  // warm
-    Timer seq;
-    for (const auto& s : probe_sqls) {
-      seq_row_counts.push_back(remote.execute(s).rows.size());
-    }
-    probe_qps_seq =
-        static_cast<double>(probe_sqls.size()) / seq.elapsed_seconds();
-  }
-
-  // Pipelined pass: same statements, same single connection, but every
-  // request frame in a depth-sized chunk is on the wire before the first
-  // response is read.
-  if (pipeline_depth > 1 && !probe_sqls.empty()) {
-    std::vector<size_t> pipe_row_counts;
-    Timer pipe;
-    for (size_t i = 0; i < probe_sqls.size();
-         i += static_cast<size_t>(pipeline_depth)) {
-      size_t end = std::min(probe_sqls.size(),
-                            i + static_cast<size_t>(pipeline_depth));
-      std::vector<std::string> chunk(probe_sqls.begin() + i,
-                                     probe_sqls.begin() + end);
-      for (auto& rs : remote.execute_pipelined(chunk)) {
-        pipe_row_counts.push_back(rs.rows.size());
-      }
-    }
-    double qps =
-        static_cast<double>(probe_sqls.size()) / pipe.elapsed_seconds();
-    if (pipe_row_counts != seq_row_counts) {
-      ++mismatches;
-      std::cout << "ERROR: pipelined pass returned different row counts "
-                   "than the sequential pass\n";
-    }
-    double speedup = probe_qps_seq > 0 ? qps / probe_qps_seq : 0;
-    std::cout << "remote/pipeline(depth=" << pipeline_depth << "): "
-              << std::fixed << std::setprecision(1) << probe_qps_seq
-              << " q/s sequential vs " << qps << " q/s pipelined ("
-              << std::setprecision(2) << speedup << "x)\n";
-    report.add("remote/pipeline",
-               {{"depth", static_cast<double>(pipeline_depth)},
-                {"sequential_qps", probe_qps_seq},
-                {"pipelined_qps", qps},
-                {"speedup", speedup}});
-  }
-
-  // Pooled-connections pass: the same statements fanned over N client
-  // threads sharing one RemoteConnection, whose pool grows to N channels.
-  if (n_connections > 1 && !probe_sqls.empty()) {
+    constexpr int kPairs = 5;
     net::RemoteConnection pooled("127.0.0.1", server.port());
     pooled.ping();
-    pooled.execute(probe_sqls[0]);  // warm
-    std::atomic<size_t> errors{0};
-    Timer pool_timer;
-    std::vector<std::thread> clients;
-    for (int64_t w = 0; w < n_connections; ++w) {
-      clients.emplace_back([&, w] {
-        for (size_t i = static_cast<size_t>(w); i < probe_sqls.size();
-             i += static_cast<size_t>(n_connections)) {
-          try {
-            pooled.execute(probe_sqls[i]);
-          } catch (const std::exception&) {
-            ++errors;
-          }
-        }
-      });
-    }
-    for (auto& c : clients) c.join();
-    double qps =
-        static_cast<double>(probe_sqls.size()) / pool_timer.elapsed_seconds();
-    if (errors > 0) {
+    remote.execute(probe_sqls[0]);  // warm
+    pooled.execute(probe_sqls[0]);
+    std::vector<size_t> want_rows;
+    std::vector<double> seq_qps, pool_qps, speedups;
+    auto check_rows = [&](const char* pass, const std::vector<size_t>& got) {
+      if (want_rows.empty()) want_rows = got;
+      if (got == want_rows) return;
       ++mismatches;
-      std::cout << "ERROR: " << errors
-                << " statements failed in the pooled-connections pass\n";
+      std::cout << "ERROR: " << pass << " pass returned different row "
+                << "counts than the first sequential pass\n";
+    };
+    for (int pair = 0; pair < kPairs; ++pair) {
+      std::vector<size_t> rows_seq;
+      Timer seq;
+      for (const auto& s : probe_sqls) {
+        rows_seq.push_back(remote.execute(s).rows.size());
+      }
+      seq_qps.push_back(static_cast<double>(probe_sqls.size()) /
+                        seq.elapsed_seconds());
+      check_rows("sequential", rows_seq);
+
+      std::vector<size_t> rows_pool(probe_sqls.size());
+      std::atomic<size_t> errors{0};
+      Timer pool_timer;
+      std::vector<std::thread> clients;
+      for (int64_t w = 0; w < n_connections; ++w) {
+        clients.emplace_back([&, w] {
+          for (size_t i = static_cast<size_t>(w); i < probe_sqls.size();
+               i += static_cast<size_t>(n_connections)) {
+            try {
+              rows_pool[i] = pooled.execute(probe_sqls[i]).rows.size();
+            } catch (const std::exception&) {
+              ++errors;
+            }
+          }
+        });
+      }
+      for (auto& c : clients) c.join();
+      pool_qps.push_back(static_cast<double>(probe_sqls.size()) /
+                         pool_timer.elapsed_seconds());
+      if (errors > 0) {
+        ++mismatches;
+        std::cout << "ERROR: " << errors
+                  << " statements failed in the pooled-connections pass\n";
+      }
+      check_rows("pooled", rows_pool);
+      speedups.push_back(pool_qps.back() / seq_qps.back());
     }
-    double speedup = probe_qps_seq > 0 ? qps / probe_qps_seq : 0;
-    std::cout << "remote/connections(n=" << n_connections << "): "
-              << std::fixed << std::setprecision(1) << qps << " q/s ("
-              << std::setprecision(2) << speedup << "x over one)\n";
+    std::sort(speedups.begin(), speedups.end());
+    std::sort(seq_qps.begin(), seq_qps.end());
+    std::sort(pool_qps.begin(), pool_qps.end());
+    const double p25 = speedups[kPairs / 4];
+    const double median = speedups[kPairs / 2];
+    const double p75 = speedups[3 * kPairs / 4];
+    std::cout << "remote/connections(n=" << n_connections << ", " << kPairs
+              << " pairs): " << std::fixed << std::setprecision(1)
+              << seq_qps[kPairs / 2] << " q/s sequential vs "
+              << pool_qps[kPairs / 2] << " q/s pooled (median "
+              << std::setprecision(2) << median << "x, quartiles " << p25
+              << "-" << p75 << "x)\n";
     report.add("remote/connections",
                {{"connections", static_cast<double>(n_connections)},
-                {"queries_per_sec", qps},
-                {"speedup", speedup}});
+                {"pairs", static_cast<double>(kPairs)},
+                {"sequential_qps", seq_qps[kPairs / 2]},
+                {"queries_per_sec", pool_qps[kPairs / 2]},
+                {"speedup", median},
+                {"speedup_p25", p25},
+                {"speedup_p75", p75}});
   }
 
   // Chaos pass: same SELECT id workload with socket faults injected on both

@@ -50,7 +50,7 @@ WRE_SERVER_PORT=${PORT} "${TEST}" --gtest_filter='ExternalColumnarTest.*'
 
 echo "== remote columnar benchmark sweep (parity-gated) =="
 "${BENCH}" --records 3000 --queries 40 --scans 10 \
-  --connections 0 --pipeline-depth 0 --chaos-rate 0 \
+  --connections 0 --chaos-rate 0 \
   --out "${DATA_DIR}/BENCH_net_smoke.json"
 
 echo "== draining (SIGTERM) =="

@@ -7,51 +7,37 @@
 
 namespace wre::net {
 
-PipelinedChannel::PipelinedChannel(Endpoint endpoint,
-                                   size_t max_frame_bytes, int recv_timeout_ms)
+Channel::Channel(Endpoint endpoint, size_t max_frame_bytes,
+                 int recv_timeout_ms)
     : endpoint_(std::move(endpoint)),
       max_frame_bytes_(max_frame_bytes),
       recv_timeout_ms_(recv_timeout_ms) {}
 
-void PipelinedChannel::poison(std::string why) {
+void Channel::poison(std::string why) {
   dead_ = true;
   death_reason_ = std::move(why);
   sock_.reset();
-  outbuf_.clear();
-  parked_.clear();
 }
 
-void PipelinedChannel::die(const std::string& why) {
-  poison(why);
-  throw NetworkError(why);
-}
-
-uint64_t PipelinedChannel::submit(Opcode op, ByteView payload,
-                                  const RequestExt& ext) {
+Frame Channel::call(Opcode op, ByteView payload, const RequestExt& ext,
+                    uint64_t deadline_hint_ms) {
   if (dead_) throw NetworkError(death_reason_);
+  // Encoded before any I/O: a request too large for a frame never touches
+  // the stream, so the channel stays healthy.
+  const Bytes frame = encode_request_frame(op, payload, ext);
   try {
     if (!sock_) sock_.emplace(Socket::connect(endpoint_.host, endpoint_.port));
+    sock_->send_all(frame);
+    return read_response(deadline_hint_ms);
   } catch (const NetworkError& e) {
-    die(e.what());
+    // The stream position is lost; the error keeps its type, so a
+    // FrameTooLargeError stays distinguishable from a dropped link.
+    poison(e.what());
+    throw;
   }
-  Bytes frame = encode_request_frame(op, payload, ext);
-  outbuf_.insert(outbuf_.end(), frame.begin(), frame.end());
-  return next_ticket_++;
 }
 
-void PipelinedChannel::flush() {
-  if (dead_) throw NetworkError(death_reason_);
-  if (outbuf_.empty()) return;
-  try {
-    sock_->send_all(outbuf_);
-  } catch (const NetworkError& e) {
-    die(e.what());
-  }
-  outbuf_.clear();
-}
-
-PipelinedChannel::Response PipelinedChannel::read_one(
-    uint64_t deadline_hint_ms) {
+Frame Channel::read_response(uint64_t deadline_hint_ms) {
   // Per-read timeout: the tighter of the channel's response timeout and
   // the caller's remaining deadline, so one stalled response cannot eat
   // the whole retry window.
@@ -67,43 +53,11 @@ PipelinedChannel::Response PipelinedChannel::read_one(
   uint8_t header[kFrameHeaderBytes];
   sock_->recv_all(header, sizeof(header));
   FrameHeader fh = decode_frame_header(header, max_frame_bytes_);
-  Response resp;
-  resp.opcode = fh.opcode;
-  resp.payload.resize(fh.payload_length);
+  Frame resp{fh.opcode, Bytes(fh.payload_length)};
   if (fh.payload_length > 0) {
     sock_->recv_all(resp.payload.data(), resp.payload.size());
   }
   return resp;
-}
-
-PipelinedChannel::Response PipelinedChannel::await(uint64_t ticket,
-                                                   uint64_t deadline_hint_ms) {
-  if (dead_) throw NetworkError(death_reason_);
-  auto it = parked_.find(ticket);
-  if (it != parked_.end()) {
-    Response resp = std::move(it->second);
-    parked_.erase(it);
-    return resp;
-  }
-  if (ticket < next_response_ || ticket >= next_ticket_) {
-    throw NetworkError("channel: ticket " + std::to_string(ticket) +
-                       " is not in flight");
-  }
-  flush();
-  for (;;) {
-    Response resp;
-    try {
-      resp = read_one(deadline_hint_ms);
-    } catch (const NetworkError& e) {
-      // The stream position is lost; the error keeps its type, so a
-      // FrameTooLargeError stays distinguishable from a dropped link.
-      poison(e.what());
-      throw;
-    }
-    uint64_t answered = next_response_++;
-    if (answered == ticket) return resp;
-    parked_.emplace(answered, std::move(resp));
-  }
 }
 
 ChannelPool::ChannelPool(Endpoint endpoint, size_t max_frame_bytes,
@@ -116,18 +70,18 @@ ChannelPool::Lease ChannelPool::acquire() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     while (!idle_.empty()) {
-      std::shared_ptr<PipelinedChannel> ch = std::move(idle_.back());
+      std::unique_ptr<Channel> ch = std::move(idle_.back());
       idle_.pop_back();
       if (!ch->dead()) return Lease(std::move(ch), this);
     }
   }
-  return Lease(std::make_shared<PipelinedChannel>(endpoint_, max_frame_bytes_,
-                                                  recv_timeout_ms_),
+  return Lease(std::make_unique<Channel>(endpoint_, max_frame_bytes_,
+                                         recv_timeout_ms_),
                this);
 }
 
-void ChannelPool::release(std::shared_ptr<PipelinedChannel> ch) {
-  if (ch->dead() || ch->in_flight() > 0) return;  // drop the carcass
+void ChannelPool::release(std::unique_ptr<Channel> ch) {
+  if (ch->dead()) return;  // drop the carcass
   std::lock_guard<std::mutex> lk(mu_);
   idle_.push_back(std::move(ch));
 }

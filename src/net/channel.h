@@ -1,32 +1,27 @@
-// Pipelined request channels and connection pooling.
+// Request channels and connection pooling.
 //
-// PipelinedChannel is one TCP connection that allows multiple in-flight
-// request frames. The wire protocol carries no sequence numbers: the
-// server guarantees responses come back in request order (the epoll core
-// executes each connection's pipeline FIFO), so a ticket is just the
-// request's position in the stream. submit() writes a frame and returns a
-// ticket; await() reads responses in order until the ticket's arrives,
-// parking any it reads past in a small reorder map.
+// Channel is one TCP connection that carries one request at a time: call()
+// writes a request frame and reads its response. The wire protocol carries
+// no sequence numbers; the server answers each connection's requests in
+// the order they arrive, and a channel never has a second request in
+// flight, so the next response on the socket is always the one it waits
+// for.
 //
 // A channel is intentionally NOT thread-safe. Concurrent send and recv on
 // one socket would force destructive teardown (close on error) to race
 // with a blocked recv on the same fd — the classic close/reuse hazard.
 // Instead, ChannelPool hands out *exclusive leases*: one thread owns a
-// channel for a whole submit…await burst, and concurrency comes from the
-// pool width — one channel per concurrent caller — not from sharing a
-// socket. This matches RemoteConnection's request loop exactly: it leases
-// one channel, bursts its requests, then awaits them.
+// channel for a whole call, and concurrency comes from the pool width —
+// one channel per concurrent caller — not from sharing a socket.
 //
-// Error model: any transport failure (send, recv, decode) poisons the
-// channel — every outstanding and future call throws NetworkError, and
-// the pool drops the carcass instead of returning it. Server-reported
-// errors (kError frames) leave the stream aligned and the channel healthy;
-// they are returned as ordinary responses for the caller to interpret.
+// Error model: any transport failure (connect, send, recv, decode) poisons
+// the channel — every later call throws NetworkError, and the pool drops
+// the carcass instead of returning it. Server-reported errors (kError
+// frames) leave the stream aligned and the channel healthy; they are
+// returned as ordinary responses for the caller to interpret.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -44,42 +39,21 @@ struct Endpoint {
   uint16_t port = 0;
 };
 
-class PipelinedChannel {
+class Channel {
  public:
-  struct Response {
-    Opcode opcode = Opcode::kError;
-    Bytes payload;
-  };
-
   /// `recv_timeout_ms` bounds each response read (0 = wait forever);
-  /// await() may tighten it per call with its deadline hint.
-  PipelinedChannel(Endpoint endpoint, size_t max_frame_bytes,
-                   int recv_timeout_ms);
+  /// call() may tighten it with its deadline hint.
+  Channel(Endpoint endpoint, size_t max_frame_bytes, int recv_timeout_ms);
 
-  PipelinedChannel(const PipelinedChannel&) = delete;
-  PipelinedChannel& operator=(const PipelinedChannel&) = delete;
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
-  /// Encodes one request frame into the channel's output buffer (connecting
-  /// lazily) and returns its ticket. Frames are corked until flush() — a
-  /// submit burst costs one send syscall, not one per frame. Throws
-  /// NetworkError on connect failure (channel is then dead).
-  uint64_t submit(Opcode op, ByteView payload, const RequestExt& ext);
-
-  /// Sends every corked frame in one write. await() flushes implicitly; a
-  /// caller flushes explicitly to put a burst on the wire before it does
-  /// anything else. Throws NetworkError on send failure (channel dead).
-  void flush();
-
-  /// Blocks until `ticket`'s response has been read, reading (and parking)
-  /// any earlier in-flight responses on the way. `deadline_hint_ms`, if
-  /// non-zero, tightens the receive timeout for reads done by this call.
-  /// Tickets must be awaited at most once. Throws NetworkError on
-  /// transport failure, FrameTooLargeError on a response over
-  /// max_frame_bytes (the channel is dead after either).
-  Response await(uint64_t ticket, uint64_t deadline_hint_ms = 0);
-
-  /// Requests submitted but not yet awaited/read.
-  size_t in_flight() const { return next_ticket_ - next_response_; }
+  /// Sends one request frame (connecting lazily) and reads its response.
+  /// `deadline_hint_ms`, if non-zero, tightens the receive timeout for this
+  /// call. Throws NetworkError on transport failure, FrameTooLargeError on
+  /// a response over max_frame_bytes; the channel is dead after either.
+  Frame call(Opcode op, ByteView payload, const RequestExt& ext,
+             uint64_t deadline_hint_ms = 0);
 
   bool dead() const { return dead_; }
 
@@ -89,32 +63,27 @@ class PipelinedChannel {
   void poison(std::string why);
 
  private:
-  [[noreturn]] void die(const std::string& why);
-  Response read_one(uint64_t deadline_hint_ms);
+  Frame read_response(uint64_t deadline_hint_ms);
 
   Endpoint endpoint_;
   size_t max_frame_bytes_;
   int recv_timeout_ms_;
 
   std::optional<Socket> sock_;
-  Bytes outbuf_;  // encoded frames corked since the last flush
   bool dead_ = false;
   std::string death_reason_;
-  uint64_t next_ticket_ = 0;    // next ticket submit() hands out
-  uint64_t next_response_ = 0;  // ticket the next wire response answers
-  std::map<uint64_t, Response> parked_;  // read past while awaiting later
 };
 
 /// A pool of channels to one server. acquire() returns an exclusive RAII
 /// lease on an idle channel, or on a new one when none is idle, so the
-/// pool never blocks. Releasing keeps every channel that is still healthy
-/// and has no un-awaited responses, so the pool's width follows the peak
-/// number of concurrent leases it has seen.
+/// pool never blocks. Releasing keeps every channel that is still healthy,
+/// so the pool's width follows the peak number of concurrent leases it has
+/// seen.
 class ChannelPool {
  public:
   class Lease {
    public:
-    Lease(std::shared_ptr<PipelinedChannel> ch, ChannelPool* pool)
+    Lease(std::unique_ptr<Channel> ch, ChannelPool* pool)
         : ch_(std::move(ch)), pool_(pool) {}
     ~Lease() {
       if (ch_ && pool_) pool_->release(std::move(ch_));
@@ -127,11 +96,10 @@ class ChannelPool {
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
 
-    PipelinedChannel* operator->() { return ch_.get(); }
-    PipelinedChannel& operator*() { return *ch_; }
+    Channel* operator->() { return ch_.get(); }
 
    private:
-    std::shared_ptr<PipelinedChannel> ch_;
+    std::unique_ptr<Channel> ch_;
     ChannelPool* pool_;
   };
 
@@ -140,21 +108,19 @@ class ChannelPool {
 
   /// Exclusive lease on an idle (or freshly created) channel. Never blocks
   /// and never throws — connect errors surface from the lease's first
-  /// submit().
+  /// call().
   Lease acquire();
-
-  const Endpoint& endpoint() const { return endpoint_; }
 
  private:
   friend class Lease;
-  void release(std::shared_ptr<PipelinedChannel> ch);
+  void release(std::unique_ptr<Channel> ch);
 
   Endpoint endpoint_;
   size_t max_frame_bytes_;
   int recv_timeout_ms_;
 
   std::mutex mu_;
-  std::vector<std::shared_ptr<PipelinedChannel>> idle_;
+  std::vector<std::unique_ptr<Channel>> idle_;
 };
 
 }  // namespace wre::net

@@ -6,12 +6,13 @@
 // — c_tag integers and c_enc ciphertext — ever cross the wire. The server
 // never sees a key, a plaintext, or a query term; its view is exactly the
 // honest-but-curious adversary's view from the paper. Every call is one
-// request frame; execute_pipelined() is the one call that sends several.
+// request frame and one round trip, as each rewritten WRE query is.
 //
 // Transport behaviour:
-//   - a channel pool of pipelined connections, as wide as the peak number
-//     of concurrent callers: a call leases one channel for its whole
-//     submit…await burst, so concurrent callers never share a socket;
+//   - a channel pool, as wide as the peak number of concurrent callers: a
+//     call leases one channel for its request and response, so concurrent
+//     callers never share a socket and no channel ever has two requests in
+//     flight;
 //   - safe retries for *every* request, mutating ones included: each
 //     logical request is stamped with a fresh random idempotency key
 //     (the v2 wire extension) that stays constant across its retries, so
@@ -19,8 +20,7 @@
 //     whose ACK was lost. Transport failures and kOverloaded responses
 //     retry under capped exponential backoff with jitter, bounded by
 //     RetryOptions: an attempt cap, an overall deadline, and a token
-//     budget that stops a flapping link from turning into a retry storm.
-//     Each request of a pipelined batch retries on its own;
+//     budget that stops a flapping link from turning into a retry storm;
 //   - when retries stop, the caller gets RetriesExhaustedError naming the
 //     attempt count, elapsed time and last underlying error;
 //   - a response over max_frame_bytes fails its request without a retry:
@@ -75,7 +75,8 @@ struct RemoteOptions {
 };
 
 /// Client-side fault-tolerance counters (cumulative). `requests` counts
-/// logical requests: a pipelined batch of 8 statements is 8 requests.
+/// logical requests, one per call: a request retried twice is 1 request
+/// and 2 retries.
 struct RemoteStats {
   uint64_t requests = 0;    // logical requests issued
   uint64_t retries = 0;     // extra attempts beyond the first
@@ -99,13 +100,6 @@ class RemoteConnection final : public core::DbTransport {
 
   RemoteStats stats() const;
 
-  /// Executes a batch of SQL statements pipelined on one connection: every
-  /// request frame is written before any response is read, so a
-  /// statement's server-side execution overlaps the next statement's
-  /// network transfer. Results come back in input order.
-  std::vector<sql::ResultSet> execute_pipelined(
-      const std::vector<std::string>& sqls);
-
   // core::DbTransport
   sql::ResultSet execute(const std::string& sql) override;
   void create_table(const std::string& table,
@@ -125,16 +119,13 @@ class RemoteConnection final : public core::DbTransport {
                           bool star) override;
 
  private:
-  /// The request loop. Sends one `request` frame per payload, pipelined on
-  /// one leased channel (every frame is submitted before any response is
-  /// awaited); each request retries on its own with its own idempotency
-  /// key, attempt count and backoff. Returns the response bodies in
-  /// `payloads` order. On a terminal failure it first settles the other
-  /// requests, then rethrows the first terminal error in payload order.
-  std::vector<Bytes> send(Opcode request, std::vector<Bytes> payloads,
-                          Opcode expected);
-  /// One request, one response body.
-  Bytes roundtrip(Opcode request, Bytes payload, Opcode expected);
+  /// The request loop: sends one `request` frame on a leased channel and
+  /// returns the `expected` response's body. Every attempt carries the
+  /// same idempotency key; transport failures and kOverloaded retry under
+  /// the RetryOptions bounds, any other server error rethrows as its
+  /// wre::Error subclass, and a response over max_frame_bytes throws
+  /// FrameTooLargeError without a retry.
+  Bytes roundtrip(Opcode request, ByteView payload, Opcode expected);
 
   RemoteOptions options_;
   ChannelPool pool_;

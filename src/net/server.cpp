@@ -23,11 +23,6 @@ namespace {
 constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kWakeTag = 1;
 
-/// Requests executed per worker batch. One batch per connection is in
-/// flight at a time (preserves response order); taking everything parsed
-/// so far amortizes the event-thread/worker handoff across a pipeline.
-constexpr size_t kMaxBatchRequests = 64;
-
 /// Bytes pulled off one socket per readiness event, so one firehose
 /// client cannot starve the rest of the loop (level-triggered epoll
 /// re-reports whatever is left).
@@ -37,6 +32,11 @@ constexpr size_t kReadBudgetBytes = 256u << 10;
 /// Past it request execution for that connection pauses until the peer
 /// drains (a never-reading client is idle-reaped, not ballooned).
 constexpr size_t kMaxOutbufBytes = 8u << 20;
+
+/// Backpressure: per-connection cap on parsed-but-unexecuted requests (a
+/// raw client may send frames back to back). Past it the server stops
+/// reading that connection until its queue drains.
+constexpr size_t kMaxQueuedRequests = 128;
 
 /// A kExecSql payload (one length-prefixed string) parsed into its
 /// statement. Malformed SQL throws its SqlError here, before the request
@@ -133,7 +133,7 @@ void Server::stop() {
   // responses, closes every connection, then exits.
   if (event_thread_.joinable()) event_thread_.join();
   listener_.close();  // already closed unless the event loop failed
-  // Workers may still be finishing batches whose connections died; the
+  // Workers may still be finishing requests whose connections died; the
   // pool destructor drains them (their completions go nowhere).
   pool_.reset();
   conns_.clear();
@@ -398,26 +398,25 @@ void Server::kill_conn(Conn* c) {
     live_sessions_.fetch_sub(1);
     c->counted = false;
   }
-  // A connection with a worker batch in flight stays in conns_ until the
-  // completion arrives (the batch must not write into freed memory);
+  // A connection with a request in flight stays in conns_ until the
+  // completion arrives (the worker must not write into freed memory);
   // everything else is erased at the end of the current event batch.
   if (!c->worker_active) doomed_.push_back(c->id);
 }
 
 bool Server::wants_input(const Conn* c) const {
   if (c->parse_dead || c->saw_eof || c->read_done) return false;
-  // Backpressure: a connection with a full pipeline queue is not read
+  // Backpressure: a connection with a full request queue is not read
   // until it drains — except in a drain, which reads until the socket
   // holds nothing more (parse_frames still queues at most the cap).
-  return drain_started_ ||
-         c->pending.size() < options_.max_pipelined_requests;
+  return drain_started_ || c->pending.size() < kMaxQueuedRequests;
 }
 
 void Server::update_interest(Conn* c) {
   if (c->dead || !c->registered) return;
   uint32_t want = 0;
   // EPOLLRDHUP goes with EPOLLIN, or a half-closed peer would busy-wake
-  // the loop while its pipeline executes.
+  // the loop while its queued requests execute.
   if (wants_input(c)) want |= EPOLLIN | EPOLLRDHUP;
   if (c->outbuf_off < c->outbuf.size()) want |= EPOLLOUT;
   if (want == c->interest) return;
@@ -498,8 +497,7 @@ void Server::parse_frames(Conn* c) {
     c->parse_dead = true;
   };
 
-  while (!c->parse_dead &&
-         c->pending.size() < options_.max_pipelined_requests) {
+  while (!c->parse_dead && c->pending.size() < kMaxQueuedRequests) {
     const size_t avail = c->inbuf.size() - c->inbuf_off;
     if (avail < kFrameHeaderBytes) break;
     const uint8_t* p = c->inbuf.data() + c->inbuf_off;
@@ -578,25 +576,14 @@ void Server::maybe_dispatch(Conn* c) {
   if (c->outbuf.size() - c->outbuf_off >= kMaxOutbufBytes) {
     return;  // backpressure: the peer must drain its responses first
   }
-  std::vector<PendingRequest> batch;
-  while (!c->pending.empty() && !c->pending.front().preformed &&
-         batch.size() < kMaxBatchRequests) {
-    batch.push_back(std::move(c->pending.front()));
-    c->pending.pop_front();
-  }
   c->worker_active = true;
   const uint64_t id = c->id;
   // shared_ptr: std::function requires copyable captures.
-  auto work = std::make_shared<std::vector<PendingRequest>>(std::move(batch));
+  auto req = std::make_shared<PendingRequest>(std::move(c->pending.front()));
+  c->pending.pop_front();
   try {
-    pool_->submit([this, id, work] {
-      Completion comp;
-      comp.conn_id = id;
-      for (const PendingRequest& req : *work) {
-        Bytes out = process_request(req);
-        comp.bytes.insert(comp.bytes.end(), out.begin(), out.end());
-        ++comp.frames;
-      }
+    pool_->submit([this, id, req] {
+      Completion comp{id, process_request(*req)};
       {
         std::lock_guard<std::mutex> lk(completions_mu_);
         completions_.push_back(std::move(comp));
@@ -604,10 +591,8 @@ void Server::maybe_dispatch(Conn* c) {
       wake_event_thread();
     });
   } catch (const std::exception&) {
-    // Pool draining: put the batch back so drain accounting stays sane.
-    for (auto it = work->rbegin(); it != work->rend(); ++it) {
-      c->pending.push_front(std::move(*it));
-    }
+    // Pool draining: put the request back so drain accounting stays sane.
+    c->pending.push_front(std::move(*req));
     c->worker_active = false;
   }
 }
@@ -624,12 +609,16 @@ void Server::drain_completions() {
     Conn* c = it->second.get();
     c->worker_active = false;
     if (c->dead) {
-      // Killed mid-batch; its erase was deferred until now.
+      // Killed mid-request; its erase was deferred until now.
       doomed_.push_back(c->id);
       continue;
     }
-    c->outbuf.insert(c->outbuf.end(), comp.bytes.begin(), comp.bytes.end());
-    frames_served_.fetch_add(comp.frames);
+    if (c->outbuf.empty()) {
+      c->outbuf = std::move(comp.frame);  // the usual case: no copy
+    } else {
+      c->outbuf.insert(c->outbuf.end(), comp.frame.begin(), comp.frame.end());
+    }
+    frames_served_.fetch_add(1);
     touch(c);
     parse_frames(c);  // frames already read but held back by the cap
     maybe_dispatch(c);
@@ -689,8 +678,8 @@ void Server::reap_idle() {
 void Server::begin_drain() {
   drain_started_ = true;
   // A connection still in the backlog is already open on the client's
-  // side and may carry a whole pipeline: accept it before the listener
-  // closes (closing would reset it).
+  // side and may carry requests: accept it before the listener closes
+  // (closing would reset it).
   while (accept_ready()) {
   }
   if (listener_registered_) {
@@ -698,11 +687,11 @@ void Server::begin_drain() {
     listener_registered_ = false;
   }
   listener_.close();
-  // Final reads: every request already on the wire — including a whole
-  // pipelined burst — gets parsed, executed and answered before the close.
+  // Final reads: every request already on the wire — including frames sent
+  // back to back — gets parsed, executed and answered before the close.
   // Each connection is read until its socket has nothing buffered
-  // (read_done); one held back by the pipeline cap resumes reading once
-  // its queue drains. An idle one closes right away (flush_outbuf), so
+  // (read_done); one held back by the queue cap resumes reading once its
+  // queue drains. An idle one closes right away (flush_outbuf), so
   // its client sees the close promptly.
   std::vector<Conn*> all;
   all.reserve(conns_.size());
@@ -766,6 +755,10 @@ Bytes Server::process_request(const PendingRequest& req) {
   } catch (const OverloadedError& e) {
     // A shed request is load, not a protocol violation.
     response = error_frame(e);
+  } catch (const FrameTooLargeError& e) {
+    // A SELECT stopped once its response passed the frame limit: the
+    // request's answer, not a protocol violation.
+    response = error_frame(e);
   } catch (const NetworkError& e) {
     protocol_errors_.fetch_add(1);
     response = error_frame(e);
@@ -775,15 +768,19 @@ Bytes Server::process_request(const PendingRequest& req) {
   // A response larger than a frame may carry fails its request for good:
   // running it again yields the same rows. It is answered with a
   // deterministic error, never kOverloaded, so the client does not retry.
-  const size_t frame_limit =
-      std::min(options_.max_frame_bytes, kMaxFramePayloadBytes);
-  if (response.payload.size() > frame_limit) {
+  // A SELECT never gets here oversized (execute_select_wire stops at the
+  // limit); this holds the line for every other response.
+  if (response.payload.size() > response_limit()) {
     response = error_frame(FrameTooLargeError(
         "server: response payload of " +
         std::to_string(response.payload.size()) + " bytes exceeds the " +
-        std::to_string(frame_limit) + "-byte frame limit"));
+        std::to_string(response_limit()) + "-byte frame limit"));
   }
   return encode_frame(response.opcode, response.payload);
+}
+
+size_t Server::response_limit() const {
+  return std::min(options_.max_frame_bytes, kMaxFramePayloadBytes);
 }
 
 Frame Server::error_frame(const std::exception& e) {
@@ -848,7 +845,7 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       if (const auto* select = std::get_if<sql::SelectStmt>(stmt)) {
         auto lock = lock_db<SharedDbLock>(deadline_ms);
         Bytes payload;
-        db_.execute_select_wire(*select, &payload);
+        db_.execute_select_wire(*select, &payload, response_limit());
         return Frame{Opcode::kOkResult, std::move(payload)};
       }
       sql::ResultSet rs;
@@ -926,7 +923,7 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       sql::SelectStmt stmt = core::tag_scan_stmt(table, tag_column, tags, star);
       auto lock = lock_db<SharedDbLock>(deadline_ms);
       Bytes payload;
-      db_.execute_select_wire(stmt, &payload);
+      db_.execute_select_wire(stmt, &payload, response_limit());
       return Frame{Opcode::kOkResult, std::move(payload)};
     }
     case Opcode::kScanTable: {
@@ -937,7 +934,7 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       r.expect_end();
       auto lock = lock_db<SharedDbLock>(deadline_ms);
       Bytes payload;
-      db_.execute_select_wire(star_stmt, &payload);
+      db_.execute_select_wire(star_stmt, &payload, response_limit());
       return Frame{Opcode::kOkResult, std::move(payload)};
     }
     default:

@@ -9,11 +9,10 @@
 //     socket, so an idle or stalled client costs a few kilobytes, not a
 //     worker;
 //   - a small util::ThreadPool executes ready requests, so crypto/storage
-//     work never blocks the event thread. Each connection has at most one
-//     batch of requests in flight at a time (FIFO), which preserves
-//     response order — pipelined clients correlate responses to requests
-//     by order, no sequence id needed. A batch takes every request parsed
-//     so far, so a deep pipeline amortizes the handoff;
+//     work never blocks the event thread. A worker handoff carries one
+//     request, and each connection has at most one in flight at a time
+//     (FIFO), so a client that sends several frames back to back gets its
+//     answers in the order it sent them — no sequence id needed;
 //   - the engine's single-writer rule is enforced with a shared mutex:
 //     statements that mutate (INSERT / CREATE / batched inserts) hold it
 //     exclusively, everything else shares it, so concurrent WRE searches
@@ -35,16 +34,16 @@
 //     responses for retried mutations, so a retry after a lost ACK cannot
 //     double-apply (exactly-once ingest);
 //   - backpressure: a connection with too many parsed-but-unexecuted
-//     requests stops being read; one with too many unflushed response
-//     bytes stops executing. A client that never reads its responses is
-//     eventually idle-reaped (it is not sending either) — it never delays
-//     any other connection.
+//     requests (a bounded per-connection queue) stops being read; one
+//     with too many unflushed response bytes stops executing. A client
+//     that never reads its responses is eventually idle-reaped (it is not
+//     sending either) — it never delays any other connection.
 //
 // Shutdown (stop(), also wired to SIGTERM in wre_server): connections
 // already in the accept backlog are accepted, then the listener closes.
 // Every connection is read until its socket holds nothing more, so each
-// request a client sent before the drain — including a whole pipelined
-// burst — runs to completion and its response is flushed; idle
+// request a client sent before the drain — including frames sent back to
+// back — runs to completion and its response is flushed; idle
 // connections close at once. Then the workers join.
 #pragma once
 
@@ -107,10 +106,6 @@ struct ServerOptions {
   /// cache is keyed by (tenant id, idempotency key): one tenant's retries
   /// can never replay another tenant's recorded responses.
   DedupCache::Options dedup;
-  /// Backpressure: per-connection cap on parsed-but-unexecuted pipelined
-  /// requests. Past it the server stops reading that connection until its
-  /// queue drains.
-  size_t max_pipelined_requests = 128;
 };
 
 class Server {
@@ -177,7 +172,7 @@ class Server {
     /// Encoded responses awaiting the socket (consumed via `outbuf_off`).
     Bytes outbuf;
     size_t outbuf_off = 0;
-    /// A worker batch for this connection is in flight.
+    /// A worker is executing this connection's front request.
     bool worker_active = false;
     /// Peer half-closed; finish pending work, flush, then close.
     bool saw_eof = false;
@@ -190,7 +185,7 @@ class Server {
     bool read_done = false;
     /// Counted in live_sessions_ (shed connections are not).
     bool counted = false;
-    /// Torn down mid-batch; destroyed when the batch completes.
+    /// Torn down mid-request; destroyed when the request completes.
     bool dead = false;
     /// Registered with epoll (deregistered when dead).
     bool registered = false;
@@ -200,11 +195,10 @@ class Server {
     std::list<Conn*>::iterator lru_it;
   };
 
-  /// One finished worker batch, handed back to the event thread.
+  /// One finished request, handed back to the event thread.
   struct Completion {
     uint64_t conn_id = 0;
-    Bytes bytes;       // concatenated encoded response frames
-    uint32_t frames = 0;
+    Bytes frame;  // the encoded response
   };
 
   void event_loop();
@@ -237,7 +231,8 @@ class Server {
 
   // --- worker-side ---
   /// Executes one request end-to-end (dedup wrapper + handle_request) and
-  /// returns the encoded response frame. Never throws.
+  /// returns the encoded response frame. Never throws. A response over the
+  /// frame limit is answered with a FrameTooLargeError (kNetwork) instead.
   Bytes process_request(const PendingRequest& req);
   /// Decodes and executes one request frame; returns the response frame.
   /// `stmt` is a kExecSql request's statement, parsed once by
@@ -260,6 +255,9 @@ class Server {
   void write_and_commit(uint32_t deadline_ms,
                         const std::function<void()>& write);
   static Frame error_frame(const std::exception& e);
+  /// The largest response payload a frame carries to a client: the
+  /// configured max_frame_bytes, or the u32 length field's limit.
+  size_t response_limit() const;
 
   sql::Database& db_;
   ServerOptions options_;

@@ -389,12 +389,21 @@ struct ExecStats {
 /// Row sink for execute_select_wire: appends each result row as
 /// net::encode_result_set lays it out (u32 cell count, then the cells in
 /// Value::wire_encode layout). Heap records and their cells are copied
-/// as they are stored — that layout is the wire layout.
+/// as they are stored — that layout is the wire layout. It takes over
+/// `*out`'s bytes and appends after them; the body (what it appends)
+/// passing `max_body` bytes stops the query with FrameTooLargeError.
 class WireRows {
  public:
-  explicit WireRows(const SelectPlan& p) : plan_(&p) {}
+  WireRows(const SelectPlan& p, Bytes* out, size_t max_body)
+      : plan_(&p), max_body_(max_body) {
+    bytes.swap(*out);
+    base_ = bytes.size();
+  }
 
   Bytes bytes;
+
+  /// Where the body starts in `bytes`.
+  size_t base() const { return base_; }
 
   void pk(int64_t pk) {
     store_le32(bytes, static_cast<uint32_t>(plan_->projection.size()));
@@ -402,26 +411,40 @@ class WireRows {
       bytes.push_back(static_cast<uint8_t>(ValueType::kInt64));
       store_le64(bytes, static_cast<uint64_t>(pk));
     }
+    check_size();
   }
   void record(const CellView* cells, ByteView record) {
     store_le32(bytes, static_cast<uint32_t>(plan_->projection.size()));
     if (plan_->whole_record) {
       append(bytes, record);
-      return;
+    } else {
+      for (size_t idx : plan_->projection) append(bytes, cells[idx].encoded());
     }
-    for (size_t idx : plan_->projection) append(bytes, cells[idx].encoded());
+    check_size();
   }
   void segment_rows(const columnar::TableSegment& seg,
                     const columnar::Selection& sel) {
     seg.wire_encode_rows(sel, plan_->projection, &bytes);
+    check_size();
   }
   void value(const Value& v) {
     store_le32(bytes, 1);
     v.wire_encode(bytes);
+    check_size();
+  }
+
+  void check_size() const {
+    if (bytes.size() - base_ > max_body_) {
+      throw FrameTooLargeError("select: response passed the " +
+                               std::to_string(max_body_) +
+                               "-byte frame limit");
+    }
   }
 
  private:
   const SelectPlan* plan_;
+  size_t max_body_;
+  size_t base_ = 0;
 };
 
 /// Row sink for execute_select: builds ResultSet rows, decoding only the
@@ -601,14 +624,13 @@ ResultSet Database::execute_select(const SelectStmt& stmt) {
   return rs;
 }
 
-void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
+void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out,
+                                   size_t max_bytes) {
   const Table& t = table(stmt.table);
   const SelectPlan plan = make_plan(stmt, t, columnar_store());
   // The rows go straight into `*out`, after the envelope's column names
   // and a row-count slot patched once the count is known.
-  WireRows sink(plan);
-  sink.bytes.swap(*out);
-  const size_t base = sink.bytes.size();
+  WireRows sink(plan, out, max_bytes);
   try {
     store_le32(sink.bytes, static_cast<uint32_t>(plan.columns.size()));
     for (const std::string& name : plan.columns) {
@@ -634,8 +656,9 @@ void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
     store_le64(sink.bytes, st.index_probes);
     store_le64(sink.bytes, st.heap_fetches);
     sink.bytes.push_back(st.used_index ? 1 : 0);
+    sink.check_size();
   } catch (...) {
-    sink.bytes.resize(base);
+    sink.bytes.resize(sink.base());
     sink.bytes.swap(*out);
     throw;
   }

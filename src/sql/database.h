@@ -4,6 +4,7 @@
 // table APIs, never through anything encryption-specific.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -107,8 +108,11 @@ class Database {
   /// Value::wire_encode), or cell by cell for a projection; columnar plans
   /// encode from the packed columns; index-only plans write the pks. On
   /// error it throws and leaves `*out` as it was. Same locking rules as
-  /// execute_select.
-  void execute_select_wire(const SelectStmt& stmt, Bytes* out);
+  /// execute_select. `max_bytes` caps the appended bytes: the query stops
+  /// with FrameTooLargeError as soon as they pass it, so an answer too
+  /// large to send is never built in full.
+  void execute_select_wire(const SelectStmt& stmt, Bytes* out,
+                           size_t max_bytes = SIZE_MAX);
 
   /// Drops every cached page: the next query runs cold. Reproduces the
   /// paper's drop_caches + server-restart procedure.

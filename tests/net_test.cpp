@@ -1,7 +1,7 @@
 // The network service layer: wire codec round-trips, error-status mapping,
 // malformed-frame handling against a live server, RemoteConnection
-// transport semantics, pipelined channels, graceful drain, and the
-// wre_server command line.
+// transport semantics and its channel pool, frames sent back to back by a
+// raw client, graceful drain, and the wre_server command line.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <signal.h>
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -323,6 +324,34 @@ TEST(WireStatus, NonWreExceptionIsGeneric) {
 // ---------------------------------------------------------------------------
 // Live server: a scratch database behind a loopback listener.
 
+/// A raw client that sends back to back, as RemoteConnection never does:
+/// writes every request frame in one send_all, runs `on_the_wire` (if set)
+/// once they are sent, then reads one response per frame, in order.
+std::vector<Frame> send_back_to_back(
+    uint16_t port, const std::vector<Bytes>& frames,
+    const std::function<void()>& on_the_wire = {}) {
+  Socket s = Socket::connect("127.0.0.1", port);
+  s.set_recv_timeout_ms(5000);
+  Bytes burst;
+  for (const Bytes& frame : frames) {
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  s.send_all(burst);
+  if (on_the_wire) on_the_wire();
+  std::vector<Frame> responses;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    uint8_t header[kFrameHeaderBytes];
+    s.recv_all(header, sizeof(header));
+    FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
+    Frame resp{fh.opcode, Bytes(fh.payload_length)};
+    if (fh.payload_length > 0) {
+      s.recv_all(resp.payload.data(), resp.payload.size());
+    }
+    responses.push_back(std::move(resp));
+  }
+  return responses;
+}
+
 class NetServerTest : public ::testing::Test {
  protected:
   NetServerTest() : db_(dir_.str()) {
@@ -461,20 +490,17 @@ TEST_F(NetServerTest, ExecSqlIsRoutedByItsParsedStatement) {
   RemoteConnection remote = client();
   remote.execute("CREATE TABLE n (id INTEGER PRIMARY KEY, v INTEGER)");
   remote.execute("CREATE INDEX i_v ON n (v)");
-  PipelinedChannel ch(Endpoint{"127.0.0.1", server_->port()},
-                      kDefaultMaxFrameBytes, 5000);
   uint8_t next_key = 0;
-  // Sends `sql` twice under one idempotency key; returns both responses.
+  // Sends `sql` twice, back to back, under one idempotency key; returns
+  // both responses.
   auto send_twice = [&](const std::string& sql) {
     RequestExt ext;
     ext.has_key = true;
     ext.key.fill(++next_key);
     WireWriter w;
     w.string(sql);
-    const uint64_t first = ch.submit(Opcode::kExecSql, w.bytes(), ext);
-    const uint64_t second = ch.submit(Opcode::kExecSql, w.bytes(), ext);
-    return std::vector<PipelinedChannel::Response>{ch.await(first),
-                                                   ch.await(second)};
+    const Bytes frame = encode_request_frame(Opcode::kExecSql, w.bytes(), ext);
+    return send_back_to_back(server_->port(), {frame, frame});
   };
 
   uint64_t hits = server_->dedup_hits();
@@ -610,41 +636,6 @@ TEST_F(NetServerTest, OneServerSendsOneFramePerCall) {
     EXPECT_EQ(remote.execute("SELECT id FROM kv WHERE tag = 2").rows.size(),
               10u);
   });
-  EXPECT_EQ(server_->sessions_accepted(), sessions_before);
-}
-
-// execute_pipelined is the one call that sends several frames: one per
-// statement, all on one session, each answered as execute() answers it.
-TEST_F(NetServerTest, PipelinedExecuteMatchesSequentialExecute) {
-  RemoteConnection remote = client();
-  remote.create_table("kv", kv_schema());
-  remote.create_index("kv", "tag");
-  std::vector<sql::Row> rows;
-  for (int64_t id = 0; id < 200; ++id) {
-    rows.push_back({sql::Value::int64(id), sql::Value::int64(id % 17),
-                    sql::Value::blob(Bytes{static_cast<uint8_t>(id)})});
-  }
-  remote.insert_batch("kv", rows);
-
-  std::vector<std::string> sqls;
-  for (int q = 0; q < 20; ++q) {
-    sqls.push_back("SELECT id FROM kv WHERE tag IN (" +
-                   std::to_string(q % 17) + ")");
-  }
-  const uint64_t sessions_before = server_->sessions_accepted();
-  const uint64_t frames_before = server_->frames_served();
-  std::vector<sql::ResultSet> batch = remote.execute_pipelined(sqls);
-  EXPECT_EQ(server_->frames_served(), frames_before + sqls.size());
-  ASSERT_EQ(batch.size(), sqls.size());
-  size_t total = 0;
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    sql::ResultSet one = remote.execute(sqls[i]);
-    EXPECT_EQ(batch[i].columns, one.columns) << sqls[i];
-    EXPECT_EQ(batch[i].rows, one.rows) << sqls[i];
-    total += one.rows.size();
-  }
-  // Tags 0..16 cover all 200 rows once; tags 0, 1, 2 (12 rows each) repeat.
-  EXPECT_EQ(total, 236u);
   EXPECT_EQ(server_->sessions_accepted(), sessions_before);
 }
 
@@ -979,6 +970,59 @@ TEST_F(NetServerTest, ConcurrentClientsSeeConsistentResults) {
   EXPECT_GE(server_->sessions_accepted(), static_cast<uint64_t>(kThreads));
 }
 
+// One RemoteConnection shared by 4 threads: each call leases a channel of
+// its own, so the pool opens at most one session per thread, and a session
+// never carries a second request while one is in flight — every tag_scan
+// gets exactly its own rows, and each call is exactly one frame.
+TEST_F(NetServerTest, SharedConnectionLeasesOneChannelPerCall) {
+  {
+    RemoteConnection setup = client();
+    setup.create_table("kv", kv_schema());
+    setup.create_index("kv", "tag");
+    std::vector<sql::Row> rows;
+    for (int64_t i = 0; i < 200; ++i) {
+      rows.push_back({sql::Value::int64(i), sql::Value::int64(i % 4),
+                      sql::Value::blob(Bytes{0})});
+    }
+    setup.insert_batch("kv", rows);
+  }
+
+  RemoteConnection shared = client();
+  const uint64_t sessions_before = server_->sessions_accepted();
+  const uint64_t frames_before = server_->frames_served();
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 50;
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        for (int i = 0; i < kCalls; ++i) {
+          const int64_t tag = (t + i) % 4;
+          sql::ResultSet rs = shared.tag_scan(
+              "kv", "tag", {static_cast<uint64_t>(tag)}, /*star=*/false);
+          bool right = rs.rows.size() == 50u;
+          for (const sql::Row& row : rs.rows) {
+            right = right && row[0].as_int64() % 4 == tag;
+          }
+          if (!right) failures.fetch_add(1);
+        }
+      } catch (const std::exception&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const uint64_t sessions = server_->sessions_accepted() - sessions_before;
+  EXPECT_GE(sessions, 1u);
+  EXPECT_LE(sessions, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(server_->frames_served() - frames_before,
+            static_cast<uint64_t>(kThreads * kCalls));
+  EXPECT_EQ(shared.stats().requests, static_cast<uint64_t>(kThreads * kCalls));
+  EXPECT_EQ(shared.stats().retries, 0u);
+}
+
 TEST_F(NetServerTest, V1FramedClientMatchesV2Client) {
   // Pre-extension (v1) frames carry no idempotency key, deadline or tenant
   // id. The epoll core must serve them exactly like v2 traffic: same
@@ -1072,116 +1116,78 @@ TEST(NetServerIsolation, StalledClientDoesNotDelayOthers) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined channel semantics against a live server.
+// Channel semantics against a live server.
 
-TEST(PipelinedChannel, OutOfOrderAwaitParksEarlierResponses) {
+TEST(Channel, TransportFailurePoisonsEveryLaterCall) {
   TempDir dir;
   sql::Database db(dir.str());
   Server server(db, {});
   server.start();
-  {
-    PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
-                        kDefaultMaxFrameBytes, 5000);
-    RequestExt ext;
-    uint64_t t0 = ch.submit(Opcode::kPing, {}, ext);
-    uint64_t t1 = ch.submit(Opcode::kPing, {}, ext);
-    uint64_t t2 = ch.submit(Opcode::kPing, {}, ext);
-    EXPECT_EQ(ch.in_flight(), 3u);
-    // Awaiting the newest ticket first forces reads past t0/t1, which must
-    // be parked and returned later — not lost, not reordered.
-    EXPECT_EQ(ch.await(t2).opcode, Opcode::kOkPong);
-    EXPECT_EQ(ch.await(t0).opcode, Opcode::kOkPong);
-    EXPECT_EQ(ch.await(t1).opcode, Opcode::kOkPong);
-    EXPECT_FALSE(ch.dead());
-    // A ticket can be redeemed exactly once.
-    EXPECT_THROW(ch.await(t1), NetworkError);
-  }
-  server.stop();
-}
-
-TEST(PipelinedChannel, TransportFailurePoisonsEveryLaterCall) {
-  TempDir dir;
-  sql::Database db(dir.str());
-  Server server(db, {});
-  server.start();
-  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
-                      kDefaultMaxFrameBytes, /*recv_timeout_ms=*/200);
-  RequestExt ext;
-  ch.submit(Opcode::kPing, {}, ext);
-  uint64_t never = ch.submit(Opcode::kPing, {}, ext);
-  server.stop();  // drain answers the pipeline, then closes
-  // Whatever the close/drain race yields, once the channel reports a
-  // transport failure every later call fails fast with the same reason.
+  Channel ch(Endpoint{"127.0.0.1", server.port()}, kDefaultMaxFrameBytes,
+             /*recv_timeout_ms=*/2000);
+  EXPECT_EQ(ch.call(Opcode::kPing, {}, {}).opcode, Opcode::kOkPong);
+  server.stop();  // the drain closes the idle session
+  std::string first;
   try {
-    ch.await(never, 500);
-    ch.await(ch.submit(Opcode::kPing, {}, ext), 500);
-    FAIL() << "channel survived server shutdown indefinitely";
-  } catch (const NetworkError&) {
+    ch.call(Opcode::kPing, {}, {});
+    FAIL() << "channel survived server shutdown";
+  } catch (const NetworkError& e) {
+    first = e.what();
   }
   EXPECT_TRUE(ch.dead());
-  EXPECT_THROW(ch.submit(Opcode::kPing, {}, ext), NetworkError);
+  // Every later call fails fast with the same reason, without reconnecting.
+  try {
+    ch.call(Opcode::kPing, {}, {});
+    FAIL() << "a poisoned channel served a call";
+  } catch (const NetworkError& e) {
+    EXPECT_EQ(e.what(), first);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Graceful drain of frames a raw client sent back to back.
+
+/// Sends `n` pings back to back, stops `server` once they are on the wire,
+/// and returns how many came back answered.
+int pings_answered_across_a_drain(Server& server, int n) {
+  const std::vector<Bytes> pings(
+      static_cast<size_t>(n), encode_request_frame(Opcode::kPing, {}, {}));
+  std::thread stopper;
+  std::vector<Frame> responses;
+  try {
+    responses = send_back_to_back(server.port(), pings, [&] {
+      stopper = std::thread([&server] { server.stop(); });
+    });
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "read: " << e.what();
+  }
+  if (stopper.joinable()) stopper.join();  // or ~thread would terminate
+  return static_cast<int>(
+      std::count_if(responses.begin(), responses.end(), [](const Frame& f) {
+        return f.opcode == Opcode::kOkPong;
+      }));
 }
 
 TEST(NetServerDrain, DrainAnswersAlreadySubmittedPipeline) {
-  // SIGTERM mid-pipeline: every request the client already put on the wire
+  // SIGTERM mid-burst: every request the client already put on the wire
   // is executed and flushed before the connection closes — a drain is a
   // barrier, not a guillotine.
   TempDir dir;
   sql::Database db(dir.str());
   Server server(db, {});
   server.start();
-
-  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
-                      kDefaultMaxFrameBytes, /*recv_timeout_ms=*/5000);
-  RequestExt ext;
-  std::vector<uint64_t> tickets;
-  for (int i = 0; i < 50; ++i) {
-    tickets.push_back(ch.submit(Opcode::kPing, {}, ext));
-  }
-  ch.flush();  // all 50 frames are on the wire before the drain starts
-  std::thread stopper([&] { server.stop(); });
-  int answered = 0;
-  try {
-    for (uint64_t t : tickets) {
-      if (ch.await(t, 5000).opcode == Opcode::kOkPong) ++answered;
-    }
-  } catch (const std::exception& e) {
-    ADD_FAILURE() << "await: " << e.what();
-  }
-  stopper.join();  // joined on every path, or ~thread would terminate
-  EXPECT_EQ(answered, 50);
+  EXPECT_EQ(pings_answered_across_a_drain(server, 50), 50);
 }
 
 TEST(NetServerDrain, DrainAnswersPipelineBeyondTheQueueCap) {
-  // More requests on the wire than the per-connection pipeline cap: the
-  // drain keeps reading as the queue empties, until the socket holds
-  // nothing more.
+  // More requests on the wire than the server's per-connection queue cap
+  // (128): the drain keeps reading as the queue empties, until the socket
+  // holds nothing more.
   TempDir dir;
   sql::Database db(dir.str());
-  ServerOptions options;
-  options.max_pipelined_requests = 8;
-  Server server(db, options);
+  Server server(db, {});
   server.start();
-
-  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
-                      kDefaultMaxFrameBytes, /*recv_timeout_ms=*/5000);
-  RequestExt ext;
-  std::vector<uint64_t> tickets;
-  for (int i = 0; i < 100; ++i) {
-    tickets.push_back(ch.submit(Opcode::kPing, {}, ext));
-  }
-  ch.flush();
-  std::thread stopper([&] { server.stop(); });
-  int answered = 0;
-  try {
-    for (uint64_t t : tickets) {
-      if (ch.await(t, 5000).opcode == Opcode::kOkPong) ++answered;
-    }
-  } catch (const std::exception& e) {
-    ADD_FAILURE() << "await: " << e.what();
-  }
-  stopper.join();
-  EXPECT_EQ(answered, 100);
+  EXPECT_EQ(pings_answered_across_a_drain(server, 300), 300);
 }
 
 // ---------------------------------------------------------------------------

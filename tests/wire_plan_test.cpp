@@ -3,7 +3,7 @@
 // the column store off and on; plus the record codec it rests on: a heap
 // record is the body of a wire row, and the non-allocating record walker
 // (Schema::split_record) accepts and rejects exactly what Schema::decode_row
-// does.
+// does. A byte cap on the wire executor stops an oversized answer early.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "src/net/wire.h"
 #include "src/sql/database.h"
 #include "src/sql/parser.h"
+#include "src/util/error.h"
 #include "tests/test_util.h"
 
 namespace wre::sql {
@@ -186,6 +187,32 @@ TEST_P(WirePlanTest, LimitZeroFetchesNothing) {
   EXPECT_TRUE(rs.rows.empty());
   EXPECT_EQ(rs.heap_fetches, 0u);
   EXPECT_EQ(rs.columnar_rows, 0u);
+}
+
+// A capped call builds the answer up to the cap and no further: a body of
+// exactly the cap is returned whole, one byte over stops the query with
+// FrameTooLargeError and leaves `*out` as it was.
+TEST_P(WirePlanTest, CappedCallThrowsPastTheCapAndLeavesOutUnchanged) {
+  insert_batch(0, 40);
+  for (const std::string sql :
+       {"SELECT * FROM m", "SELECT * FROM m WHERE tag IN (0, 1, 2, 3)",
+        "SELECT id FROM m WHERE tag = 1", "SELECT COUNT(*) FROM m",
+        "EXPLAIN SELECT * FROM m"}) {
+    SCOPED_TRACE(sql);
+    const SelectStmt stmt = std::get<SelectStmt>(parse_statement(sql));
+    Bytes full;
+    db_->execute_select_wire(stmt, &full);
+    const Bytes prefix = {0xAB, 0xCD};
+    Bytes out = prefix;
+    db_->execute_select_wire(stmt, &out, full.size());
+    EXPECT_EQ(Bytes(out.begin() + 2, out.end()), full);
+    for (size_t cap : {full.size() - 1, size_t{0}}) {
+      out = prefix;
+      EXPECT_THROW(db_->execute_select_wire(stmt, &out, cap),
+                   FrameTooLargeError);
+      EXPECT_EQ(out, prefix);
+    }
+  }
 }
 
 std::string ConfigName(const ::testing::TestParamInfo<bool>& info) {
