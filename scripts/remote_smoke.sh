@@ -6,7 +6,10 @@
 #      (remote_integration_test, ExternalServerTest suite, selected via
 #      WRE_SERVER_PORT),
 #   3. send SIGTERM and require a graceful drain: the process must exit 0
-#      after finishing in-flight work and checkpointing.
+#      after finishing in-flight work and checkpointing,
+#   4. require the exit report to read "(0 protocol errors,": every request
+#      came from RemoteConnection, so a protocol error means the deployed
+#      client and server disagree on the one request format.
 #
 #   scripts/remote_smoke.sh [build_dir]   # default build dir: build
 set -euo pipefail
@@ -49,6 +52,10 @@ wait "${SERVER_PID}" || EXIT_CODE=$?
 cat "${SERVER_LOG}"
 if [[ ${EXIT_CODE} -ne 0 ]]; then
   echo "wre_server exited ${EXIT_CODE} on SIGTERM (expected clean drain)"
+  exit 1
+fi
+if ! grep -qF '(0 protocol errors,' "${SERVER_LOG}"; then
+  echo "wre_server reported protocol errors (expected none from RemoteConnection)"
   exit 1
 fi
 echo "== remote smoke passed =="

@@ -4,7 +4,7 @@
 // The client cannot distinguish "the connection died before the server saw
 // my INSERT" from "the server applied it and the ACK was lost". Blind
 // re-send risks double-applying; never re-sending turns every blip into a
-// failed request. The v2 wire extension (wire.h) stamps each logical
+// failed request. The request extension (wire.h) stamps each logical
 // request with a random 16-byte key that stays constant across retries, and
 // this cache gives that key exactly-once semantics server-side:
 //

@@ -64,7 +64,6 @@ Bytes RemoteConnection::roundtrip(Opcode request, ByteView payload,
   // retries — the unit the server's dedup cache makes exactly-once. The
   // tenant id scopes that key server-side.
   RequestExt ext;
-  ext.has_key = true;
   ext.tenant_id = tenant_id_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(retry_mu_);
@@ -111,13 +110,16 @@ Bytes RemoteConnection::roundtrip(Opcode request, ByteView payload,
         return std::move(resp.payload);
       }
       if (resp.opcode == Opcode::kError) {
-        // A server-side error leaves the stream aligned: the channel
-        // goes back to the pool.
         WireReader r(resp.payload);
         status = static_cast<StatusCode>(r.u16());
         message = r.string();
         r.expect_end();
         refused = true;
+        // The server closes the session after every framing fault, which
+        // it answers with kNetwork: the channel must not serve the next
+        // call. Any other error leaves the stream aligned, and the channel
+        // goes back to the pool.
+        if (status == StatusCode::kNetwork) lease->poison(message);
       } else {
         last_error = std::string("wire: expected ") + opcode_name(expected) +
                      " response to " + opcode_name(request) + ", got " +

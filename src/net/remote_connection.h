@@ -15,16 +15,19 @@
 //     flight;
 //   - safe retries for *every* request, mutating ones included: each
 //     logical request is stamped with a fresh random idempotency key
-//     (the v2 wire extension) that stays constant across its retries, so
-//     the server's dedup cache replays — never re-executes — a mutation
-//     whose ACK was lost. Transport failures and kOverloaded responses
-//     retry under capped exponential backoff with jitter, bounded by
-//     RetryOptions: an attempt cap, an overall deadline, and a token
-//     budget that stops a flapping link from turning into a retry storm;
+//     (the request extension, wire.h) that stays constant across its
+//     retries, so the server's dedup cache replays — never re-executes —
+//     a mutation whose ACK was lost. Transport failures and kOverloaded
+//     responses retry under capped exponential backoff with jitter,
+//     bounded by RetryOptions: an attempt cap, an overall deadline, and a
+//     token budget that stops a flapping link from turning into a retry
+//     storm;
 //   - when retries stop, the caller gets RetriesExhaustedError naming the
 //     attempt count, elapsed time and last underlying error;
-//   - a response over max_frame_bytes fails its request without a retry:
-//     FrameTooLargeError at the client's limit, kNetwork at the server's;
+//   - a response over max_frame_bytes fails its request without a retry,
+//     with FrameTooLargeError, at the client's limit or the server's;
+//   - a kNetwork error (the server found the request malformed, and after
+//     a framing fault it closes the session) drops the channel;
 //   - kError responses re-throw as the same wre::Error subclass the server
 //     caught, so remote and in-process error handling are interchangeable.
 //     Server-reported errors other than kOverloaded are deterministic and

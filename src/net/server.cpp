@@ -2,11 +2,11 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -27,16 +27,6 @@ constexpr uint64_t kWakeTag = 1;
 /// client cannot starve the rest of the loop (level-triggered epoll
 /// re-reports whatever is left).
 constexpr size_t kReadBudgetBytes = 256u << 10;
-
-/// Backpressure: per-connection cap on buffered unsent response bytes.
-/// Past it request execution for that connection pauses until the peer
-/// drains (a never-reading client is idle-reaped, not ballooned).
-constexpr size_t kMaxOutbufBytes = 8u << 20;
-
-/// Backpressure: per-connection cap on parsed-but-unexecuted requests (a
-/// raw client may send frames back to back). Past it the server stops
-/// reading that connection until its queue drains.
-constexpr size_t kMaxQueuedRequests = 128;
 
 /// A kExecSql payload (one length-prefixed string) parsed into its
 /// statement. Malformed SQL throws its SqlError here, before the request
@@ -399,24 +389,30 @@ void Server::kill_conn(Conn* c) {
     c->counted = false;
   }
   // A connection with a request in flight stays in conns_ until the
-  // completion arrives (the worker must not write into freed memory);
-  // everything else is erased at the end of the current event batch.
-  if (!c->worker_active) doomed_.push_back(c->id);
+  // completion arrives (the worker still reads its request); everything
+  // else is erased at the end of the current event batch.
+  if (!c->request) doomed_.push_back(c->id);
 }
 
 bool Server::wants_input(const Conn* c) const {
-  if (c->parse_dead || c->saw_eof || c->read_done) return false;
-  // Backpressure: a connection with a full request queue is not read
-  // until it drains — except in a drain, which reads until the socket
-  // holds nothing more (parse_frames still queues at most the cap).
-  return drain_started_ || c->pending.size() < kMaxQueuedRequests;
+  if (c->saw_eof || c->read_done) return false;
+  // A drain reads until the socket holds nothing more; after a framing
+  // fault input is dropped until the peer closes. Otherwise, backpressure:
+  // a connection is not read while its next frame waits whole in inbuf.
+  if (drain_started_ || c->close_after_flush) return true;
+  RequestHead head;
+  try {
+    return !next_frame(c, &head);
+  } catch (const NetworkError&) {
+    return false;  // the bytes in hand already show a framing fault
+  }
 }
 
 void Server::update_interest(Conn* c) {
   if (c->dead || !c->registered) return;
   uint32_t want = 0;
   // EPOLLRDHUP goes with EPOLLIN, or a half-closed peer would busy-wake
-  // the loop while its queued requests execute.
+  // the loop while its buffered requests execute.
   if (wants_input(c)) want |= EPOLLIN | EPOLLRDHUP;
   if (c->outbuf_off < c->outbuf.size()) want |= EPOLLOUT;
   if (want == c->interest) return;
@@ -449,152 +445,94 @@ void Server::conn_readable(Conn* c) {
       c->saw_eof = true;
       break;
     }
-    got_any = true;
     budget -= static_cast<size_t>(n);
+    if (c->close_after_flush) continue;  // dropped, and not activity
+    got_any = true;
     c->inbuf.insert(c->inbuf.end(), buf, buf + n);
-    parse_frames(c);
   }
   if (got_any) touch(c);
-  maybe_dispatch(c);
-  flush_outbuf(c);
-  if (c->dead) return;
-  if (c->saw_eof && c->pending.empty() && !c->worker_active &&
-      c->outbuf_off >= c->outbuf.size()) {
-    // Clean hangup between frames — or mid-frame, which closes silently
-    // exactly like the blocking server did.
-    kill_conn(c);
-    return;
-  }
-  update_interest(c);
+  advance(c);
 }
 
 void Server::conn_writable(Conn* c) {
   if (c->dead) return;
-  const size_t before = c->outbuf_off;
+  touch(c);  // the peer is consuming its response: that is activity
+  advance(c);
+}
+
+void Server::advance(Conn* c) {
   flush_outbuf(c);
   if (c->dead) return;
-  if (c->outbuf_off != before || c->outbuf.empty()) {
-    touch(c);  // the peer is consuming responses: that is activity
+  if (!c->request && c->outbuf.empty()) {
+    serve_next(c);
+    flush_outbuf(c);
+    if (c->dead) return;
+    if (!c->request && c->outbuf.empty()) {
+      if (c->saw_eof || c->read_done) {
+        // Nothing more will arrive. A peer that hung up mid-frame closes
+        // silently.
+        kill_conn(c);
+        return;
+      }
+      if (c->close_after_flush && !c->write_shut) {
+        // The framing-fault error is sent: the peer now reads EOF.
+        ::shutdown(c->sock.fd(), SHUT_WR);
+        c->write_shut = true;
+      }
+    }
   }
-  maybe_dispatch(c);  // outbuf drained below the cap: resume execution
-  flush_outbuf(c);
-  if (c->dead) return;
   update_interest(c);
 }
 
-void Server::parse_frames(Conn* c) {
-  // Renders a protocol-fatal error response at parse time: it is answered
-  // in order (after any earlier requests), then the connection closes —
-  // the stream position past the bad bytes is unrecoverable.
-  auto push_fatal = [&](const std::exception& e) {
-    protocol_errors_.fetch_add(1);
-    PendingRequest pr;
-    pr.preformed = true;
-    pr.fatal = true;
-    Frame f = error_frame(e);
-    pr.preformed_bytes = encode_frame(f.opcode, f.payload);
-    c->pending.push_back(std::move(pr));
-    c->parse_dead = true;
-  };
+bool Server::next_frame(const Conn* c, RequestHead* head) const {
+  const ByteView in(c->inbuf.data() + c->inbuf_off,
+                    c->inbuf.size() - c->inbuf_off);
+  return decode_request_head(in, options_.max_frame_bytes, head) &&
+         in.size() - kRequestHeadBytes >= head->payload_length;
+}
 
-  while (!c->parse_dead && c->pending.size() < kMaxQueuedRequests) {
-    const size_t avail = c->inbuf.size() - c->inbuf_off;
-    if (avail < kFrameHeaderBytes) break;
-    const uint8_t* p = c->inbuf.data() + c->inbuf_off;
-    uint8_t hdr[kFrameHeaderBytes];
-    std::memcpy(hdr, p, kFrameHeaderBytes);
-    FrameHeader fh{};
-    try {
-      fh = decode_frame_header(hdr, options_.max_frame_bytes);
-    } catch (const std::exception& e) {
-      // Bad magic / version / oversized length: refused before the payload
-      // is read.
-      push_fatal(e);
-      break;
-    }
-    size_t need = kFrameHeaderBytes;
-    // A v2 frame interposes the request extension (ext_len byte + body)
-    // between header and payload. An ext_len outside the sane range means
-    // the stream is garbage, not just this request — treat like a bad
-    // header.
-    RequestExt ext;
-    if (fh.version == kWireVersionExt) {
-      if (avail < need + 1) break;
-      const uint8_t ext_len = p[need];
-      ++need;
-      if (ext_len < kRequestExtBytes || ext_len > kMaxRequestExtBytes) {
-        push_fatal(NetworkError(
-            "wire: request extension length " + std::to_string(ext_len) +
-            " outside [" + std::to_string(kRequestExtBytes) + ", " +
-            std::to_string(kMaxRequestExtBytes) + "]"));
-        break;
-      }
-      if (avail < need + ext_len) break;
-      try {
-        ext = parse_request_ext(ByteView(p + need, ext_len));
-      } catch (const std::exception& e) {
-        push_fatal(e);
-        break;
-      }
-      need += ext_len;
-    }
-    if (avail - need < fh.payload_length) break;  // wait for the payload
-    PendingRequest req;
-    req.op = fh.opcode;
-    req.ext = ext;
-    req.payload.assign(p + need, p + need + fh.payload_length);
-    c->pending.push_back(std::move(req));
-    c->inbuf_off += need + fh.payload_length;
+void Server::serve_next(Conn* c) {
+  if (c->close_after_flush) return;
+  RequestHead head;
+  try {
+    if (!next_frame(c, &head)) return;
+  } catch (const NetworkError& e) {
+    // Bad magic, version, length or extension: answered without a worker,
+    // always with kNetwork (an oversized length included), which makes the
+    // client drop the channel. The stream position past the bad bytes is
+    // unrecoverable, so the connection then closes (advance).
+    protocol_errors_.fetch_add(1);
+    Frame f = error_frame(NetworkError(e.what()));
+    c->outbuf = encode_frame(f.opcode, f.payload);
+    c->close_after_flush = true;
+    c->inbuf.clear();
+    c->inbuf_off = 0;
+    return;
   }
+  const uint8_t* payload = c->inbuf.data() + c->inbuf_off + kRequestHeadBytes;
+  c->request.emplace(Request{head.opcode, head.ext,
+                             Bytes(payload, payload + head.payload_length)});
+  c->inbuf_off += kRequestHeadBytes + head.payload_length;
   if (c->inbuf_off == c->inbuf.size()) {
     c->inbuf.clear();
     c->inbuf_off = 0;
-  } else if (c->inbuf_off > (256u << 10)) {
+  } else if (c->inbuf_off > kReadBudgetBytes) {
     c->inbuf.erase(c->inbuf.begin(),
                    c->inbuf.begin() + static_cast<long>(c->inbuf_off));
     c->inbuf_off = 0;
   }
-}
-
-void Server::maybe_dispatch(Conn* c) {
-  if (c->dead || c->worker_active || c->close_after_flush) return;
-  // Parse-time protocol errors are answered right here, in arrival order —
-  // no worker round-trip for a frame that never decoded.
-  while (!c->pending.empty() && c->pending.front().preformed) {
-    PendingRequest& pr = c->pending.front();
-    c->outbuf.insert(c->outbuf.end(), pr.preformed_bytes.begin(),
-                     pr.preformed_bytes.end());
-    const bool fatal = pr.fatal;
-    c->pending.pop_front();
-    if (fatal) {
-      c->close_after_flush = true;
-      c->pending.clear();  // nothing past a fatal frame is answerable
-      return;
+  // The pool outlives the event thread (stop() joins the thread first),
+  // so the submit always lands; the request lives in the connection,
+  // which kill_conn keeps until the completion arrives.
+  const Request* req = &*c->request;
+  pool_->submit([this, id = c->id, req] {
+    Completion comp{id, process_request(*req)};
+    {
+      std::lock_guard<std::mutex> lk(completions_mu_);
+      completions_.push_back(std::move(comp));
     }
-  }
-  if (c->pending.empty()) return;
-  if (c->outbuf.size() - c->outbuf_off >= kMaxOutbufBytes) {
-    return;  // backpressure: the peer must drain its responses first
-  }
-  c->worker_active = true;
-  const uint64_t id = c->id;
-  // shared_ptr: std::function requires copyable captures.
-  auto req = std::make_shared<PendingRequest>(std::move(c->pending.front()));
-  c->pending.pop_front();
-  try {
-    pool_->submit([this, id, req] {
-      Completion comp{id, process_request(*req)};
-      {
-        std::lock_guard<std::mutex> lk(completions_mu_);
-        completions_.push_back(std::move(comp));
-      }
-      wake_event_thread();
-    });
-  } catch (const std::exception&) {
-    // Pool draining: put the request back so drain accounting stays sane.
-    c->pending.push_front(std::move(*req));
-    c->worker_active = false;
-  }
+    wake_event_thread();
+  });
 }
 
 void Server::drain_completions() {
@@ -607,24 +545,18 @@ void Server::drain_completions() {
     auto it = conns_.find(comp.conn_id);
     if (it == conns_.end()) continue;
     Conn* c = it->second.get();
-    c->worker_active = false;
+    c->request.reset();
     if (c->dead) {
       // Killed mid-request; its erase was deferred until now.
       doomed_.push_back(c->id);
       continue;
     }
-    if (c->outbuf.empty()) {
-      c->outbuf = std::move(comp.frame);  // the usual case: no copy
-    } else {
-      c->outbuf.insert(c->outbuf.end(), comp.frame.begin(), comp.frame.end());
-    }
+    // A request starts only once the previous response is flushed, so
+    // outbuf is empty here.
+    c->outbuf = std::move(comp.frame);
     frames_served_.fetch_add(1);
     touch(c);
-    parse_frames(c);  // frames already read but held back by the cap
-    maybe_dispatch(c);
-    flush_outbuf(c);
-    if (c->dead) continue;
-    update_interest(c);
+    advance(c);
   }
 }
 
@@ -640,22 +572,11 @@ void Server::flush_outbuf(Conn* c) {
       kill_conn(c);  // peer is gone; nothing to flush
       return;
     }
-    if (n < 0) break;  // kernel buffer full: resume on EPOLLOUT
+    if (n < 0) return;  // kernel buffer full: resume on EPOLLOUT
     c->outbuf_off += static_cast<size_t>(n);
   }
-  if (c->outbuf_off >= c->outbuf.size()) {
-    c->outbuf.clear();
-    c->outbuf_off = 0;
-    if (c->close_after_flush ||
-        ((c->read_done || c->saw_eof) && c->pending.empty() &&
-         !c->worker_active)) {
-      kill_conn(c);
-    }
-  } else if (c->outbuf_off > (1u << 20)) {
-    c->outbuf.erase(c->outbuf.begin(),
-                    c->outbuf.begin() + static_cast<long>(c->outbuf_off));
-    c->outbuf_off = 0;
-  }
+  c->outbuf.clear();
+  c->outbuf_off = 0;
 }
 
 void Server::reap_idle() {
@@ -665,9 +586,8 @@ void Server::reap_idle() {
   while (!lru_.empty()) {
     Conn* c = lru_.front();
     if (now - c->last_activity < timeout) break;
-    if (c->worker_active || !c->pending.empty()) {
-      // Mid-request is not idle: the timeout clocks gaps between requests,
-      // exactly like the old per-recv SO_RCVTIMEO did.
+    if (c->request) {
+      // Mid-request is not idle: the timeout clocks gaps between requests.
       touch(c);
       continue;
     }
@@ -690,16 +610,16 @@ void Server::begin_drain() {
   // Final reads: every request already on the wire — including frames sent
   // back to back — gets parsed, executed and answered before the close.
   // Each connection is read until its socket has nothing buffered
-  // (read_done); one held back by the queue cap resumes reading once its
-  // queue drains. An idle one closes right away (flush_outbuf), so
-  // its client sees the close promptly.
+  // (read_done), then answers its buffered frames one at a time. An idle
+  // one closes right away (advance), so its client sees the close
+  // promptly.
   std::vector<Conn*> all;
   all.reserve(conns_.size());
   for (auto& [id, conn] : conns_) all.push_back(conn.get());
   for (Conn* c : all) conn_readable(c);
 }
 
-Bytes Server::process_request(const PendingRequest& req) {
+Bytes Server::process_request(const Request& req) {
   // Effective deadline: the tighter of the server flag and what the client
   // says it is still willing to wait.
   uint32_t deadline_ms = options_.request_deadline_ms;
@@ -719,8 +639,7 @@ Bytes Server::process_request(const PendingRequest& req) {
     std::optional<sql::Statement> parsed;
     if (req.op == Opcode::kExecSql) parsed = parse_exec_sql(req.payload);
     const sql::Statement* stmt = parsed ? &*parsed : nullptr;
-    const bool mutates = request_mutates(req.op, stmt);
-    if (req.ext.has_key && mutates) {
+    if (request_mutates(req.op, stmt)) {
       // Exactly-once: first arrival executes and records; a retry of
       // the same key replays the recorded response. A request shed
       // before execution (OverloadedError) aborts its claim instead —
@@ -757,7 +676,7 @@ Bytes Server::process_request(const PendingRequest& req) {
     response = error_frame(e);
   } catch (const FrameTooLargeError& e) {
     // A SELECT stopped once its response passed the frame limit: the
-    // request's answer, not a protocol violation.
+    // request's answer (kFrameTooLarge), not a protocol violation.
     response = error_frame(e);
   } catch (const NetworkError& e) {
     protocol_errors_.fetch_add(1);

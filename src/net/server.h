@@ -8,11 +8,11 @@
 //     state that resumes on readiness — no thread is ever parked on a
 //     socket, so an idle or stalled client costs a few kilobytes, not a
 //     worker;
-//   - a small util::ThreadPool executes ready requests, so crypto/storage
-//     work never blocks the event thread. A worker handoff carries one
-//     request, and each connection has at most one in flight at a time
-//     (FIFO), so a client that sends several frames back to back gets its
-//     answers in the order it sent them — no sequence id needed;
+//   - a small util::ThreadPool executes requests, so crypto/storage work
+//     never blocks the event thread. A connection serves one request at a
+//     time: the next frame is parsed only once the previous response has
+//     been flushed, so a client that sends several frames back to back
+//     gets its answers in the order it sent them — no sequence id needed;
 //   - the engine's single-writer rule is enforced with a shared mutex:
 //     statements that mutate (INSERT / CREATE / batched inserts) hold it
 //     exclusively, everything else shares it, so concurrent WRE searches
@@ -27,17 +27,20 @@
 //     hot-spinning while the peer hangs in the backlog;
 //   - admission control: beyond max_connections live sessions, new
 //     connections are shed with a retryable kOverloaded error frame;
-//   - per-request deadlines (server flag and/or the client's v2 request
-//     extension) bound how long a request may wait for the database lock;
+//   - per-request deadlines (server flag and/or the request extension's
+//     deadline) bound how long a request may wait for the database lock;
 //     expiry sheds the request with kOverloaded *before* it executes;
 //   - a DedupCache keyed by (tenant, idempotency key) replays recorded
 //     responses for retried mutations, so a retry after a lost ACK cannot
 //     double-apply (exactly-once ingest);
-//   - backpressure: a connection with too many parsed-but-unexecuted
-//     requests (a bounded per-connection queue) stops being read; one
-//     with too many unflushed response bytes stops executing. A client
-//     that never reads its responses is eventually idle-reaped (it is not
-//     sending either) — it never delays any other connection.
+//   - a framing fault (anything but the one request form, wire.h) is
+//     answered with a kNetwork error, then the session closes: the server
+//     shuts its write side and drops input until the peer closes, so a
+//     client still sending a refused frame reads the error, not a reset;
+//   - backpressure: a connection stops being read while its next frame
+//     sits whole in its input buffer, so it buffers at most one frame plus
+//     one read budget. A client that never reads its responses stalls only
+//     itself and is eventually idle-reaped.
 //
 // Shutdown (stop(), also wired to SIGTERM in wre_server): connections
 // already in the accept backlog are accepted, then the listener closes.
@@ -50,12 +53,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -81,8 +84,8 @@ struct ServerOptions {
   /// Per-frame payload ceiling. Oversized requests are refused before their
   /// payload is read (the client gets a kNetwork error, then the session
   /// closes — the stream offset is unrecoverable past a bad header). A
-  /// response over it is replaced by a kNetwork error (FrameTooLargeError),
-  /// and the session continues.
+  /// response over it is replaced by a kFrameTooLarge error, and the
+  /// session continues.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Idle timeout per connection in milliseconds (0 = no timeout): a
   /// connection with no traffic for this long is closed by the event
@@ -146,18 +149,11 @@ class Server {
   uint64_t live_sessions() const { return live_sessions_.load(); }
 
  private:
-  /// One parsed request, or a pre-formed response from the frame parser
-  /// (malformed header/extension — answered without touching a worker).
-  struct PendingRequest {
+  /// One parsed request frame.
+  struct Request {
     Opcode op = Opcode::kPing;
-    Bytes payload;
     RequestExt ext;
-    /// Response already rendered at parse time (protocol errors).
-    bool preformed = false;
-    Bytes preformed_bytes;
-    /// The stream position past this request is unrecoverable: flush the
-    /// response, then close.
-    bool fatal = false;
+    Bytes payload;
   };
 
   /// Per-connection state machine, owned by the event thread.
@@ -167,21 +163,23 @@ class Server {
     /// Unparsed received bytes (consumed from the front via `inbuf_off`).
     Bytes inbuf;
     size_t inbuf_off = 0;
-    /// Parsed requests awaiting execution, in arrival order.
-    std::deque<PendingRequest> pending;
-    /// Encoded responses awaiting the socket (consumed via `outbuf_off`).
+    /// The request a worker is executing (read by that worker until its
+    /// completion arrives). At most one per connection.
+    std::optional<Request> request;
+    /// The encoded response awaiting the socket (consumed via
+    /// `outbuf_off`).
     Bytes outbuf;
     size_t outbuf_off = 0;
-    /// A worker is executing this connection's front request.
-    bool worker_active = false;
-    /// Peer half-closed; finish pending work, flush, then close.
+    /// Peer half-closed; answer the frames already buffered, then close.
     bool saw_eof = false;
-    /// Protocol-fatal or shed: close once outbuf drains.
+    /// Framing fault: the stream is unrecoverable. Input is dropped from
+    /// here on; once the error response is flushed the write side is shut,
+    /// and the connection closes when the peer does.
     bool close_after_flush = false;
-    /// Stream is unrecoverable — stop parsing inbuf entirely.
-    bool parse_dead = false;
+    /// The write side is shut (after a framing fault).
+    bool write_shut = false;
     /// Draining: the socket was read until it had nothing more buffered;
-    /// finish pending work, flush, then close.
+    /// answer the frames already buffered, then close.
     bool read_done = false;
     /// Counted in live_sessions_ (shed connections are not).
     bool counted = false;
@@ -211,8 +209,16 @@ class Server {
   void register_conn(std::unique_ptr<Conn> conn);
   void conn_readable(Conn* c);
   void conn_writable(Conn* c);
-  void parse_frames(Conn* c);
-  void maybe_dispatch(Conn* c);
+  /// Moves a connection on after any event: flushes its response and,
+  /// once it is idle (no request in flight, nothing left to send), starts
+  /// its next buffered frame or closes it.
+  void advance(Conn* c);
+  /// Whether the frame at the front of inbuf is all there; throws
+  /// NetworkError for a framing fault.
+  bool next_frame(const Conn* c, RequestHead* head) const;
+  /// Hands the next buffered frame to a worker, or answers a framing
+  /// fault; call only while the connection is idle.
+  void serve_next(Conn* c);
   void flush_outbuf(Conn* c);
   bool wants_input(const Conn* c) const;
   void update_interest(Conn* c);
@@ -232,8 +238,8 @@ class Server {
   // --- worker-side ---
   /// Executes one request end-to-end (dedup wrapper + handle_request) and
   /// returns the encoded response frame. Never throws. A response over the
-  /// frame limit is answered with a FrameTooLargeError (kNetwork) instead.
-  Bytes process_request(const PendingRequest& req);
+  /// frame limit is answered with kFrameTooLarge instead.
+  Bytes process_request(const Request& req);
   /// Decodes and executes one request frame; returns the response frame.
   /// `stmt` is a kExecSql request's statement, parsed once by
   /// process_request (null for every other opcode): a SELECT runs under

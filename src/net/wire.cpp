@@ -36,6 +36,9 @@ bool is_request_opcode(uint8_t op) {
 StatusCode status_code_for(const std::exception& e) {
   // Most-derived first: every subclass is also a wre::Error.
   if (dynamic_cast<const OverloadedError*>(&e)) return StatusCode::kOverloaded;
+  if (dynamic_cast<const FrameTooLargeError*>(&e)) {
+    return StatusCode::kFrameTooLarge;
+  }
   if (dynamic_cast<const StorageError*>(&e)) return StatusCode::kStorage;
   if (dynamic_cast<const SqlError*>(&e)) return StatusCode::kSql;
   if (dynamic_cast<const CryptoError*>(&e)) return StatusCode::kCrypto;
@@ -52,6 +55,7 @@ void rethrow_status(StatusCode code, const std::string& message) {
     case StatusCode::kWre: throw WreError(message);
     case StatusCode::kNetwork: throw NetworkError(message);
     case StatusCode::kOverloaded: throw OverloadedError(message);
+    case StatusCode::kFrameTooLarge: throw FrameTooLargeError(message);
     case StatusCode::kGeneric: break;
   }
   // Unknown future codes degrade to the hierarchy root rather than failing.
@@ -59,6 +63,10 @@ void rethrow_status(StatusCode code, const std::string& message) {
 }
 
 namespace {
+
+/// The request extension's flags byte: idempotency key and tenant id
+/// present — in every request frame.
+constexpr uint8_t kRequestExtFlags = 0x03;
 
 /// The header's length field for `payload`; a payload it cannot express is
 /// refused rather than sent with a truncated length, which would desync
@@ -91,16 +99,14 @@ Bytes encode_request_frame(Opcode opcode, ByteView payload,
                            const RequestExt& ext) {
   const uint32_t length = frame_length(payload);
   Bytes out;
-  out.reserve(kFrameHeaderBytes + 1 + kRequestExtTenantBytes + payload.size());
+  out.reserve(kRequestHeadBytes + payload.size());
   out.push_back(kMagic0);
   out.push_back(kMagic1);
   out.push_back(kWireVersionExt);
   out.push_back(static_cast<uint8_t>(opcode));
   store_le32(out, length);
-  out.push_back(static_cast<uint8_t>(kRequestExtTenantBytes));
-  uint8_t flags = ext.has_key ? 0x01 : 0x00;
-  flags |= 0x02;  // tenant id field present
-  out.push_back(flags);
+  out.push_back(static_cast<uint8_t>(kRequestExtBytes));
+  out.push_back(kRequestExtFlags);
   out.push_back(0);  // reserved
   out.push_back(0);
   store_le32(out, ext.deadline_ms);
@@ -108,26 +114,6 @@ Bytes encode_request_frame(Opcode opcode, ByteView payload,
   store_le64(out, ext.tenant_id);
   append(out, payload);
   return out;
-}
-
-RequestExt parse_request_ext(ByteView body) {
-  if (body.size() < kRequestExtBytes) {
-    throw NetworkError("wire: request extension of " +
-                       std::to_string(body.size()) + " bytes, need " +
-                       std::to_string(kRequestExtBytes));
-  }
-  RequestExt ext;
-  ext.has_key = (body[0] & 0x01) != 0;
-  // body[1..2] reserved.
-  ext.deadline_ms = load_le32(body.data() + 3);
-  std::copy_n(body.begin() + 7, ext.key.size(), ext.key.begin());
-  // Tenant id: optional growth — a 23-byte body from an older client (or a
-  // body without flag bit 1) is the default tenant.
-  if ((body[0] & 0x02) != 0 && body.size() >= kRequestExtTenantBytes) {
-    ext.tenant_id = load_le64(body.data() + 23);
-  }
-  // Bytes past the known fields belong to a future revision: skip them.
-  return ext;
 }
 
 FrameHeader decode_frame_header(const uint8_t (&header)[kFrameHeaderBytes],
@@ -146,6 +132,38 @@ FrameHeader decode_frame_header(const uint8_t (&header)[kFrameHeaderBytes],
                              std::to_string(max_frame_bytes) + "-byte limit");
   }
   return FrameHeader{static_cast<Opcode>(header[3]), length, header[2]};
+}
+
+bool decode_request_head(ByteView in, size_t max_frame_bytes,
+                         RequestHead* out) {
+  if (in.size() < kFrameHeaderBytes) return false;
+  uint8_t header[kFrameHeaderBytes];
+  std::copy_n(in.begin(), kFrameHeaderBytes, header);
+  const FrameHeader fh = decode_frame_header(header, max_frame_bytes);
+  if (fh.version != kWireVersionExt) {
+    throw NetworkError("wire: request frame of version " +
+                       std::to_string(fh.version) + ", need " +
+                       std::to_string(kWireVersionExt));
+  }
+  if (in.size() < kFrameHeaderBytes + 1) return false;
+  const uint8_t ext_len = in[kFrameHeaderBytes];
+  if (ext_len != kRequestExtBytes) {
+    throw NetworkError("wire: request extension of " +
+                       std::to_string(ext_len) + " bytes, need " +
+                       std::to_string(kRequestExtBytes));
+  }
+  if (in.size() < kRequestHeadBytes) return false;
+  const uint8_t* ext = in.data() + kFrameHeaderBytes + 1;
+  if (ext[0] != kRequestExtFlags || ext[1] != 0 || ext[2] != 0) {
+    throw NetworkError("wire: request extension flags must be 0x03, "
+                       "reserved bytes zero");
+  }
+  out->opcode = fh.opcode;
+  out->payload_length = fh.payload_length;
+  out->ext.deadline_ms = load_le32(ext + 3);
+  std::copy_n(ext + 7, out->ext.key.size(), out->ext.key.begin());
+  out->ext.tenant_id = load_le64(ext + 23);
+  return true;
 }
 
 void WireReader::need(size_t n) const {

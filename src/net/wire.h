@@ -1,46 +1,44 @@
 // The length-prefixed binary wire protocol between a WRE client and
-// wre_server. One message = one frame:
+// wre_server. Every frame starts with one 8-byte header:
 //
 //   offset  size  field
 //   0       2     magic "WR"
-//   2       1     frame format version (kWireVersion / kWireVersionExt)
+//   2       1     frame format version
 //   3       1     opcode (request 0x01-0x7F, response 0x80-0xFF)
 //   4       4     payload length, little-endian
-//   8       n     payload (opcode-specific; see the Opcode table)
 //
-// Format version 2 (kWireVersionExt) inserts a request extension between
-// the header and the payload of *request* frames (responses never carry
-// one):
+// A response frame is version 1 (kWireVersion): the header, then the
+// payload. A request frame has exactly one form, version 2
+// (kWireVersionExt), with a fixed request extension between the header
+// and the payload:
 //
-//   8       1     ext_len — bytes of extension that follow (>= 23)
-//   9       1     flags (bit 0: idempotency key present,
-//                        bit 1: tenant id present)
-//   10      2     reserved (zero)
+//   8       1     ext_len, always 31 (kRequestExtBytes)
+//   9       1     flags, always 0x03 (idempotency key and tenant id)
+//   10      2     reserved, zero
 //   12      4     request deadline in ms, little-endian (0 = none)
 //   16      16    idempotency key (client-generated, random)
-//   32      8     tenant id, little-endian (present when ext_len >= 31 and
-//                 flag bit 1 is set; 0 = the default single-tenant space)
-//   ...           future fields — receivers skip bytes past the ones they
-//                 know, so the extension can grow without a version bump
+//   32      8     tenant id, little-endian (0 = the default tenant)
+//   40      n     payload (opcode-specific; see the Opcode table)
 //
 // The extension is what makes retries safe end-to-end: the client stamps
 // every request with a fresh random idempotency key, keeps the key constant
 // across retries of that request, and the server's dedup cache replays the
 // recorded response instead of re-executing a mutation it already applied.
-// The deadline lets the server stop queueing for a request whose client has
+// The deadline lets the server stop waiting for a request whose client has
 // already given up. The tenant id scopes the idempotency key: the dedup
 // cache is keyed by (tenant, key), so one tenant can never replay — or
-// poison — another tenant's recorded responses. Servers accept both formats
-// (a v1 frame simply has no key, no deadline and tenant 0), and a 23-byte
-// v2 extension from an older client parses as tenant 0, so old clients keep
-// working.
+// poison — another tenant's recorded responses. Any other request framing
+// (version 1, another ext_len, other flags) is a framing fault: the server
+// answers with a kNetwork error and closes the session.
 //
 // Integers are little-endian; strings and blobs are a u32 length followed by
 // raw bytes; sql::Value / sql::Schema use their own wire_encode hooks. All
-// decoding is strictly bounds-checked: a malformed frame (bad magic, unknown
-// version, oversized length, truncated payload, inflated element count)
-// raises NetworkError before any out-of-bounds read or unbounded allocation
-// can happen — the server answers with an error frame and drops the session.
+// decoding is strictly bounds-checked: malformed framing (bad magic or
+// version, oversized length, a bad extension) or a malformed payload
+// (truncated field, inflated element count) raises NetworkError before any
+// out-of-bounds read or unbounded allocation can happen. The server answers
+// either with an error frame; after bad framing it also closes the session,
+// since the stream position past it is lost.
 //
 // Security note (the paper's trust boundary, Section I-A): frames carry SQL
 // text over tag columns, search-tag lists and AES-CTR ciphertext blobs.
@@ -61,20 +59,16 @@ namespace wre::net {
 
 inline constexpr uint8_t kMagic0 = 'W';
 inline constexpr uint8_t kMagic1 = 'R';
-/// Base frame format: header + payload.
+/// Response frames: header + payload.
 inline constexpr uint8_t kWireVersion = 1;
-/// Extended format: header + request extension + payload (requests only).
+/// Request frames: header + request extension + payload.
 inline constexpr uint8_t kWireVersionExt = 2;
 inline constexpr size_t kFrameHeaderBytes = 8;
-/// Minimum extension bytes following the ext_len byte in a v2 request frame
-/// (the original flags + deadline + idempotency-key form).
-inline constexpr size_t kRequestExtBytes = 23;
-/// Extension size including the trailing tenant id — what current clients
-/// encode. Receivers treat the tenant field as optional growth: a 23-byte
-/// body still parses (as tenant 0).
-inline constexpr size_t kRequestExtTenantBytes = 31;
-/// Sanity ceiling on ext_len (future growth stays small and fixed-size).
-inline constexpr size_t kMaxRequestExtBytes = 64;
+/// Extension bytes following the ext_len byte of a request frame.
+inline constexpr size_t kRequestExtBytes = 31;
+/// A request frame's bytes before its payload: header, ext_len, extension.
+inline constexpr size_t kRequestHeadBytes =
+    kFrameHeaderBytes + 1 + kRequestExtBytes;
 /// Default ceiling on one frame's payload. Requests above it are rejected
 /// without being read — the server's backpressure limit against hostile or
 /// buggy clients allocating unbounded memory server-side.
@@ -125,12 +119,18 @@ enum class StatusCode : uint16_t {
   kSql = 3,
   kCrypto = 4,
   kWre = 5,
+  /// The request's bytes were malformed. After a framing fault the server
+  /// also closes the session, so a client drops the channel that drew it.
   kNetwork = 6,
-  /// Retryable: the server shed the request (admission control, bounded
-  /// queue, or server-side deadline) without executing it — or it is safe
-  /// to replay because the idempotency key dedups it. Clients back off and
-  /// retry instead of failing.
+  /// Retryable: the server shed the request (admission control or
+  /// server-side deadline) without executing it — or it is safe to replay
+  /// because the idempotency key dedups it. Clients back off and retry
+  /// instead of failing.
   kOverloaded = 7,
+  /// The response is larger than a frame may carry (FrameTooLargeError):
+  /// the request's answer, not a broken stream, so the session stays open.
+  /// Deterministic, so not retried.
+  kFrameTooLarge = 8,
 };
 
 StatusCode status_code_for(const std::exception& e);
@@ -142,40 +142,33 @@ struct Frame {
   Bytes payload;
 };
 
-/// The v2 per-request extension (see the format comment above).
+/// The per-request extension (see the format comment above).
 struct RequestExt {
-  bool has_key = false;
   std::array<uint8_t, 16> key{};
   /// How long the client is still willing to wait, in ms (0 = no deadline).
-  /// The server bounds its own queueing/lock waits by it.
+  /// The server bounds its database-lock wait by it.
   uint32_t deadline_ms = 0;
-  /// The tenant this request acts for. 0 is the default single-tenant
-  /// space (and what pre-tenant clients implicitly send). Scopes the
-  /// server's idempotency cache; carries no cryptographic authority — keys
-  /// never cross the wire, so a mislabelled tenant can only talk to tag
-  /// integers it cannot forge matches for.
+  /// The tenant this request acts for; 0 is the default single-tenant
+  /// space. Scopes the server's idempotency cache; carries no cryptographic
+  /// authority — keys never cross the wire, so a mislabelled tenant can
+  /// only talk to tag integers it cannot forge matches for.
   uint64_t tenant_id = 0;
 };
 
-/// Renders a base (v1) frame: header + payload, ready for send(). Throws
+/// Renders a response frame: header + payload, ready for send(). Throws
 /// FrameTooLargeError for a payload over kMaxFramePayloadBytes, as
 /// encode_request_frame does.
 Bytes encode_frame(Opcode opcode, ByteView payload);
 
-/// Renders a v2 request frame: header + extension + payload.
+/// Renders a request frame: header + extension + payload.
 Bytes encode_request_frame(Opcode opcode, ByteView payload,
                            const RequestExt& ext);
-
-/// Decodes the extension body (the bytes following ext_len). Unknown
-/// trailing bytes are ignored; a body shorter than kRequestExtBytes throws.
-RequestExt parse_request_ext(ByteView body);
 
 /// Parsed and validated frame header.
 struct FrameHeader {
   Opcode opcode;
   uint32_t payload_length = 0;
-  /// kWireVersion or kWireVersionExt — tells the receiver whether a request
-  /// extension follows the header.
+  /// kWireVersion (a response) or kWireVersionExt (a request).
   uint8_t version = kWireVersion;
 };
 
@@ -184,6 +177,20 @@ struct FrameHeader {
 /// for a length over max_frame_bytes.
 FrameHeader decode_frame_header(const uint8_t (&header)[kFrameHeaderBytes],
                                 size_t max_frame_bytes);
+
+/// A request frame's header and extension, validated.
+struct RequestHead {
+  Opcode opcode = Opcode::kPing;
+  uint32_t payload_length = 0;
+  RequestExt ext;
+};
+
+/// Decodes the request head at the front of `in`, checking each field as
+/// soon as it has arrived. Returns false while `in` is too short to finish;
+/// throws NetworkError for any framing but the one request form
+/// (FrameTooLargeError for a payload length over max_frame_bytes).
+bool decode_request_head(ByteView in, size_t max_frame_bytes,
+                         RequestHead* out);
 
 /// Bounds-checked sequential reader over one frame's payload. Every
 /// accessor throws NetworkError on overrun; element counts are validated

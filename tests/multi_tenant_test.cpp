@@ -309,7 +309,7 @@ TEST(DedupCache, KeysAreTenantScoped) {
   EXPECT_TRUE(cache.begin(tenant_b, &cached));
 }
 
-// Sends one raw v2 request frame and reads back the response frame.
+// Sends one raw request frame and reads back the response frame.
 net::Frame roundtrip_raw(net::Socket& sock, net::Opcode op, ByteView payload,
                          const net::RequestExt& ext) {
   sock.send_all(net::encode_request_frame(op, payload, ext));
@@ -337,7 +337,6 @@ TEST(Server, DedupIsScopedByTenant) {
   {
     net::Socket sock = net::Socket::connect("127.0.0.1", server.port());
     net::RequestExt ext;
-    ext.has_key = true;
     ext.key.fill(0x5C);
 
     net::WireWriter insert1;

@@ -435,7 +435,6 @@ Bytes insert_frame_with_key(uint8_t key_tag, int64_t seq) {
   w.row({sql::Value::int64(seq), sql::Value::int64(0),
          sql::Value::blob(Bytes{key_tag})});
   RequestExt ext;
-  ext.has_key = true;
   ext.key.fill(key_tag);
   return encode_request_frame(Opcode::kInsertBatch, w.bytes(), ext);
 }
