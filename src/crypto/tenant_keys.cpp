@@ -15,26 +15,4 @@ Bytes TenantKeyring::tenant_secret(uint64_t tenant_id) const {
   return hkdf_expand(prk_, info, 32);
 }
 
-std::shared_ptr<const KeyBundle> TenantKeyring::bundle(
-    uint64_t tenant_id) const {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = cache_.find(tenant_id);
-    if (it != cache_.end()) return it->second;
-  }
-  // Derive outside the lock: concurrent misses for different tenants must
-  // not serialize on the HKDF work.
-  auto derived =
-      std::make_shared<const KeyBundle>(KeyBundle::derive(tenant_secret(tenant_id)));
-  std::lock_guard<std::mutex> lk(mu_);
-  if (cache_.size() >= kMaxCachedTenants) cache_.clear();
-  // On a lost race the first writer's (identical) bundle wins.
-  return cache_.emplace(tenant_id, std::move(derived)).first->second;
-}
-
-size_t TenantKeyring::cached_bundles() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return cache_.size();
-}
-
 }  // namespace wre::crypto

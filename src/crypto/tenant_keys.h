@@ -18,26 +18,20 @@
 //   tenant_secret  = HKDF-Expand(PRK, "tenant" || le64(tenant_id), 32)
 //   tenant bundle  = KeyBundle::derive(tenant_secret)
 //
-// The PRK is held as precomputed HMAC midstates (the PR 3 machinery), so a
-// tenant derivation costs two SHA-256 compressions per output block and no
-// per-call key scheduling; derived bundles are cached so the steady-state
-// cost of routing a request to a warm tenant is one map lookup and a
-// shared_ptr copy.
+// The PRK is held as precomputed HMAC midstates, so a tenant derivation
+// costs two SHA-256 compressions per output block and no per-call key
+// scheduling.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "src/crypto/hmac_sha256.h"
-#include "src/crypto/keys.h"
 #include "src/util/bytes.h"
 
 namespace wre::crypto {
 
-/// Derives and caches one independent WRE key universe per tenant id.
-/// Thread-safe: any number of threads may derive concurrently.
+/// Derives one independent WRE key universe per tenant id. Thread-safe:
+/// any number of threads may derive concurrently.
 class TenantKeyring {
  public:
   explicit TenantKeyring(ByteView master_secret);
@@ -47,23 +41,8 @@ class TenantKeyring {
   /// search and reopen exactly like a single-tenant deployment.
   Bytes tenant_secret(uint64_t tenant_id) const;
 
-  /// The tenant's derived key bundle, cached: the first call per tenant
-  /// pays the HKDF expansion, later calls are a lock + shared_ptr copy.
-  std::shared_ptr<const KeyBundle> bundle(uint64_t tenant_id) const;
-
-  /// Bundles currently cached (bounded; see kMaxCachedTenants).
-  size_t cached_bundles() const;
-
  private:
-  /// Cache bound: past this many distinct tenants the cache is wiped
-  /// wholesale (the tag-cache precedent — cheap, and a sweep over more
-  /// tenants than this is a batch job, not a serving pattern).
-  static constexpr size_t kMaxCachedTenants = 65536;
-
   HmacSha256::Key prk_;  // midstates of the extracted PRK
-  mutable std::mutex mu_;
-  mutable std::unordered_map<uint64_t, std::shared_ptr<const KeyBundle>>
-      cache_;
 };
 
 }  // namespace wre::crypto

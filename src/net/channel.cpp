@@ -1,6 +1,9 @@
 #include "src/net/channel.h"
 
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <limits>
 
 #include "src/util/error.h"
@@ -37,6 +40,14 @@ Frame Channel::call(Opcode op, ByteView payload, const RequestExt& ext,
   }
 }
 
+bool Channel::reusable() const {
+  if (dead_) return false;
+  if (!sock_) return true;  // never connected: connects on its first call
+  uint8_t byte = 0;
+  ssize_t n = ::recv(sock_->fd(), &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
 Frame Channel::read_response(uint64_t deadline_hint_ms) {
   // Per-read timeout: the tighter of the channel's response timeout and
   // the caller's remaining deadline, so one stalled response cannot eat
@@ -67,13 +78,16 @@ ChannelPool::ChannelPool(Endpoint endpoint, size_t max_frame_bytes,
       recv_timeout_ms_(recv_timeout_ms) {}
 
 ChannelPool::Lease ChannelPool::acquire() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    while (!idle_.empty()) {
-      std::unique_ptr<Channel> ch = std::move(idle_.back());
+  for (;;) {
+    std::unique_ptr<Channel> ch;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (idle_.empty()) break;
+      ch = std::move(idle_.back());
       idle_.pop_back();
-      if (!ch->dead()) return Lease(std::move(ch), this);
     }
+    // Probed outside the lock; a stale channel is closed as it drops.
+    if (ch->reusable()) return Lease(std::move(ch), this);
   }
   return Lease(std::make_unique<Channel>(endpoint_, max_frame_bytes_,
                                          recv_timeout_ms_),

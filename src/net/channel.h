@@ -57,6 +57,13 @@ class Channel {
 
   bool dead() const { return dead_; }
 
+  /// Whether an idle channel can carry the next call: not dead, and its
+  /// socket (if connected) is still open with nothing waiting on it. A
+  /// server closes connections it finds idle too long; one non-blocking
+  /// MSG_PEEK that reads EAGAIN tells a live, quiet socket apart from one
+  /// at end of stream, in error, or holding bytes no request asked for.
+  bool reusable() const;
+
   /// Marks the channel dead without throwing — for when the transport
   /// itself worked but the response was out-of-protocol (e.g. an
   /// unexpected opcode), so the stream can no longer be trusted.
@@ -75,7 +82,7 @@ class Channel {
 };
 
 /// A pool of channels to one server. acquire() returns an exclusive RAII
-/// lease on an idle channel, or on a new one when none is idle, so the
+/// lease on a reusable idle channel, or on a new one when none is, so the
 /// pool never blocks. Releasing keeps every channel that is still healthy,
 /// so the pool's width follows the peak number of concurrent leases it has
 /// seen.

@@ -202,14 +202,6 @@ void Socket::set_recv_timeout_ms(int ms) {
   }
 }
 
-void Socket::shutdown_read() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
-void Socket::shutdown_both() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Socket::close() {
   if (fd_ >= 0) {
     ::close(fd_);

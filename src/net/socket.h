@@ -64,11 +64,6 @@ class Socket {
   /// EPOLLIN). Hard failures throw NetworkError.
   ssize_t recv_some(uint8_t* out, size_t n);
 
-  /// Half-close or full-close without releasing the descriptor; used to
-  /// wake a thread blocked in recv on this socket.
-  void shutdown_read();
-  void shutdown_both();
-
   void close();
 
  private:

@@ -122,7 +122,6 @@ class Database {
   /// Enabling creates the store manager on first use; disabling keeps
   /// built segments cached but stops routing to them.
   void set_columnar_enabled(bool on);
-  bool columnar_enabled() const { return columnar_enabled_; }
 
   /// The column store manager, or null when columnar was never enabled.
   /// Exposed for stats and tests.

@@ -122,12 +122,6 @@ std::vector<int64_t> Table::insert_batch(const std::vector<Row>& rows) {
   return pks;
 }
 
-std::optional<Row> Table::find_by_pk(int64_t pk) const {
-  std::optional<Row> row;
-  visit_by_pk(pk, [&](ByteView record) { row = schema_.decode_row(record); });
-  return row;
-}
-
 void Table::create_index(const std::string& column_name) {
   std::string col = to_lower(column_name);
   auto idx = schema_.index_of(col);

@@ -17,7 +17,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "src/sql/schema.h"
@@ -54,15 +53,12 @@ class Table {
   /// key space.
   std::vector<int64_t> insert_batch(const std::vector<Row>& rows);
 
-  /// Fetches the row with the given primary key. Thread-safe against other
-  /// readers (index probes, scans); writers require exclusion.
-  std::optional<Row> find_by_pk(int64_t pk) const;
-
-  /// find_by_pk without decoding or copying: calls fn(record) with the
-  /// row's encoded heap record (Schema::encode_row layout), valid only
-  /// during the call, while its page is latched. Returns false, without
-  /// calling fn, when no row has primary key `pk`. Same thread-safety as
-  /// find_by_pk.
+  /// Looks up the row with primary key `pk` without decoding or copying:
+  /// calls fn(record) with the row's encoded heap record
+  /// (Schema::encode_row layout), valid only during the call, while its
+  /// page is latched. Returns false, without calling fn, when no row has
+  /// primary key `pk`. Thread-safe against other readers (index probes,
+  /// scans); writers require exclusion.
   template <typename Fn>
   bool visit_by_pk(int64_t pk, Fn&& fn) const {
     auto rids = pk_index_->find(static_cast<uint64_t>(pk));

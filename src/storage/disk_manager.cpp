@@ -171,7 +171,6 @@ void DiskManager::write_page(PageId id, const uint8_t* data) {
     throw StorageError("DiskManager: write failed on " + f.path);
   }
   page_writes_.fetch_add(1, std::memory_order_relaxed);
-  synthetic_delay(write_latency_us_.load(std::memory_order_relaxed));
 }
 
 uint64_t DiskManager::file_size_bytes(FileId file) const {

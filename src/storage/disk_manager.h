@@ -81,13 +81,10 @@ class DiskManager {
   void fsync_file(FileId file);
   void fsync_all();
 
-  /// Synthetic latency, applied once per physical page read/write. Zero
+  /// Synthetic latency, applied once per physical page read. Zero
   /// disables it.
   void set_read_latency_micros(uint32_t us) {
     read_latency_us_.store(us, std::memory_order_relaxed);
-  }
-  void set_write_latency_micros(uint32_t us) {
-    write_latency_us_.store(us, std::memory_order_relaxed);
   }
 
   /// Snapshot of the cumulative I/O counters.
@@ -109,7 +106,6 @@ class DiskManager {
   std::atomic<uint64_t> page_writes_{0};
   std::atomic<uint64_t> pages_allocated_{0};
   std::atomic<uint32_t> read_latency_us_{0};
-  std::atomic<uint32_t> write_latency_us_{0};
 };
 
 }  // namespace wre::storage

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -624,11 +623,7 @@ void Wal::writer_loop() {
       std::unique_lock<std::mutex> lk(mu_);
       cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
       if (queue_.empty() && stop_) return;
-      // Optionally linger so near-simultaneous commits share one fsync.
-      if (options_.group_window_us > 0) {
-        cv_.wait_for(lk, std::chrono::microseconds(options_.group_window_us),
-                     [&] { return stop_; });
-      }
+      // Everything queued while the previous group synced forms this one.
       while (!queue_.empty()) {
         group.push_back(std::move(queue_.front()));
         queue_.pop_front();

@@ -69,10 +69,6 @@ struct WalOptions {
   /// fdatasync every group (true for durability; tests may disable to
   /// isolate logic from I/O latency).
   bool fsync = true;
-  /// After draining the queue, wait this long for stragglers before
-  /// syncing — enlarges commit groups under light concurrency. 0 = sync
-  /// whatever one drain finds (natural batching under load).
-  uint32_t group_window_us = 0;
 };
 
 enum class WalRecordType : uint8_t {

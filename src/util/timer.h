@@ -19,7 +19,6 @@ class Timer {
   }
 
   double elapsed_millis() const { return elapsed_seconds() * 1e3; }
-  double elapsed_micros() const { return elapsed_seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -489,45 +489,6 @@ TEST(EncryptedConnection, ServerNeverSeesPlaintext) {
   }
 }
 
-class EncryptedConnectionAllMethods
-    : public ::testing::TestWithParam<std::pair<SaltMethod, double>> {};
-
-TEST_P(EncryptedConnectionAllMethods, SelectStarReturnsExactMatches) {
-  auto [method, param] = GetParam();
-  ClientFixture f(method, param);
-  f.load(100);
-  auto result = f.conn.select_star("people", "fname", "bob");
-  EXPECT_EQ(result.rows.size(), 30u);  // names[] has 3 bobs per 10
-  for (const auto& row : result.rows) {
-    EXPECT_EQ(row[1].as_text(), "bob");
-  }
-  // Filtering must remove exactly the false positives.
-  EXPECT_EQ(result.server_rows_returned - result.false_positives,
-            result.rows.size());
-}
-
-TEST_P(EncryptedConnectionAllMethods, SelectIdsCoversAllTrueMatches) {
-  auto [method, param] = GetParam();
-  ClientFixture f(method, param);
-  f.load(100);
-  auto result = f.conn.select_ids("people", "fname", "alice");
-  // ids must be a superset of the 50 true alice rows (ids 0-4 mod 10).
-  std::set<int64_t> ids(result.ids.begin(), result.ids.end());
-  for (int i = 0; i < 100; ++i) {
-    if (i % 10 < 5) {
-      EXPECT_TRUE(ids.contains(i)) << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllMethods, EncryptedConnectionAllMethods,
-    ::testing::Values(std::pair{SaltMethod::kDeterministic, 0.0},
-                      std::pair{SaltMethod::kFixed, 25.0},
-                      std::pair{SaltMethod::kProportional, 30.0},
-                      std::pair{SaltMethod::kPoisson, 60.0},
-                      std::pair{SaltMethod::kBucketizedPoisson, 60.0}));
-
 TEST(EncryptedConnection, NonBucketizedHasNoFalsePositives) {
   ClientFixture f(SaltMethod::kPoisson, 100);
   f.load(100);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <set>
 
 #include "src/attack/frequency_attack.h"
 #include "src/core/encrypted_client.h"
@@ -87,65 +86,7 @@ struct TwinDatabases {
     opts.zip_vocab = 150;
     return opts;
   }
-
-  std::set<int64_t> plain_ids(const std::string& column,
-                              const std::string& value) {
-    auto rs = plain_db.execute("SELECT id FROM main WHERE " + column + " = " +
-                               Value::text(value).to_sql_literal());
-    std::set<int64_t> ids;
-    for (const auto& row : rs.rows) ids.insert(row[0].as_int64());
-    return ids;
-  }
 };
-
-class TwinDbAllMethods
-    : public ::testing::TestWithParam<std::pair<SaltMethod, double>> {};
-
-TEST_P(TwinDbAllMethods, SelectStarMatchesPlaintextExactly) {
-  auto [method, param] = GetParam();
-  TwinDatabases twin(method, param);
-  QueryGenerator qg(twin.hist,
-                    RecordGenerator::encrypted_columns());
-  auto queries = qg.generate(20);
-  ASSERT_FALSE(queries.empty());
-  for (const auto& q : queries) {
-    auto expected = twin.plain_ids(q.column, q.value);
-    auto result = twin.conn.select_star("main", q.column, q.value);
-    std::set<int64_t> got;
-    for (const auto& row : result.rows) got.insert(row[0].as_int64());
-    EXPECT_EQ(got, expected) << q.column << " = " << q.value;
-    // Every decrypted row carries the query value in the queried column.
-    size_t col_idx = *twin.conn.logical_schema("main").index_of(q.column);
-    for (const auto& row : result.rows) {
-      EXPECT_EQ(row[col_idx].as_text(), q.value);
-    }
-  }
-}
-
-TEST_P(TwinDbAllMethods, SelectIdsIsSupersetOfTruth) {
-  auto [method, param] = GetParam();
-  TwinDatabases twin(method, param);
-  QueryGenerator qg(twin.hist, RecordGenerator::encrypted_columns());
-  for (const auto& q : qg.generate(15)) {
-    auto expected = twin.plain_ids(q.column, q.value);
-    auto result = twin.conn.select_ids("main", q.column, q.value);
-    std::set<int64_t> got(result.ids.begin(), result.ids.end());
-    for (int64_t id : expected) {
-      EXPECT_TRUE(got.contains(id)) << q.column << " = " << q.value;
-    }
-    if (method != SaltMethod::kBucketizedPoisson) {
-      EXPECT_EQ(got.size(), expected.size());  // no false positives
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Methods, TwinDbAllMethods,
-    ::testing::Values(std::pair{SaltMethod::kDeterministic, 0.0},
-                      std::pair{SaltMethod::kFixed, 20.0},
-                      std::pair{SaltMethod::kProportional, 200.0},
-                      std::pair{SaltMethod::kPoisson, 300.0},
-                      std::pair{SaltMethod::kBucketizedPoisson, 300.0}));
 
 TEST(Integration, EncryptedDatabaseIsLargerButBounded) {
   TwinDatabases twin(SaltMethod::kPoisson, 300.0);

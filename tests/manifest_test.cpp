@@ -98,22 +98,6 @@ struct ManifestFixture {
   }
 };
 
-TEST(Manifest, OpenTableRestoresSearchabilityAcrossRestart) {
-  ManifestFixture f;
-  f.create_and_load();
-
-  Database db(f.dir.str());
-  EncryptedConnection conn(db, f.master);
-  conn.open_table("places");
-  auto result = conn.select_star("places", "city", "springfield");
-  EXPECT_EQ(result.rows.size(), 2u);
-  for (const auto& row : result.rows) {
-    EXPECT_EQ(row[1].as_text(), "springfield");
-  }
-  // The second encrypted column works too.
-  EXPECT_EQ(conn.select_star("places", "zip", "22222").rows.size(), 2u);
-}
-
 TEST(Manifest, OpenTableWithWrongSecretFailsCleanly) {
   ManifestFixture f;
   f.create_and_load();

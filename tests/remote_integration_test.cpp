@@ -1,16 +1,10 @@
-// End-to-end WRE over the network service layer: an EncryptedConnection
-// whose transport is a net::RemoteConnection must behave identically to one
-// wrapping the database in-process — same ids, same decrypted rows, same
-// manifest lifecycle — because the scheme runs entirely client-side and the
-// transport only moves tags and ciphertext.
-//
-// The last suite (ExternalServer) targets a wre_server process started by
-// the harness (the CI loopback smoke job): it activates only when
-// WRE_SERVER_PORT is set and is skipped otherwise.
+// End-to-end WRE over the network service layer: what only a remote
+// deployment has — the server's view of the data, manifest reopen over the
+// wire, bulk ingest through the transport, and drain. Answer parity with
+// the in-process configuration is tests/differential_test.cpp's job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -61,11 +55,6 @@ void create_people_table(core::EncryptedConnection& conn) {
   conn.create_table("people", people_schema(), specs, dists);
 }
 
-std::vector<int64_t> sorted(std::vector<int64_t> ids) {
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 /// In-process loopback fixture: database + server + remote client.
 class RemoteWreTest : public ::testing::Test {
  protected:
@@ -85,114 +74,6 @@ class RemoteWreTest : public ::testing::Test {
   net::RemoteConnection remote_;
   crypto::SecureRandom entropy_;
 };
-
-TEST_F(RemoteWreTest, RemoteMatchesInProcessExactly) {
-  Bytes secret = entropy_.bytes(32);
-  core::EncryptedConnection remote_conn(remote_, secret);
-  create_people_table(remote_conn);
-  for (int64_t id = 0; id < 120; ++id) remote_conn.insert("people", person(id));
-
-  // Independent in-process client over the same physical database, state
-  // rebuilt from the encrypted manifest alone.
-  core::EncryptedConnection local_conn(db_, secret);
-  local_conn.open_table("people");
-
-  for (const auto& name : kNames) {
-    auto remote_res = remote_conn.select_ids("people", "name", name);
-    auto local_res = local_conn.select_ids("people", "name", name);
-    EXPECT_EQ(sorted(remote_res.ids), sorted(local_res.ids)) << name;
-    EXPECT_FALSE(remote_res.ids.empty()) << name;
-
-    auto remote_star = remote_conn.select_star("people", "name", name);
-    auto local_star = local_conn.select_star("people", "name", name);
-    EXPECT_EQ(remote_star.rows.size(), local_star.rows.size()) << name;
-    for (const auto& row : remote_star.rows) {
-      EXPECT_EQ(row[1].as_text(), name);
-    }
-  }
-  for (const auto& city : kCities) {
-    auto remote_res = remote_conn.select_ids("people", "city", city);
-    auto local_res = local_conn.select_ids("people", "city", city);
-    EXPECT_EQ(sorted(remote_res.ids), sorted(local_res.ids)) << city;
-  }
-}
-
-std::vector<sql::Row> sorted_by_id(std::vector<sql::Row> rows) {
-  std::sort(rows.begin(), rows.end(),
-            [](const sql::Row& a, const sql::Row& b) {
-              return a[0].as_int64() < b[0].as_int64();
-            });
-  return rows;
-}
-
-// Range searches travel as a kTagScan over the bucket tags, conjunctions as
-// SQL text. Over the same physical rows, both must match an in-process
-// client exactly: rows, false positives and the rewritten SQL.
-TEST_F(RemoteWreTest, RangeAndConjunctionMatchInProcessExactly) {
-  Bytes secret = entropy_.bytes(32);
-  core::EncryptedConnection remote_conn(remote_, secret);
-  std::map<std::string, core::PlaintextDistribution> dists;
-  dists.emplace("name", uniform_over(kNames));
-  remote_conn.create_table(
-      "people", people_schema(),
-      {{"name", core::SaltMethod::kBucketizedPoisson, 4},
-       {"city", core::SaltMethod::kFixed, 4}},
-      dists, {core::RangeColumnSpec("age", 20, 69, 8)});
-  const int64_t kRows = 150;
-  for (int64_t id = 0; id < kRows; ++id) {
-    remote_conn.insert("people", person(id));
-  }
-  core::EncryptedConnection local_conn(db_, secret);
-  local_conn.open_table("people");
-
-  auto expect_same = [](const core::EncryptedQueryResult& got,
-                        const core::EncryptedQueryResult& want) {
-    EXPECT_EQ(sorted_by_id(got.rows), sorted_by_id(want.rows));
-    EXPECT_EQ(got.server_rows_returned, want.server_rows_returned);
-    EXPECT_EQ(got.false_positives, want.false_positives);
-    EXPECT_EQ(got.tags_in_query, want.tags_in_query);
-    EXPECT_EQ(got.sql, want.sql);
-  };
-  auto count = [&](auto match) {
-    size_t n = 0;
-    for (int64_t id = 0; id < kRows; ++id) n += match(person(id)) ? 1 : 0;
-    return n;
-  };
-
-  const std::vector<std::pair<int64_t, int64_t>> ranges = {
-      {20, 69}, {25, 31}, {40, 40}, {0, 10}, {50, 30}};
-  for (const auto& [lo, hi] : ranges) {
-    SCOPED_TRACE("age in [" + std::to_string(lo) + ", " +
-                 std::to_string(hi) + "]");
-    auto remote_res = remote_conn.select_star_range("people", "age", lo, hi);
-    expect_same(remote_res,
-                local_conn.select_star_range("people", "age", lo, hi));
-    EXPECT_EQ(remote_res.rows.size(), count([&](const sql::Row& r) {
-                return r[3].as_int64() >= lo && r[3].as_int64() <= hi;
-              }));
-  }
-
-  for (const auto& name : kNames) {
-    for (const auto& city : kCities) {
-      SCOPED_TRACE(name + " AND " + city);
-      std::vector<core::EncryptedConnection::Conjunct> conjuncts = {
-          {"name", sql::Value::text(name)}, {"city", sql::Value::text(city)}};
-      auto remote_res = remote_conn.select_star_and("people", conjuncts);
-      expect_same(remote_res, local_conn.select_star_and("people", conjuncts));
-      EXPECT_EQ(remote_res.rows.size(), count([&](const sql::Row& r) {
-                  return r[1].as_text() == name && r[2].as_text() == city;
-                }));
-    }
-  }
-  // A plaintext conjunct is matched by the server itself.
-  std::vector<core::EncryptedConnection::Conjunct> with_id = {
-      {"name", sql::Value::text(person(7)[1].as_text())},
-      {"id", sql::Value::int64(7)}};
-  auto remote_res = remote_conn.select_star_and("people", with_id);
-  expect_same(remote_res, local_conn.select_star_and("people", with_id));
-  ASSERT_EQ(remote_res.rows.size(), 1u);
-  EXPECT_EQ(remote_res.rows[0], person(7));
-}
 
 TEST_F(RemoteWreTest, OnlyTagsAndCiphertextReachTheServer) {
   Bytes secret = entropy_.bytes(32);
@@ -282,49 +163,6 @@ TEST_F(RemoteWreTest, DrainFinishesInFlightWork) {
         dead.ping();
       },
       NetworkError);
-}
-
-// ---------------------------------------------------------------------------
-// External-server mode: drives a wre_server *process* (not an in-process
-// Server) on 127.0.0.1:$WRE_SERVER_PORT. The CI smoke job launches the
-// binary, runs this suite, then sends SIGTERM and asserts a clean drain.
-
-class ExternalServerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* port = std::getenv("WRE_SERVER_PORT");
-    if (port == nullptr) {
-      GTEST_SKIP() << "WRE_SERVER_PORT not set; external smoke mode only";
-    }
-    port_ = static_cast<uint16_t>(std::stoi(port));
-  }
-
-  uint16_t port_ = 0;
-};
-
-TEST_F(ExternalServerTest, FullWreRoundTripAgainstProcess) {
-  net::RemoteConnection remote("127.0.0.1", port_);
-  remote.ping();
-
-  crypto::SecureRandom entropy;
-  Bytes secret = entropy.bytes(32);
-  core::EncryptedConnection conn(remote, secret);
-  create_people_table(conn);
-  for (int64_t id = 0; id < 60; ++id) conn.insert("people", person(id));
-
-  EXPECT_EQ(conn.select_ids("people", "name", "alice").ids.size(), 15u);
-  auto star = conn.select_star("people", "city", "oslo");
-  EXPECT_EQ(star.rows.size(), 20u);
-  for (const auto& row : star.rows) EXPECT_EQ(row[2].as_text(), "oslo");
-
-  // Errors cross the process boundary typed.
-  EXPECT_THROW(remote.execute("SELEC nonsense"), SqlError);
-
-  // A second client (fresh TCP session) reopens the manifest.
-  net::RemoteConnection remote2("127.0.0.1", port_);
-  core::EncryptedConnection conn2(remote2, secret);
-  conn2.open_table("people");
-  EXPECT_EQ(conn2.select_ids("people", "name", "bob").ids.size(), 15u);
 }
 
 }  // namespace

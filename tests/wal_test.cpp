@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -326,29 +327,41 @@ TEST_F(WalTest, TruncateAllResetsReplayBound) {
 
 TEST_F(WalTest, GroupCommitBatchesConcurrentCommits) {
   TempDir dir("wal_group");
-  WalOptions opts;
-  opts.group_window_us = 20000;  // linger so the enqueue burst shares syncs
-  Wal wal((dir.path() / "wal").string(), opts);
+  Wal wal((dir.path() / "wal").string());
 
+  // The first commit's group holds its sync round open (on_durable runs on
+  // the log writer) until every other committer's commit() has returned,
+  // so all of those are queued together behind it.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 16;
+  constexpr int kOthers = kThreads * kPerThread - 1;
+  std::latch others_enqueued(kOthers);
+  WalCommitRequest first;
+  first.pages.push_back(WalPageImage{"t.heap", 0, page_filled(0xcd)});
+  first.on_durable = [&others_enqueued] { others_enqueued.wait(); };
+  CommitHandle first_done = wal.commit(std::move(first));
+
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&wal, t] {
-      for (int i = 0; i < kPerThread; ++i) {
+    threads.emplace_back([&wal, &others_enqueued, t] {
+      std::vector<CommitHandle> handles;
+      for (int i = (t == 0 ? 1 : 0); i < kPerThread; ++i) {
         WalCommitRequest req;
         req.pages.push_back(WalPageImage{
             "t.heap", static_cast<PageNumber>(t), page_filled(0xcd)});
-        wal.commit_sync(std::move(req));
+        handles.push_back(wal.commit(std::move(req)));
+        others_enqueued.count_down();
       }
+      for (auto& h : handles) h.wait();
     });
   }
   for (auto& t : threads) t.join();
+  first_done.wait();
 
   WalStats stats = wal.stats();
   EXPECT_EQ(stats.commits, static_cast<uint64_t>(kThreads * kPerThread));
-  // The linger window guarantees near-simultaneous commits share a group:
-  // strictly fewer sync rounds than commits, and at least one real batch.
+  // Commits queued behind a sync round share the next one: strictly fewer
+  // sync rounds than commits, and at least one real batch.
   EXPECT_LT(stats.groups, stats.commits);
   EXPECT_GE(stats.max_group, 2u);
   EXPECT_EQ(stats.fsyncs, stats.groups);
