@@ -7,8 +7,8 @@
 //   --scan  the table-scan hot path over a WRE-shaped physical table
 //           (tag columns + encrypted payload blobs): select_star,
 //           non-indexed predicate scans, and indexed probe + row
-//           materialization, row path vs the columnar store
-//           (BENCH_storage.json)
+//           materialization, row path vs the columnar store, as result
+//           sets and as wire responses (BENCH_storage.json)
 // Either mode exits 2 on a flag it does not read.
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,7 @@
 
 #include "bench/bench_common.h"
 #include "src/columnar/store_manager.h"
+#include "src/core/transport.h"
 #include "src/storage/bptree.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/heap_file.h"
@@ -417,28 +418,36 @@ int run_scan_bench(const bench::Args& args) {
   }
   std::printf("cross-path check: all 4 query shapes byte-identical\n");
 
-  // The remote serving shape: what a wre_server spends per select_star
-  // response. Both passes time execute_select_wire, the call the server
-  // serves from: the row path encodes heap records, the columnar path
-  // encodes straight from the packed columns (late materialization — no
-  // Value is ever built).
+  // The remote serving shapes: what a wre_server spends per select_star
+  // response, for a full scan and for the plan a tag scan runs (an indexed
+  // IN probe on the tag column, rows fetched by pk). Every pass times
+  // execute_select_wire, the call the server serves from: the row path
+  // encodes heap records, the columnar path encodes straight from the
+  // packed columns (late materialization — no Value is ever built).
   {
     sql::SelectStmt star_stmt;
     star_stmt.star = true;
     star_stmt.table = "main";
+    std::vector<uint64_t> fetch_tags;
+    for (size_t i = 0; i < 32; ++i) {
+      fetch_tags.push_back(static_cast<uint64_t>(ds.name_tags[i]));
+    }
+    const sql::SelectStmt fetch_stmt =
+        core::tag_scan_stmt("main", "name_tag", fetch_tags, /*star=*/true);
     // Returns the response payload, or empty bytes after a FATAL.
-    auto wire_pass = [&](const char* name, bool columnar) {
+    auto wire_pass = [&](const char* name, const sql::SelectStmt& stmt,
+                         bool columnar, int64_t iters) {
       db.set_columnar_enabled(columnar);
       Bytes first;
-      db.execute_select_wire(star_stmt, &first);
+      db.execute_select_wire(stmt, &first);
       Bytes reuse;  // execute_select_wire appends: a serving loop reuses its
                     // response buffer, so the bench does too
       std::vector<double> ms;
       Timer timer;
-      for (int64_t i = 0; i < star_iters; ++i) {
+      for (int64_t i = 0; i < iters; ++i) {
         Timer one;
         reuse.clear();
-        db.execute_select_wire(star_stmt, &reuse);
+        db.execute_select_wire(stmt, &reuse);
         ms.push_back(one.elapsed_millis());
         if (reuse != first) {
           std::fprintf(stderr, "FATAL: %s: response changed between runs\n",
@@ -447,7 +456,7 @@ int run_scan_bench(const bench::Args& args) {
         }
       }
       double secs = timer.elapsed_seconds();
-      double qps = secs > 0 ? static_cast<double>(star_iters) / secs : 0;
+      double qps = secs > 0 ? static_cast<double>(iters) / secs : 0;
       auto lat = bench::LatencySummary::of(std::move(ms));
       std::printf("%-34s %9.0f qps  p50 %7.3f ms  p99 %7.3f ms\n", name, qps,
                   lat.p50, lat.p99);
@@ -459,20 +468,33 @@ int run_scan_bench(const bench::Args& args) {
       report.add(name, std::move(metrics));
       return first;
     };
-    const Bytes row_bytes = wire_pass("scan/select_star/row_wire", false);
-    const Bytes col_bytes = wire_pass("scan/select_star/columnar_wire", true);
     // Identity is over the logical result. The 25-byte trailer of executor
     // counters (rows_affected, index_probes, heap_fetches as u64, used_index
     // as u8) legitimately differs by plan: the heap scan reports
     // heap_fetches, the columnar scan reports none.
-    constexpr size_t kTrailer = 25;
-    if (row_bytes.size() < kTrailer || row_bytes.size() != col_bytes.size() ||
-        !std::equal(row_bytes.begin(), row_bytes.end() - kTrailer,
-                    col_bytes.begin())) {
+    auto same_rows = [](const Bytes& row_bytes, const Bytes& col_bytes) {
+      constexpr size_t kTrailer = 25;
+      return row_bytes.size() >= kTrailer &&
+             row_bytes.size() == col_bytes.size() &&
+             std::equal(row_bytes.begin(), row_bytes.end() - kTrailer,
+                        col_bytes.begin());
+    };
+    const Bytes star_row_bytes =
+        wire_pass("scan/select_star/row_wire", star_stmt, false, star_iters);
+    const Bytes star_col_bytes = wire_pass("scan/select_star/columnar_wire",
+                                           star_stmt, true, star_iters);
+    const Bytes fetch_row_bytes = wire_pass("scan/index_fetch/row_wire",
+                                            fetch_stmt, false, scan_iters);
+    const Bytes fetch_col_bytes = wire_pass("scan/index_fetch/columnar_wire",
+                                            fetch_stmt, true, scan_iters);
+    if (!same_rows(star_row_bytes, star_col_bytes) ||
+        !same_rows(fetch_row_bytes, fetch_col_bytes)) {
       std::fprintf(stderr,
                    "FATAL: columnar wire encoding diverges from the row "
-                   "path (%zu vs %zu bytes)\n",
-                   col_bytes.size(), row_bytes.size());
+                   "path (select_star %zu vs %zu bytes, index_fetch %zu vs "
+                   "%zu bytes)\n",
+                   star_col_bytes.size(), star_row_bytes.size(),
+                   fetch_col_bytes.size(), fetch_row_bytes.size());
       return 1;
     }
     std::printf("wire cross-path check: responses byte-identical\n");

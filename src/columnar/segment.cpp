@@ -248,79 +248,77 @@ void TableSegment::Chunk::materialize_rows(
 void TableSegment::Chunk::wire_encode_rows(
     const Selection& sel, const std::vector<size_t>& projection,
     Bytes* out) const {
-  // Resolve each projected column's encoder once; both passes below are
-  // then flat runs over dense arrays with no dispatch.
-  struct Cell {
-    const Int64Column* i64 = nullptr;
-    const BytesColumn* bytes = nullptr;
-    uint8_t type = 0;
-    bool nulls = false;
-  };
-  std::vector<Cell> cells;
-  cells.reserve(projection.size());
-  for (size_t col : projection) {
-    Cell cell;
-    if (const auto* i = std::get_if<Int64Column>(&columns[col])) {
-      cell.i64 = i;
-      cell.type = static_cast<uint8_t>(sql::ValueType::kInt64);
-      cell.nulls = i->has_nulls();
-    } else {
-      cell.bytes = &std::get<BytesColumn>(columns[col]);
-      cell.type = static_cast<uint8_t>(cell.bytes->value_type());
-      cell.nulls = cell.bytes->has_nulls();
-    }
-    cells.push_back(cell);
+  // Column at a time: each pass streams through one column's arrays
+  // instead of hopping across every projected column per row. The sizing
+  // pass gives each row its exact byte range, so the write pass fills a
+  // single resize through per-row cursors. It runs in blocks of rows, so
+  // the output bytes the column passes revisit stay in cache.
+  const size_t n = sel.size();
+  std::vector<size_t> cursor(n, 4 + projection.size());  // arity + types
+  for (size_t c : projection) {
+    std::visit(
+        [&](const auto& col) {
+          using C = std::decay_t<decltype(col)>;
+          const bool nulls = col.has_nulls();
+          for (size_t i = 0; i < n; ++i) {
+            const uint32_t row = sel[i];
+            if (nulls && col.is_null(row)) continue;
+            if constexpr (std::is_same_v<C, Int64Column>) {
+              cursor[i] += 8;
+            } else {
+              cursor[i] += 4 + col.at(row).size();
+            }
+          }
+        },
+        columns[c]);
   }
-
-  // Pass 1: exact response size, so pass 2 writes through a raw pointer
-  // into a single resize — no per-byte append, no reallocation.
-  size_t total = sel.size() * (4 + cells.size());  // u32 arity + type bytes
-  for (const Cell& cell : cells) {
-    if (cell.i64 != nullptr) {
-      if (!cell.nulls) {
-        total += sel.size() * 8;
-      } else {
-        for (uint32_t row : sel) {
-          if (!cell.i64->is_null(row)) total += 8;
-        }
-      }
-    } else {
-      for (uint32_t row : sel) {
-        if (cell.nulls && cell.bytes->is_null(row)) continue;
-        total += 4 + cell.bytes->at(row).size();
-      }
-    }
+  size_t at = out->size();
+  for (size_t& c : cursor) {  // row sizes -> each row's first byte
+    const size_t size = c;
+    c = at;
+    at += size;
   }
+  out->resize(at);
+  uint8_t* p = out->data();
 
-  const size_t base = out->size();
-  out->resize(base + total);
-  uint8_t* p = out->data() + base;
-
-  const uint32_t arity = static_cast<uint32_t>(cells.size());
-  for (uint32_t row : sel) {
-    store_le32(p, arity);
-    p += 4;
-    for (const Cell& cell : cells) {
-      if (cell.i64 != nullptr) {
-        if (cell.nulls && cell.i64->is_null(row)) {
-          *p++ = static_cast<uint8_t>(sql::ValueType::kNull);
-          continue;
-        }
-        *p++ = cell.type;
-        store_le64(p, static_cast<uint64_t>(cell.i64->at(row)));
-        p += 8;
-      } else {
-        if (cell.nulls && cell.bytes->is_null(row)) {
-          *p++ = static_cast<uint8_t>(sql::ValueType::kNull);
-          continue;
-        }
-        *p++ = cell.type;
-        std::string_view v = cell.bytes->at(row);
-        store_le32(p, static_cast<uint32_t>(v.size()));
-        p += 4;
-        std::memcpy(p, v.data(), v.size());
-        p += v.size();
-      }
+  constexpr size_t kBlockRows = 128;
+  const uint32_t arity = static_cast<uint32_t>(projection.size());
+  for (size_t first = 0; first < n; first += kBlockRows) {
+    const size_t last = std::min(n, first + kBlockRows);
+    for (size_t i = first; i < last; ++i) {
+      store_le32(p + cursor[i], arity);
+      cursor[i] += 4;
+    }
+    for (size_t c : projection) {
+      std::visit(
+          [&](const auto& col) {
+            using C = std::decay_t<decltype(col)>;
+            const bool nulls = col.has_nulls();
+            uint8_t type = static_cast<uint8_t>(sql::ValueType::kInt64);
+            if constexpr (std::is_same_v<C, BytesColumn>) {
+              type = static_cast<uint8_t>(col.value_type());
+            }
+            for (size_t i = first; i < last; ++i) {
+              const uint32_t row = sel[i];
+              uint8_t* q = p + cursor[i];
+              if (nulls && col.is_null(row)) {
+                *q = static_cast<uint8_t>(sql::ValueType::kNull);
+                cursor[i] += 1;
+                continue;
+              }
+              *q = type;
+              if constexpr (std::is_same_v<C, Int64Column>) {
+                store_le64(q + 1, static_cast<uint64_t>(col.at(row)));
+                cursor[i] += 9;
+              } else {
+                std::string_view v = col.at(row);
+                store_le32(q + 1, static_cast<uint32_t>(v.size()));
+                std::memcpy(q + 5, v.data(), v.size());
+                cursor[i] += 5 + v.size();
+              }
+            }
+          },
+          columns[c]);
     }
   }
 }

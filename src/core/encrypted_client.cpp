@@ -388,31 +388,37 @@ Row EncryptedConnection::RowCodec::encode(const Row& logical,
   return physical;
 }
 
-Row EncryptedConnection::RowCodec::decode(Row&& physical) const {
+void EncryptedConnection::RowCodec::check_width(const Row& physical) const {
   if (physical.size() != width) {
     throw WreError("server row has " + std::to_string(physical.size()) +
                    " cells, the table has " + std::to_string(width));
   }
+}
+
+Value EncryptedConnection::RowCodec::decode_column(size_t i,
+                                                   Row& physical) const {
+  const Column& col = columns[i];
+  if (col.kind == Kind::kPlain) return std::move(physical[col.offset]);
+  const Value& enc = physical[col.offset + 1];
+  if (enc.is_null()) return Value::null();
+  if (col.kind == Kind::kWre) {
+    return Value::text(col.scheme->decrypt(enc.as_blob()));
+  }
+  const Bytes& c = enc.as_blob();
+  uint8_t plain[8] = {};
+  if (crypto::AesCtr::plaintext_size(c) != sizeof plain) {
+    throw WreError("corrupt range-column payload");
+  }
+  col.range_payload->decrypt(c, plain);
+  return Value::int64(static_cast<int64_t>(load_le64(plain)));
+}
+
+Row EncryptedConnection::RowCodec::decode(Row&& physical) const {
+  check_width(physical);
   Row logical;
   logical.reserve(columns.size());
-  for (const Column& col : columns) {
-    if (col.kind == Kind::kPlain) {
-      logical.push_back(std::move(physical[col.offset]));
-      continue;
-    }
-    const Value& enc = physical[col.offset + 1];
-    if (enc.is_null()) {
-      logical.push_back(Value::null());
-    } else if (col.kind == Kind::kWre) {
-      logical.push_back(Value::text(col.scheme->decrypt(enc.as_blob())));
-    } else {
-      Bytes plain = col.range_payload->decrypt(enc.as_blob());
-      if (plain.size() != 8) {
-        throw WreError("corrupt range-column payload");
-      }
-      logical.push_back(
-          Value::int64(static_cast<int64_t>(load_le64(plain.data()))));
-    }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    logical.push_back(decode_column(i, physical));
   }
   return logical;
 }
@@ -464,16 +470,35 @@ std::string EncryptedConnection::rewrite_select(const std::string& table,
 
 void EncryptedConnection::decrypt_and_filter(
     const TableState& ts, sql::ResultSet&& server,
-    const std::function<bool(const Row&)>& keep,
-    EncryptedQueryResult* result) {
+    std::span<const Recheck> rechecks, EncryptedQueryResult* result) {
+  const RowCodec& codec = ts.codec;
+  std::vector<bool> rechecked(codec.columns.size(), false);
+  for (const Recheck& r : rechecks) rechecked[r.column] = true;
+
   result->server_rows_returned = server.rows.size();
+  std::vector<Value> checked(rechecks.size());
   for (Row& physical : server.rows) {
-    Row logical = ts.codec.decode(std::move(physical));
-    if (keep(logical)) {
-      result->rows.push_back(std::move(logical));
-    } else {
-      ++result->false_positives;
+    codec.check_width(physical);
+    // Late materialization: decode only the recheck cells first, so a
+    // false positive costs one decrypt per recheck rather than one per
+    // encrypted cell, and no logical row is built for it.
+    bool keep = true;
+    for (size_t k = 0; k < rechecks.size() && keep; ++k) {
+      checked[k] = codec.decode_column(rechecks[k].column, physical);
+      keep = rechecks[k].matches(checked[k]);
     }
+    if (!keep) {
+      ++result->false_positives;
+      continue;
+    }
+    Row logical(codec.columns.size());
+    for (size_t k = 0; k < rechecks.size(); ++k) {
+      logical[rechecks[k].column] = std::move(checked[k]);
+    }
+    for (size_t i = 0; i < logical.size(); ++i) {
+      if (!rechecked[i]) logical[i] = codec.decode_column(i, physical);
+    }
+    result->rows.push_back(std::move(logical));
   }
 }
 
@@ -540,8 +565,8 @@ EncryptedQueryResult EncryptedConnection::select_star_and(
 
   // A multi-column conjunction has no tag-scan form: it is the one search
   // sent as SQL text. The server matches plaintext conjuncts exactly; each
-  // encrypted one is rechecked on the decrypted cell (logical index, value).
-  std::vector<std::pair<size_t, const std::string*>> rechecks;
+  // encrypted one is rechecked on the decrypted cell.
+  std::vector<Recheck> rechecks;
   std::string sql = "SELECT * FROM " + sql::to_lower(table) + " WHERE ";
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     const Conjunct& c = conjuncts[i];
@@ -558,19 +583,13 @@ EncryptedQueryResult EncryptedConnection::select_star_and(
     auto tags = search_tags_cached(cc, value);
     result.tags_in_query += tags->size();
     sql += "(" + tag_in_sql(tag_column(col), *tags) + ")";
-    rechecks.emplace_back(*idx, &value);
+    rechecks.push_back({*idx, [&value](const Value& v) {
+                          return !v.is_null() && v.as_text() == value;
+                        }});
   }
   result.sql = sql;
 
-  decrypt_and_filter(
-      ts, transport_->execute(sql),
-      [&](const Row& row) {
-        for (const auto& [idx, value] : rechecks) {
-          if (row[idx].is_null() || row[idx].as_text() != *value) return false;
-        }
-        return true;
-      },
-      &result);
+  decrypt_and_filter(ts, transport_->execute(sql), rechecks, &result);
   return result;
 }
 
@@ -594,14 +613,13 @@ EncryptedQueryResult EncryptedConnection::select_star_range(
   if (tags.empty()) return result;  // empty range
 
   // Bucket-granularity overshoot is trimmed on the decrypted value.
-  const size_t col_idx = *ts.logical.index_of(column);
+  const Recheck recheck{*ts.logical.index_of(column), [&](const Value& v) {
+                          return !v.is_null() && v.as_int64() >= lo &&
+                                 v.as_int64() <= hi;
+                        }};
   decrypt_and_filter(
       ts, transport_->tag_scan(table, tag_col, tags, /*star=*/true),
-      [&](const Row& row) {
-        const Value& v = row[col_idx];
-        return !v.is_null() && v.as_int64() >= lo && v.as_int64() <= hi;
-      },
-      &result);
+      {&recheck, 1}, &result);
   return result;
 }
 
@@ -618,13 +636,12 @@ EncryptedQueryResult EncryptedConnection::select_star(
   // Client-side filtering: drop bucketized false positives (and the
   // cryptographically negligible tag-collision ones) by comparing the
   // decrypted value against the query.
-  const size_t col_idx = *ts.logical.index_of(column);
+  const Recheck recheck{*ts.logical.index_of(column), [&](const Value& v) {
+                          return !v.is_null() && v.as_text() == value;
+                        }};
   decrypt_and_filter(
       ts, transport_->tag_scan(table, tag_col, *tags, /*star=*/true),
-      [&](const Row& row) {
-        return !row[col_idx].is_null() && row[col_idx].as_text() == value;
-      },
-      &result);
+      {&recheck, 1}, &result);
   return result;
 }
 

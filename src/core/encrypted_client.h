@@ -275,8 +275,14 @@ class EncryptedConnection {
     /// `rng` in logical order (WRE: salt choice, then AES nonce; range: AES
     /// nonce), so a fixed rng stream always yields the same bytes.
     sql::Row encode(const sql::Row& logical, crypto::SecureRandom& rng) const;
-    /// The logical row of a physical one; plaintext cells are moved out of
-    /// `physical`. Throws WreError unless the row has `width` cells.
+    /// Throws WreError unless `physical` has `width` cells.
+    void check_width(const sql::Row& physical) const;
+    /// The logical value of column `i` in a physical row of checked width;
+    /// a plaintext cell is moved out of `physical`. Throws on a payload
+    /// that does not decrypt to a value of the column's kind.
+    sql::Value decode_column(size_t i, sql::Row& physical) const;
+    /// The logical row of a physical one: check_width, then decode_column
+    /// for every column.
     sql::Row decode(sql::Row&& physical) const;
     /// Drift bookkeeping for logical rows that were written.
     void count_written(std::span<const sql::Row> rows);
@@ -315,13 +321,21 @@ class EncryptedConnection {
   std::unique_ptr<WreScheme> build_scheme(
       const std::string& table, const EncryptedColumnSpec& spec,
       const PlaintextDistribution* dist) const;
-  /// Decodes every row the server returned for a SELECT *, keeping the
-  /// rows `keep` accepts in `result->rows` and counting the rest as false
-  /// positives; also records server_rows_returned.
-  static void decrypt_and_filter(
-      const TableState& ts, sql::ResultSet&& server,
-      const std::function<bool(const sql::Row&)>& keep,
-      EncryptedQueryResult* result);
+  /// One client-side filter term: the decoded cell of logical column
+  /// `column` must satisfy `matches` (which sees NULL cells too).
+  struct Recheck {
+    size_t column;
+    std::function<bool(const sql::Value&)> matches;
+  };
+  /// Filters the rows the server returned for a SELECT *. Each row's width
+  /// is checked, then only its recheck cells are decoded, in order; a row
+  /// failing one is counted as a false positive and its other cells are
+  /// never decoded. The rest of a surviving row is decoded into
+  /// `result->rows`. Also records server_rows_returned.
+  static void decrypt_and_filter(const TableState& ts,
+                                 sql::ResultSet&& server,
+                                 std::span<const Recheck> rechecks,
+                                 EncryptedQueryResult* result);
   /// The primary keys of a `SELECT id` tag scan into `result->ids`; throws
   /// WreError on a row that is not one cell wide.
   static void collect_ids(sql::ResultSet&& server,

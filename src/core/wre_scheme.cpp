@@ -56,7 +56,9 @@ EncryptedCell WreScheme::encrypt(const std::string& m,
 }
 
 std::string WreScheme::decrypt(ByteView ciphertext) const {
-  return to_string(payload_.decrypt(ciphertext));
+  std::string m(crypto::AesCtr::plaintext_size(ciphertext), '\0');
+  payload_.decrypt(ciphertext, reinterpret_cast<uint8_t*>(m.data()));
+  return m;
 }
 
 std::vector<crypto::Tag> WreScheme::search_tags(const std::string& m) const {

@@ -6,11 +6,11 @@
 
 namespace wre::crypto {
 
-Bytes AesCtr::transform(ByteView data, const uint8_t nonce[kNonceSize]) const {
+void AesCtr::apply(ByteView data, const uint8_t nonce[kNonceSize],
+                   uint8_t* out) const {
   uint8_t counter[kNonceSize];
   std::memcpy(counter, nonce, kNonceSize);
 
-  Bytes out(data.size());
   // Counter blocks are generated in batches and encrypted through the
   // multi-block path, which pipelines them under AES-NI; the scalar
   // fallback degrades to the same block-at-a-time loop as before.
@@ -36,26 +36,37 @@ Bytes AesCtr::transform(ByteView data, const uint8_t nonce[kNonceSize]) const {
     }
     offset += n;
   }
+}
+
+Bytes AesCtr::transform(ByteView data, const uint8_t nonce[kNonceSize]) const {
+  Bytes out(data.size());
+  apply(data, nonce, out.data());
   return out;
 }
 
 Bytes AesCtr::encrypt(ByteView plaintext, SecureRandom& rng) const {
-  uint8_t nonce[kNonceSize];
-  rng.fill(std::span<uint8_t>(nonce, kNonceSize));
-  Bytes body = transform(plaintext, nonce);
-
-  Bytes out;
-  out.reserve(kNonceSize + body.size());
-  out.insert(out.end(), nonce, nonce + kNonceSize);
-  append(out, body);
+  Bytes out(kNonceSize + plaintext.size());
+  rng.fill(std::span<uint8_t>(out.data(), kNonceSize));
+  apply(plaintext, out.data(), out.data() + kNonceSize);
   return out;
 }
 
-Bytes AesCtr::decrypt(ByteView ciphertext) const {
+size_t AesCtr::plaintext_size(ByteView ciphertext) {
   if (ciphertext.size() < kNonceSize) {
     throw CryptoError("AesCtr::decrypt: ciphertext shorter than nonce");
   }
-  return transform(ciphertext.subspan(kNonceSize), ciphertext.data());
+  return ciphertext.size() - kNonceSize;
+}
+
+void AesCtr::decrypt(ByteView ciphertext, uint8_t* out) const {
+  const size_t n = plaintext_size(ciphertext);
+  apply(ciphertext.last(n), ciphertext.data(), out);
+}
+
+Bytes AesCtr::decrypt(ByteView ciphertext) const {
+  Bytes out(plaintext_size(ciphertext));
+  decrypt(ciphertext, out.data());
+  return out;
 }
 
 }  // namespace wre::crypto

@@ -29,11 +29,25 @@ class AesCtr {
   /// the nonce.
   Bytes decrypt(ByteView ciphertext) const;
 
+  /// Inverse of encrypt into caller memory: writes plaintext_size(ciphertext)
+  /// bytes to `out`. Throws CryptoError (writing nothing) if `ciphertext` is
+  /// shorter than the nonce.
+  void decrypt(ByteView ciphertext, uint8_t* out) const;
+
+  /// Length of the plaintext inside `ciphertext`. Throws CryptoError if
+  /// `ciphertext` is shorter than the nonce.
+  static size_t plaintext_size(ByteView ciphertext);
+
   /// Raw CTR keystream application with an explicit starting counter block;
   /// exposed for tests against NIST SP 800-38A vectors.
   Bytes transform(ByteView data, const uint8_t nonce[kNonceSize]) const;
 
  private:
+  /// XORs the keystream starting at counter block `nonce` over `data` into
+  /// `out` (data.size() bytes).
+  void apply(ByteView data, const uint8_t nonce[kNonceSize],
+             uint8_t* out) const;
+
   Aes cipher_;
 };
 

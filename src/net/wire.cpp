@@ -262,7 +262,7 @@ void WireWriter::u16(uint16_t v) {
 
 void WireWriter::string(std::string_view s) {
   u32(static_cast<uint32_t>(s.size()));
-  append(out_, to_bytes(s));
+  out_.insert(out_.end(), s.begin(), s.end());
 }
 
 void WireWriter::row(const sql::Row& r) {

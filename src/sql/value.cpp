@@ -74,7 +74,7 @@ void Value::wire_encode(Bytes& out) const {
     case ValueType::kText: {
       const std::string& s = std::get<std::string>(data_);
       store_le32(out, static_cast<uint32_t>(s.size()));
-      append(out, to_bytes(s));
+      out.insert(out.end(), s.begin(), s.end());
       break;
     }
     case ValueType::kBlob: {

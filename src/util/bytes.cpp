@@ -55,34 +55,6 @@ void append(Bytes& out, ByteView data) {
   out.insert(out.end(), data.begin(), data.end());
 }
 
-void store_le32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void store_le64(Bytes& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void store_le32(uint8_t* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-void store_le64(uint8_t* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint32_t load_le32(const uint8_t* data) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[i]) << (8 * i);
-  return v;
-}
-
-uint64_t load_le64(const uint8_t* data) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[i]) << (8 * i);
-  return v;
-}
-
 void store_be32(uint8_t* out, uint32_t v) {
   out[0] = static_cast<uint8_t>(v >> 24);
   out[1] = static_cast<uint8_t>(v >> 16);

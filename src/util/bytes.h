@@ -2,7 +2,9 @@
 // little-endian integer packing, and constant-time comparison.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -32,17 +34,54 @@ std::string to_string(ByteView data);
 /// Appends `data` to `out`.
 void append(Bytes& out, ByteView data);
 
-/// Little-endian packing of fixed-width integers. store_* appends to `out`.
-void store_le32(Bytes& out, uint32_t v);
-void store_le64(Bytes& out, uint64_t v);
+// Little-endian packing of fixed-width integers. These sit under every cell
+// of the record, wire and segment codecs, so they are inline: one unaligned
+// memcpy load or store each (a byte swap on big-endian hosts).
 
-/// Raw-buffer variants for allocation-free hot paths (tag PRF inputs).
-void store_le32(uint8_t* out, uint32_t v);
-void store_le64(uint8_t* out, uint64_t v);
+/// Writes `v` least significant byte first to out[0..3] / out[0..7].
+inline void store_le32(uint8_t* out, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(out, &v, sizeof v);
+}
+inline void store_le64(uint8_t* out, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(out, &v, sizeof v);
+}
 
-/// Little-endian unpacking. Preconditions: `data` holds at least the width.
-uint32_t load_le32(const uint8_t* data);
-uint64_t load_le64(const uint8_t* data);
+/// Appends the 4 or 8 bytes of `v` to `out` (one resize).
+inline void store_le32(Bytes& out, uint32_t v) {
+  const size_t at = out.size();
+  out.resize(at + sizeof v);
+  store_le32(out.data() + at, v);
+}
+inline void store_le64(Bytes& out, uint64_t v) {
+  const size_t at = out.size();
+  out.resize(at + sizeof v);
+  store_le64(out.data() + at, v);
+}
+
+/// Little-endian unpacking at any alignment. Precondition: `data` holds at
+/// least the width.
+inline uint32_t load_le32(const uint8_t* data) {
+  uint32_t v = 0;
+  std::memcpy(&v, data, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+inline uint64_t load_le64(const uint8_t* data) {
+  uint64_t v = 0;
+  std::memcpy(&v, data, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
 
 /// Big-endian helpers (used by SHA-256 and AES-CTR counters).
 void store_be32(uint8_t* out, uint32_t v);

@@ -397,6 +397,24 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{SaltMethod::kBucketizedPoisson, 10.0},
                       std::pair{SaltMethod::kBucketizedPoisson, 200.0}));
 
+TEST(WreScheme, DecryptRoundTripsLengthsAroundTheAesBlock) {
+  // Plaintexts shorter than, equal to and past one or two AES blocks: the
+  // payload is decrypted straight into the returned string.
+  auto keys = test_keys(3);
+  WreScheme scheme(keys, make_salt_allocator(SaltMethod::kFixed, 4, nullptr,
+                                             keys.shuffle_key,
+                                             to_bytes("test-col")));
+  auto rng = crypto::SecureRandom::for_testing(9);
+  for (size_t len : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 33u, 100u}) {
+    std::string m;
+    for (size_t i = 0; i < len; ++i) m.push_back(static_cast<char>(i * 7));
+    EncryptedCell cell = scheme.encrypt(m, rng);
+    ASSERT_EQ(cell.ciphertext.size(), crypto::AesCtr::kNonceSize + len);
+    EXPECT_EQ(scheme.decrypt(cell.ciphertext), m) << len;
+  }
+  EXPECT_THROW(scheme.decrypt(Bytes(15, 0)), CryptoError);
+}
+
 TEST(WreScheme, DeterministicMethodYieldsOneTagPerMessage) {
   auto scheme = make_scheme(SaltMethod::kDeterministic, 0);
   EXPECT_EQ(scheme->search_tags("alice").size(), 1u);
@@ -549,28 +567,24 @@ TEST(EncryptedConnection, DriftCountsOnlyWrittenRows) {
   EXPECT_EQ(bulk.conn.column_drift("people", "fname").observed_rows, 1u);
 }
 
-/// A broken server: every tag-scan row comes back `cells` wide, cut short
-/// or padded with NULLs. With `via_wire` the response also passes through
-/// the wire codec, as a remote server's would.
-class MisshapenTransport final : public DbTransport {
+/// A broken server: every SELECT * answer (tag scan or SQL text) passes
+/// through `tamper` before the client sees it. With `via_wire` the response
+/// also passes through the wire codec, as a remote server's would.
+class TamperingTransport final : public DbTransport {
  public:
-  MisshapenTransport(sql::Database& db, size_t cells, bool via_wire)
-      : inner_(db), cells_(cells), via_wire_(via_wire) {}
+  using Tamper = std::function<void(sql::ResultSet&)>;
+
+  TamperingTransport(sql::Database& db, Tamper tamper, bool via_wire)
+      : inner_(db), tamper_(std::move(tamper)), via_wire_(via_wire) {}
 
   sql::ResultSet tag_scan(const std::string& table,
                           const std::string& tag_column,
                           const std::vector<uint64_t>& tags,
                           bool star) override {
-    sql::ResultSet rs = inner_.tag_scan(table, tag_column, tags, star);
-    for (sql::Row& row : rs.rows) row.resize(cells_, sql::Value::null());
-    if (!via_wire_) return rs;
-    net::WireWriter w;
-    net::encode_result_set(rs, w);
-    net::WireReader r(w.bytes());
-    return net::decode_result_set(r);
+    return tampered(inner_.tag_scan(table, tag_column, tags, star));
   }
   sql::ResultSet execute(const std::string& sql) override {
-    return inner_.execute(sql);
+    return tampered(inner_.execute(sql));
   }
   void create_table(const std::string& table,
                     const sql::Schema& schema) override {
@@ -599,8 +613,17 @@ class MisshapenTransport final : public DbTransport {
   }
 
  private:
+  sql::ResultSet tampered(sql::ResultSet rs) {
+    tamper_(rs);
+    if (!via_wire_) return rs;
+    net::WireWriter w;
+    net::encode_result_set(rs, w);
+    net::WireReader r(w.bytes());
+    return net::decode_result_set(r);
+  }
+
   LocalTransport inner_;
-  size_t cells_;
+  Tamper tamper_;
   bool via_wire_;
 };
 
@@ -612,7 +635,13 @@ TEST(EncryptedConnection, MisshapenServerRowsAreRejected) {
   // the row: WreError from the client, NetworkError from the wire decoder.
   for (bool via_wire : {false, true}) {
     for (size_t cells : {1u, 2u, 5u}) {
-      MisshapenTransport transport(f.db, cells, via_wire);
+      // Every row comes back `cells` wide, cut short or padded with NULLs.
+      TamperingTransport transport(
+          f.db,
+          [cells](sql::ResultSet& rs) {
+            for (sql::Row& row : rs.rows) row.resize(cells, sql::Value::null());
+          },
+          via_wire);
       EncryptedConnection conn(transport, Bytes(32, 0x24));
       conn.open_table("people");
       SCOPED_TRACE(std::to_string(cells) + (via_wire ? " via wire" : ""));
@@ -631,6 +660,170 @@ TEST(EncryptedConnection, MisshapenServerRowsAreRejected) {
         EXPECT_THROW(conn.select_ids("people", "fname", "bob"), WreError);
         EXPECT_THROW(conn.select_ids_in("people", "fname", {"bob"}), WreError);
       }
+    }
+  }
+}
+
+// Late materialization: a SELECT * decodes each row's recheck cells first
+// and the rest of a row only if it survives the filter. The server here
+// plants rows in the answer that the client never wrote. Their other
+// encrypted cells are broken: a 3-byte blob (shorter than the AES nonce)
+// or a range ciphertext whose payload is 7 bytes (a range payload is 8).
+// In a false positive those cells are never decoded; in a matching row they
+// still throw, and a row of the wrong width throws whether it matches or not.
+struct PlantedRowFixture {
+  // Physical layout: id, e_tag, e_enc, f_tag, f_enc, r_tag, r_enc.
+  static constexpr size_t kETag = 1, kEEnc = 2, kFTag = 3, kFEnc = 4,
+                          kREnc = 6;
+
+  TempDir dir;
+  sql::Database db;
+  std::vector<sql::Row> planted;  // appended to every SELECT * answer
+
+  PlantedRowFixture() : db(dir.str()) {
+    EncryptedConnection writer(db, secret());
+    std::map<std::string, PlaintextDistribution> dists;
+    dists.emplace("e", PlaintextDistribution::from_probabilities(
+                           {{"x", 0.5}, {"y", 0.5}}));
+    dists.emplace("f", PlaintextDistribution::from_probabilities(
+                           {{"z", 0.5}, {"w", 0.5}}));
+    writer.create_table(
+        "t",
+        sql::Schema({sql::Column{"id", sql::ValueType::kInt64, true},
+                     sql::Column{"e", sql::ValueType::kText},
+                     sql::Column{"f", sql::ValueType::kText},
+                     sql::Column{"r", sql::ValueType::kInt64}}),
+        {EncryptedColumnSpec{"e", SaltMethod::kPoisson, 4},
+         EncryptedColumnSpec{"f", SaltMethod::kPoisson, 4}},
+        dists, {RangeColumnSpec{"r", 0, 99, 10}});  // buckets of 10 values
+    writer.insert("t", logical(1, "x", "z", 15));
+    writer.insert("t", logical(2, "y", "w", 12));
+  }
+
+  static Bytes secret() { return Bytes(32, 0x31); }
+  static sql::Row logical(int64_t id, const char* e, const char* f,
+                          int64_t r) {
+    return {sql::Value::int64(id), sql::Value::text(e), sql::Value::text(f),
+            sql::Value::int64(r)};
+  }
+
+  /// The stored physical row of `id`, renumbered `new_id`.
+  sql::Row copy_of(int64_t id, int64_t new_id) {
+    sql::Row row =
+        db.execute("SELECT * FROM t WHERE id = " + std::to_string(id))
+            .rows.at(0);
+    row[0] = sql::Value::int64(new_id);
+    return row;
+  }
+
+  static void break_blob(sql::Row& row, size_t enc) {
+    row[enc] = sql::Value::blob(Bytes{1, 2, 3});
+  }
+  static void shorten_range_payload(sql::Row& row) {
+    Bytes c = row[kREnc].as_blob();
+    c.resize(crypto::AesCtr::kNonceSize + 7);
+    row[kREnc] = sql::Value::blob(std::move(c));
+  }
+  /// Gives `row` a tag of the search for `searched` in WRE column `column`
+  /// (cells at `tag`, `tag + 1`) over a ciphertext of `plaintext`.
+  static void set_wre_cell(sql::Row& row, EncryptedConnection& conn,
+                           const char* column, size_t tag,
+                           const char* searched, const char* plaintext) {
+    const WreScheme& scheme = conn.scheme("t", column);
+    auto rng = crypto::SecureRandom::for_testing(7);
+    row[tag] = sql::Value::tag(scheme.search_tags(searched).front());
+    row[tag + 1] = sql::Value::blob(scheme.encrypt(plaintext, rng).ciphertext);
+  }
+};
+
+TEST(EncryptedConnection, FalsePositiveCellsPastTheRecheckAreNeverDecoded) {
+  using F = PlantedRowFixture;
+  const sql::Row row1 = F::logical(1, "x", "z", 15);
+  const sql::Row row2 = F::logical(2, "y", "w", 12);
+  for (bool via_wire : {false, true}) {
+    SCOPED_TRACE(via_wire ? "via wire" : "in process");
+    F f;
+    TamperingTransport transport(
+        f.db,
+        [&f](sql::ResultSet& rs) {
+          rs.rows.insert(rs.rows.end(), f.planted.begin(), f.planted.end());
+        },
+        via_wire);
+    EncryptedConnection conn(transport, F::secret());
+    conn.open_table("t");
+
+    // select_star e = 'x' rechecks e. The planted row carries a tag of the
+    // search, but its e decrypts to 'y'; f and r are broken.
+    sql::Row fp = f.copy_of(1, 100);
+    F::set_wre_cell(fp, conn, "e", F::kETag, "x", "y");
+    F::break_blob(fp, F::kFEnc);
+    F::shorten_range_payload(fp);
+    f.planted = {fp};
+    auto star = conn.select_star("t", "e", "x");
+    EXPECT_EQ(star.rows, std::vector<sql::Row>{row1});
+    EXPECT_EQ(star.server_rows_returned, 2u);
+    EXPECT_EQ(star.false_positives, 1u);
+    sql::Row hit = f.copy_of(1, 101);  // e is 'x', so f is decoded
+    F::break_blob(hit, F::kFEnc);
+    f.planted = {hit};
+    EXPECT_THROW(conn.select_star("t", "e", "x"), CryptoError);
+    hit = f.copy_of(1, 101);
+    F::shorten_range_payload(hit);
+    f.planted = {hit};
+    EXPECT_THROW(conn.select_star("t", "e", "x"), WreError);
+
+    // select_star_range r in [10, 14] rechecks r. Row 1 (r = 15) shares
+    // the bucket [10, 19], so a copy of it with e and f broken is one more
+    // false positive.
+    fp = f.copy_of(1, 102);
+    F::break_blob(fp, F::kEEnc);
+    F::break_blob(fp, F::kFEnc);
+    f.planted = {fp};
+    auto range = conn.select_star_range("t", "r", 10, 14);
+    EXPECT_EQ(range.rows, std::vector<sql::Row>{row2});
+    EXPECT_EQ(range.server_rows_returned, 3u);
+    EXPECT_EQ(range.false_positives, 2u);
+    hit = f.copy_of(2, 103);  // r = 12, so e is decoded
+    F::break_blob(hit, F::kEEnc);
+    f.planted = {hit};
+    EXPECT_THROW(conn.select_star_range("t", "r", 10, 14), CryptoError);
+    hit = f.copy_of(2, 104);  // the recheck cell itself: a 7-byte payload
+    F::shorten_range_payload(hit);
+    f.planted = {hit};
+    EXPECT_THROW(conn.select_star_range("t", "r", 10, 14), WreError);
+
+    // select_star_and e = 'x' AND f = 'z' rechecks e, then f. One planted
+    // row passes e and fails f with r broken; the other fails e, so its
+    // broken f is never decoded either.
+    const std::vector<EncryptedConnection::Conjunct> both = {
+        {"e", sql::Value::text("x")}, {"f", sql::Value::text("z")}};
+    sql::Row fails_f = f.copy_of(1, 105);
+    F::set_wre_cell(fails_f, conn, "f", F::kFTag, "z", "w");
+    F::shorten_range_payload(fails_f);
+    sql::Row fails_e = f.copy_of(1, 106);
+    F::set_wre_cell(fails_e, conn, "e", F::kETag, "x", "y");
+    F::break_blob(fails_e, F::kFEnc);
+    f.planted = {fails_f, fails_e};
+    auto conj = conn.select_star_and("t", both);
+    EXPECT_EQ(conj.rows, std::vector<sql::Row>{row1});
+    EXPECT_EQ(conj.server_rows_returned, 3u);
+    EXPECT_EQ(conj.false_positives, 2u);
+    hit = f.copy_of(1, 107);  // passes both, so r is decoded
+    F::shorten_range_payload(hit);
+    f.planted = {hit};
+    EXPECT_THROW(conn.select_star_and("t", both), WreError);
+
+    // Width is checked before anything is decoded, false positive or not;
+    // through the wire codec the frame itself is malformed.
+    fp = f.copy_of(1, 108);
+    F::set_wre_cell(fp, conn, "e", F::kETag, "x", "y");
+    fp.push_back(sql::Value::null());
+    f.planted = {fp};
+    if (via_wire) {
+      EXPECT_THROW(conn.select_star("t", "e", "x"), NetworkError);
+    } else {
+      EXPECT_THROW(conn.select_star("t", "e", "x"), WreError);
+      EXPECT_THROW(conn.select_star_and("t", both), WreError);
     }
   }
 }

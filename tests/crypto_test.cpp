@@ -130,6 +130,57 @@ TEST_P(CryptoKatBothPaths, AesCtrSp80038aF55Aes256) {
             "dfc9c58db67aada613c2dd08457941a6");
 }
 
+// Decrypt into caller memory: the SP 800-38A initial counter block is the
+// nonce, so nonce || ciphertext decrypts to the vector's plaintext.
+TEST_P(CryptoKatBothPaths, AesCtrDecryptIntoCallerMemorySp80038a) {
+  const std::string pt =
+      "6bc1bee22e409f96e93d7e117393172a"
+      "ae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52ef"
+      "f69f2445df4f9b17ad2b417be66c3710";
+  const struct {
+    const char* key;
+    const char* ct;
+  } kVectors[] = {
+      {"2b7e151628aed2a6abf7158809cf4f3c",  // F.5.2 CTR-AES128.Decrypt
+       "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
+       "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee"},
+      {"8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",  // F.5.4
+       "1abc932417521ca24f2b0459fe7e6e0b090339ec0aa6faefd5ccc2c6f4ce8e94"
+       "1e36b26bd1ebc670d1bd1d665620abf74f78a7f6d29809585a97daec58c6b050"},
+      {"603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+       // F.5.6 CTR-AES256.Decrypt
+       "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+       "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6"},
+  };
+  for (const auto& v : kVectors) {
+    SCOPED_TRACE(v.key);
+    AesCtr ctr(from_hex(v.key));
+    Bytes ciphertext = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+    append(ciphertext, from_hex(v.ct));
+    // Every prefix: whole blocks, a partial last block, and nothing.
+    for (size_t len : {64u, 63u, 17u, 16u, 1u, 0u}) {
+      ByteView c = ByteView(ciphertext).first(AesCtr::kNonceSize + len);
+      ASSERT_EQ(AesCtr::plaintext_size(c), len);
+      Bytes out(len + 1, 0xee);  // one guard byte past the plaintext
+      ctr.decrypt(c, out.data());
+      EXPECT_EQ(to_hex(ByteView(out).first(len)), pt.substr(0, 2 * len));
+      EXPECT_EQ(out[len], 0xee);
+    }
+  }
+}
+
+TEST_P(CryptoKatBothPaths, AesCtrDecryptIntoCallerMemoryRejectsShort) {
+  AesCtr ctr(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
+  for (size_t len : {0u, 3u, 15u}) {
+    Bytes out(4, 0xee);
+    EXPECT_THROW(ctr.decrypt(Bytes(len, 0x01), out.data()), CryptoError)
+        << len;
+    EXPECT_EQ(out, Bytes(4, 0xee)) << len;  // nothing written
+    EXPECT_THROW(AesCtr::plaintext_size(Bytes(len, 0x01)), CryptoError);
+  }
+}
+
 TEST_P(CryptoKatBothPaths, Aes128Fips197Block) {
   Aes aes(from_hex("000102030405060708090a0b0c0d0e0f"));
   Bytes pt = from_hex("00112233445566778899aabbccddeeff");

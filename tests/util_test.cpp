@@ -52,6 +52,35 @@ TEST(Bytes, LittleEndianRoundTrip64) {
   EXPECT_EQ(load_le64(out.data()), 0x0123456789abcdefULL);
 }
 
+TEST(Bytes, LittleEndianAtEveryUnalignedOffset) {
+  // The codecs read and write cells at arbitrary byte offsets inside
+  // records and frames; each offset must give the same bytes and value.
+  for (size_t off = 1; off <= 7; ++off) {
+    SCOPED_TRACE(off);
+    uint8_t buf[32] = {};
+    store_le32(buf + off, 0x04030201u);
+    store_le64(buf + off + 4, 0x0c0b0a0908070605ULL);
+    for (size_t i = 0; i < off; ++i) EXPECT_EQ(buf[i], 0);
+    for (size_t i = 0; i < 12; ++i) EXPECT_EQ(buf[off + i], i + 1);
+    EXPECT_EQ(buf[off + 12], 0);
+    EXPECT_EQ(load_le32(buf + off), 0x04030201u);
+    EXPECT_EQ(load_le64(buf + off + 4), 0x0c0b0a0908070605ULL);
+    EXPECT_EQ(load_le32(buf + off + 1), 0x05040302u);  // straddles both
+  }
+}
+
+TEST(Bytes, AppendingStoresKeepTheBytesAlreadyThere) {
+  Bytes out = {0xaa, 0xbb, 0xcc};
+  store_le32(out, 0x11223344u);
+  store_le64(out, 0x8877665544332211ULL);
+  store_le32(out, 0);
+  EXPECT_EQ(to_hex(out),
+            "aabbcc"
+            "44332211"
+            "1122334455667788"
+            "00000000");
+}
+
 TEST(Bytes, BigEndian32) {
   uint8_t buf[4];
   store_be32(buf, 0x01020304);
