@@ -468,12 +468,12 @@ int run_scan_bench(const bench::Args& args) {
       report.add(name, std::move(metrics));
       return first;
     };
-    // Identity is over the logical result. The 25-byte trailer of executor
+    // Identity is over the logical result. The trailer of executor
     // counters (rows_affected, index_probes, heap_fetches as u64, used_index
     // as u8) legitimately differs by plan: the heap scan reports
     // heap_fetches, the columnar scan reports none.
     auto same_rows = [](const Bytes& row_bytes, const Bytes& col_bytes) {
-      constexpr size_t kTrailer = 25;
+      constexpr size_t kTrailer = sql::kResultTrailerBytes;
       return row_bytes.size() >= kTrailer &&
              row_bytes.size() == col_bytes.size() &&
              std::equal(row_bytes.begin(), row_bytes.end() - kTrailer,

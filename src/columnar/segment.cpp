@@ -153,10 +153,6 @@ class TableSegment::Chunk {
     return chunk;
   }
 
-  sql::Value value_at(size_t col, uint32_t row) const;
-  void materialize_rows(const Selection& sel,
-                        const std::vector<size_t>& projection,
-                        sql::Row* out) const;
   void wire_encode_rows(const Selection& sel,
                         const std::vector<size_t>& projection,
                         Bytes* out) const;
@@ -197,53 +193,6 @@ class TableSegment::Chunk {
     std::sort(pk_sorted.begin(), pk_sorted.end());
   }
 };
-
-sql::Value TableSegment::Chunk::value_at(size_t col, uint32_t row) const {
-  return std::visit(
-      [&](const auto& c) -> sql::Value {
-        using C = std::decay_t<decltype(c)>;
-        if (c.is_null(row)) return sql::Value::null();
-        if constexpr (std::is_same_v<C, Int64Column>) {
-          return sql::Value::int64(c.at(row));
-        } else {
-          std::string_view v = c.at(row);
-          if (c.value_type() == sql::ValueType::kText) {
-            return sql::Value::text(std::string(v));
-          }
-          const uint8_t* p = reinterpret_cast<const uint8_t*>(v.data());
-          return sql::Value::blob(Bytes(p, p + v.size()));
-        }
-      },
-      columns[col]);
-}
-
-void TableSegment::Chunk::materialize_rows(
-    const Selection& sel, const std::vector<size_t>& projection,
-    sql::Row* out) const {
-  for (size_t c = 0; c < projection.size(); ++c) {
-    std::visit(
-        [&](const auto& col) {
-          using C = std::decay_t<decltype(col)>;
-          for (size_t i = 0; i < sel.size(); ++i) {
-            const uint32_t row = sel[i];
-            if (col.has_nulls() && col.is_null(row)) continue;  // stays NULL
-            sql::Value& cell = out[i][c];
-            if constexpr (std::is_same_v<C, Int64Column>) {
-              cell = sql::Value::int64(col.at(row));
-            } else {
-              std::string_view v = col.at(row);
-              if (col.value_type() == sql::ValueType::kText) {
-                cell = sql::Value::text(std::string(v));
-              } else {
-                const uint8_t* p = reinterpret_cast<const uint8_t*>(v.data());
-                cell = sql::Value::blob(Bytes(p, p + v.size()));
-              }
-            }
-          }
-        },
-        columns[projection[c]]);
-  }
-}
 
 void TableSegment::Chunk::wire_encode_rows(
     const Selection& sel, const std::vector<size_t>& projection,
@@ -465,30 +414,6 @@ bool TableSegment::row_matches(const sql::Expr& expr, uint32_t row) const {
           [&](const sql::Expr& c) { return row_matches(c, row); });
   }
   throw SqlError("columnar row_matches: corrupt expression");
-}
-
-sql::Row TableSegment::materialize(
-    uint32_t row, const std::vector<size_t>& projection) const {
-  auto [chunk, local] = locate(row);
-  sql::Row out;
-  out.reserve(projection.size());
-  for (size_t col : projection) out.push_back(chunk->value_at(col, local));
-  return out;
-}
-
-void TableSegment::materialize_rows(const Selection& sel,
-                                    const std::vector<size_t>& projection,
-                                    std::vector<sql::Row>* out) const {
-  const size_t base = out->size();
-  out->resize(base + sel.size());
-  for (size_t i = base; i < out->size(); ++i) {
-    (*out)[i].resize(projection.size());
-  }
-  sql::Row* dst = out->data() + base;
-  for_each_run(sel, [&](const Chunk& chunk, const Selection& local) {
-    chunk.materialize_rows(local, projection, dst);
-    dst += local.size();
-  });
 }
 
 void TableSegment::wire_encode_rows(const Selection& sel,

@@ -12,11 +12,12 @@
 //
 // Row positions are heap order, the order Table::scan emits and the row
 // path's sequential scan preserves — so a columnar scan's selection
-// vector, materialized in order, is byte-identical to the row path's
-// result. For index-probe plans the segment also serves the record-fetch
-// phase: row_of_pk() replaces the pk-index descent + heap read + record
-// decode with a binary search and a column gather (late materialization:
-// only selected rows ever touch the packed payload bytes).
+// vector, encoded in order by wire_encode_rows() (the one way rows leave a
+// segment), is byte-identical to the row path's answer. For index-probe
+// plans the segment also serves the record-fetch phase: row_of_pk()
+// replaces the pk-index descent + heap read + record decode with a binary
+// search and a column gather (late materialization: only selected rows
+// ever touch the packed payload bytes).
 //
 // Build and extend scan the heap, so callers hold the engine's shared
 // latch (writers excluded) exactly as a sequential scan requires.
@@ -63,24 +64,13 @@ class TableSegment {
   /// Point predicate recheck at one row, without materializing values.
   bool row_matches(const sql::Expr& expr, uint32_t row) const;
 
-  /// Materializes the projected columns of one row.
-  sql::Row materialize(uint32_t row,
-                       const std::vector<size_t>& projection) const;
-
-  /// Bulk variant: appends one Row per selection entry, in selection order
-  /// (which need not be ascending), to `out`,
-  /// column-at-a-time so the type dispatch happens once per column rather
-  /// than once per cell. Identical output to calling materialize() per row.
-  void materialize_rows(const Selection& sel,
-                        const std::vector<size_t>& projection,
-                        std::vector<sql::Row>* out) const;
-
-  /// Late materialization straight to the network: appends the wire
-  /// encoding of every selected row, in selection order (which need not be
-  /// ascending) — u32 value count, then each projected cell in
-  /// sql::Value::wire_encode layout — directly from the packed columns; no
-  /// sql::Value or Row is ever built. Byte-identical to wire-encoding the
-  /// rows materialize_rows() would produce.
+  /// Late materialization straight to the network, and the segment's only
+  /// way out: appends the wire encoding of every selected row, in
+  /// selection order (which need not be ascending) — u32 value count, then
+  /// each projected cell in sql::Value::wire_encode layout — directly from
+  /// the packed columns; no sql::Value or Row is ever built. The bytes
+  /// equal the row path's: the same rows read from the heap and encoded
+  /// with net::WireWriter::row.
   void wire_encode_rows(const Selection& sel,
                         const std::vector<size_t>& projection,
                         Bytes* out) const;

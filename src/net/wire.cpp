@@ -271,42 +271,15 @@ void WireWriter::row(const sql::Row& r) {
 }
 
 void encode_result_set(const sql::ResultSet& rs, WireWriter& w) {
-  w.u32(static_cast<uint32_t>(rs.columns.size()));
-  for (const std::string& c : rs.columns) w.string(c);
-  w.u32(static_cast<uint32_t>(rs.rows.size()));
-  for (const sql::Row& r : rs.rows) w.row(r);
-  w.u64(rs.rows_affected);
-  w.u64(rs.index_probes);
-  w.u64(rs.heap_fetches);
-  w.u8(rs.used_index ? 1 : 0);
+  rs.wire_encode(w.bytes());
 }
 
 sql::ResultSet decode_result_set(WireReader& r) {
-  sql::ResultSet rs;
-  uint32_t ncols = r.u32();
-  if (ncols > r.remaining() / 4) {  // each name carries a u32 length
-    throw NetworkError("wire: column count overruns frame");
+  try {
+    return sql::ResultSet::wire_decode(r.data_, r.pos_);
+  } catch (const SqlError& e) {
+    throw NetworkError(std::string("wire: ") + e.what());
   }
-  rs.columns.reserve(ncols);
-  for (uint32_t i = 0; i < ncols; ++i) rs.columns.push_back(r.string());
-  uint32_t nrows = r.u32();
-  if (nrows > r.remaining() / 4) {  // each row carries a u32 value count
-    throw NetworkError("wire: row count overruns frame");
-  }
-  rs.rows.reserve(nrows);
-  for (uint32_t i = 0; i < nrows; ++i) {
-    rs.rows.push_back(r.row());
-    if (rs.rows.back().size() != ncols) {
-      throw NetworkError("wire: row " + std::to_string(i) + " has " +
-                         std::to_string(rs.rows.back().size()) +
-                         " values for " + std::to_string(ncols) + " columns");
-    }
-  }
-  rs.rows_affected = r.u64();
-  rs.index_probes = r.u64();
-  rs.heap_fetches = r.u64();
-  rs.used_index = r.u8() != 0;
-  return rs;
 }
 
 }  // namespace wre::net

@@ -215,6 +215,8 @@ class WireReader {
   void expect_end() const;
 
  private:
+  friend sql::ResultSet decode_result_set(WireReader& r);
+
   void need(size_t n) const;
 
   ByteView data_;
@@ -241,7 +243,9 @@ class WireWriter {
   Bytes out_;
 };
 
-/// ResultSet payload codec (the kOkResult body).
+/// The kOkResult body: sql::ResultSet's wire form, whose layout and codec
+/// live in src/sql/result_set.h. These forward to ResultSet::wire_encode and
+/// ResultSet::wire_decode; the decoder's SqlError becomes NetworkError.
 void encode_result_set(const sql::ResultSet& rs, WireWriter& w);
 sql::ResultSet decode_result_set(WireReader& r);
 

@@ -271,9 +271,8 @@ std::optional<std::pair<std::string, std::vector<Value>>> choose_probe(
   return probe;
 }
 
-/// One SELECT's plan, built once per statement. EXPLAIN renders it, and
-/// execute_select and execute_select_wire both run it (execute_plan), so
-/// what EXPLAIN reports is what runs, on either output.
+/// One SELECT's plan, built once per statement. EXPLAIN renders it and
+/// execute_plan runs it, so what EXPLAIN reports is what runs.
 struct SelectPlan {
   enum class Access {
     kIndexOnly,   // probe the index; the pks are the answer
@@ -386,12 +385,12 @@ struct ExecStats {
   bool used_columnar = false;
 };
 
-/// Row sink for execute_select_wire: appends each result row as
-/// net::encode_result_set lays it out (u32 cell count, then the cells in
-/// Value::wire_encode layout). Heap records and their cells are copied
-/// as they are stored — that layout is the wire layout. It takes over
-/// `*out`'s bytes and appends after them; the body (what it appends)
-/// passing `max_body` bytes stops the query with FrameTooLargeError.
+/// The executor's row sink: appends each result row in ResultSet's wire
+/// layout (u32 cell count, then the cells in Value::wire_encode layout).
+/// Heap records and their cells are copied as they are stored — that
+/// layout is the wire layout. It takes over `*out`'s bytes and appends
+/// after them; the body (what it appends) passing `max_body` bytes stops
+/// the query with FrameTooLargeError.
 class WireRows {
  public:
   WireRows(const SelectPlan& p, Bytes* out, size_t max_body)
@@ -447,32 +446,6 @@ class WireRows {
   size_t base_ = 0;
 };
 
-/// Row sink for execute_select: builds ResultSet rows, decoding only the
-/// projected cells of each record.
-class ResultRows {
- public:
-  explicit ResultRows(const SelectPlan& p) : plan_(&p) {}
-
-  std::vector<Row> rows;
-
-  void pk(int64_t pk) {
-    rows.emplace_back(plan_->projection.size(), Value::int64(pk));
-  }
-  void record(const CellView* cells, ByteView) {
-    Row& out = rows.emplace_back();
-    out.reserve(plan_->projection.size());
-    for (size_t idx : plan_->projection) out.push_back(cells[idx].value());
-  }
-  void segment_rows(const columnar::TableSegment& seg,
-                    const columnar::Selection& sel) {
-    seg.materialize_rows(sel, plan_->projection, &rows);
-  }
-  void value(Value v) { rows.push_back({std::move(v)}); }
-
- private:
-  const SelectPlan* plan_;
-};
-
 /// Probe phase: the matching pks, sorted and unique.
 std::vector<int64_t> probe_pks(const SelectPlan& p, ExecStats& st) {
   std::vector<int64_t> pks;
@@ -489,8 +462,7 @@ std::vector<int64_t> probe_pks(const SelectPlan& p, ExecStats& st) {
 
 /// Runs `p` (not EXPLAIN), writing result rows to `sink` — none for
 /// COUNT(*), whose answer is the returned `rows`.
-template <typename Sink>
-ExecStats execute_plan(const SelectPlan& p, Sink& sink) {
+ExecStats execute_plan(const SelectPlan& p, WireRows& sink) {
   const SelectStmt& stmt = *p.stmt;
   const Table& t = *p.table;
   const Schema& schema = t.schema();
@@ -595,51 +567,18 @@ ExecStats execute_plan(const SelectPlan& p, Sink& sink) {
   return st;
 }
 
-}  // namespace
-
-columnar::ColumnStoreManager* Database::columnar_store() const {
-  return columnar_enabled_ ? columnar_mgr_.get() : nullptr;
-}
-
-ResultSet Database::execute_select(const SelectStmt& stmt) {
-  const Table& t = table(stmt.table);
-  const SelectPlan plan = make_plan(stmt, t, columnar_store());
-  ResultSet rs;
-  rs.columns = plan.columns;
-  if (stmt.explain) {
-    rs.rows.push_back({Value::text(explain(plan))});
-    return rs;
-  }
-  ResultRows sink(plan);
-  const ExecStats st = execute_plan(plan, sink);
-  rs.rows = std::move(sink.rows);
-  if (stmt.count_star) {
-    rs.rows.push_back({Value::int64(static_cast<int64_t>(st.rows))});
-  }
-  rs.index_probes = st.index_probes;
-  rs.heap_fetches = st.heap_fetches;
-  rs.used_index = st.used_index;
-  rs.used_columnar = st.used_columnar;
-  rs.columnar_rows = st.columnar_rows;
-  return rs;
-}
-
-void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out,
-                                   size_t max_bytes) {
-  const Table& t = table(stmt.table);
-  const SelectPlan plan = make_plan(stmt, t, columnar_store());
-  // The rows go straight into `*out`, after the envelope's column names
-  // and a row-count slot patched once the count is known.
+/// Runs `stmt` against `t` and appends its answer in wire form to `*out`
+/// (Database::execute_select_wire's contract), returning what the run did.
+ExecStats write_select(const SelectStmt& stmt, const Table& t,
+                       columnar::ColumnStoreManager* columnar, Bytes* out,
+                       size_t max_bytes) {
+  const SelectPlan plan = make_plan(stmt, t, columnar);
+  // The rows go straight into `*out`, between the envelope's head and its
+  // counter trailer.
   WireRows sink(plan, out, max_bytes);
+  ExecStats st;
   try {
-    store_le32(sink.bytes, static_cast<uint32_t>(plan.columns.size()));
-    for (const std::string& name : plan.columns) {
-      store_le32(sink.bytes, static_cast<uint32_t>(name.size()));
-      sink.bytes.insert(sink.bytes.end(), name.begin(), name.end());
-    }
-    const size_t count_at = sink.bytes.size();
-    store_le32(sink.bytes, 0);
-    ExecStats st;
+    const size_t count_at = begin_result_body(plan.columns, sink.bytes);
     uint64_t rows = 1;
     if (stmt.explain) {
       sink.value(Value::text(explain(plan)));
@@ -651,11 +590,12 @@ void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out,
         rows = st.rows;
       }
     }
-    store_le32(sink.bytes.data() + count_at, static_cast<uint32_t>(rows));
-    store_le64(sink.bytes, 0);  // rows_affected
-    store_le64(sink.bytes, st.index_probes);
-    store_le64(sink.bytes, st.heap_fetches);
-    sink.bytes.push_back(st.used_index ? 1 : 0);
+    ResultSet counters;
+    counters.index_probes = st.index_probes;
+    counters.heap_fetches = st.heap_fetches;
+    counters.used_index = st.used_index;
+    end_result_body(count_at, static_cast<uint32_t>(rows), counters,
+                    sink.bytes);
     sink.check_size();
   } catch (...) {
     sink.bytes.resize(sink.base());
@@ -663,6 +603,29 @@ void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out,
     throw;
   }
   sink.bytes.swap(*out);
+  return st;
+}
+
+}  // namespace
+
+columnar::ColumnStoreManager* Database::columnar_store() const {
+  return columnar_enabled_ ? columnar_mgr_.get() : nullptr;
+}
+
+ResultSet Database::execute_select(const SelectStmt& stmt) {
+  Bytes body;
+  const ExecStats st = write_select(stmt, table(stmt.table), columnar_store(),
+                                    &body, SIZE_MAX);
+  size_t pos = 0;
+  ResultSet rs = ResultSet::wire_decode(body, pos);
+  rs.used_columnar = st.used_columnar;
+  rs.columnar_rows = st.columnar_rows;
+  return rs;
+}
+
+void Database::execute_select_wire(const SelectStmt& stmt, Bytes* out,
+                                   size_t max_bytes) {
+  write_select(stmt, table(stmt.table), columnar_store(), out, max_bytes);
 }
 
 void Database::clear_cache() {

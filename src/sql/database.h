@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/sql/ast.h"
+#include "src/sql/result_set.h"
 #include "src/sql/table.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"
@@ -20,23 +21,6 @@ class ColumnStoreManager;
 }
 
 namespace wre::sql {
-
-/// Result of a SELECT (other statements return an empty set with
-/// `rows_affected` filled in).
-struct ResultSet {
-  std::vector<std::string> columns;
-  std::vector<Row> rows;
-  uint64_t rows_affected = 0;
-
-  /// Executor counters for the run that produced this result.
-  uint64_t index_probes = 0;   // B+-tree equality probes issued
-  uint64_t heap_fetches = 0;   // heap records read (and rechecked)
-  bool used_index = false;     // false = sequential scan
-  /// Columnar-path counters (local only; not wire-encoded — the network
-  /// protocol's ResultSet layout is unchanged).
-  bool used_columnar = false;   // scan/fetch served from the column store
-  uint64_t columnar_rows = 0;   // rows materialized from a column segment
-};
 
 /// Tuning and simulation knobs for a Database.
 struct DatabaseOptions {
@@ -97,20 +81,23 @@ class Database {
   std::vector<int64_t> insert_batch(const std::string& table,
                                     const std::vector<Row>& rows);
 
-  /// Executes a parsed SELECT (lets clients pre-build ASTs).
+  /// Executes a parsed SELECT (lets clients pre-build ASTs): runs
+  /// execute_select_wire's plan into its wire bytes and decodes them with
+  /// ResultSet::wire_decode, so a local answer and a remote one come from
+  /// the same bytes through the same decoder. used_columnar and
+  /// columnar_rows, which the wire form does not carry, come from the run.
   ResultSet execute_select(const SelectStmt& stmt);
 
-  /// execute_select with the result written straight in its wire form:
-  /// appends exactly the bytes net::encode_result_set(execute_select(stmt))
-  /// would produce — counters included — to `*out`. Both run the same plan;
-  /// only the row sink differs. No plan materializes a Row: heap records
-  /// are copied as stored (the record layout is the wire row layout, see
-  /// Value::wire_encode), or cell by cell for a projection; columnar plans
-  /// encode from the packed columns; index-only plans write the pks. On
-  /// error it throws and leaves `*out` as it was. Same locking rules as
-  /// execute_select. `max_bytes` caps the appended bytes: the query stops
-  /// with FrameTooLargeError as soon as they pass it, so an answer too
-  /// large to send is never built in full.
+  /// Runs a SELECT and appends its answer in wire form (ResultSet's layout,
+  /// counters included) to `*out`. This is the executor's one output: no
+  /// plan materializes a Row. Heap records are copied as stored (the
+  /// record layout is the wire row layout, see Value::wire_encode), or cell
+  /// by cell for a projection; columnar plans encode from the packed
+  /// columns; index-only plans write the pks. On error it throws and
+  /// leaves `*out` as it was. Same locking rules as any SELECT.
+  /// `max_bytes` caps the appended bytes: the query stops with
+  /// FrameTooLargeError as soon as they pass it, so an answer too large to
+  /// send is never built in full.
   void execute_select_wire(const SelectStmt& stmt, Bytes* out,
                            size_t max_bytes = SIZE_MAX);
 

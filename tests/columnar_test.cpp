@@ -1,5 +1,5 @@
 // Unit tests for the in-memory columnar ciphertext store (DESIGN.md §5.9):
-// column layouts and scan kernels, segment build/select/materialization,
+// column layouts and scan kernels, segment build/select/wire encoding,
 // the ColumnStoreManager's snapshot and tail-chunk catch-up, and the
 // planner integration including the wire-protocol path — every
 // columnar answer checked against the row path it must be
@@ -186,6 +186,21 @@ sql::Expr where_of(const std::string& select_sql) {
   return *stmt.where;
 }
 
+/// What a segment hands the executor for `sel`: its rows' wire bytes.
+Bytes segment_rows(const TableSegment& seg, const Selection& sel,
+                   const std::vector<size_t>& projection) {
+  Bytes out;
+  seg.wire_encode_rows(sel, projection, &out);
+  return out;
+}
+
+/// The row path's reference: the same rows' wire bytes, Value by Value.
+Bytes wire_rows(const std::vector<sql::Row>& rows) {
+  net::WireWriter w;
+  for (const sql::Row& row : rows) w.row(row);
+  return w.bytes();
+}
+
 class SegmentTest : public ::testing::Test {
  protected:
   SegmentTest() : dir_("wre_columnar"), db_(dir_.str()) {
@@ -226,8 +241,9 @@ TEST_F(SegmentTest, SelectMatchesRowPathForEveryQueryShape) {
     // Reference: evaluate the same predicate row-by-row on the heap.
     sql::ResultSet rs = db_.execute(sql);
     ASSERT_EQ(sel.size(), rs.rows.size()) << sql;
+    EXPECT_EQ(segment_rows(*seg, sel, {0, 1, 2, 3}), wire_rows(rs.rows))
+        << sql;
     for (size_t i = 0; i < sel.size(); ++i) {
-      EXPECT_EQ(seg->materialize(sel[i], {0, 1, 2, 3}), rs.rows[i]) << sql;
       EXPECT_TRUE(seg->row_matches(e, sel[i])) << sql;
     }
   }
@@ -245,30 +261,22 @@ TEST_F(SegmentTest, CrossTypeProbesNeverMatch) {
   EXPECT_TRUE(sel.empty());
 }
 
-TEST_F(SegmentTest, MaterializeRowsMatchesPerRowMaterialize) {
-  auto seg = build();
-  Selection sel = seg->select(where_of("SELECT * FROM t WHERE city = 'rome'"));
-  std::vector<size_t> projection{1, 3, 2};
-  std::vector<sql::Row> bulk;
-  seg->materialize_rows(sel, projection, &bulk);
-  ASSERT_EQ(bulk.size(), sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    EXPECT_EQ(bulk[i], seg->materialize(sel[i], projection));
-  }
-}
-
 TEST_F(SegmentTest, WireEncodeRowsIsByteIdenticalToValueEncoding) {
   auto seg = build();
-  Selection sel = seg->select_all();
-  std::vector<size_t> projection{0, 1, 2, 3};
-  Bytes fast;
-  seg->wire_encode_rows(sel, projection, &fast);
-
-  net::WireWriter w;
-  for (uint32_t row : sel) {
-    w.row(seg->materialize(row, projection));
-  }
-  EXPECT_EQ(fast, w.bytes());
+  // Every row in heap order, against the heap's rows (the column store is
+  // off in this database).
+  std::vector<sql::Row> heap;
+  db_.table("t").scan(
+      [&](int64_t, const sql::Row& row) { heap.push_back(row); });
+  EXPECT_EQ(segment_rows(*seg, seg->select_all(), {0, 1, 2, 3}),
+            wire_rows(heap));
+  // A reordered projection of a filtered selection, against the row
+  // path's answer to the same query.
+  const std::string sql =
+      "SELECT city, payload, zip FROM t WHERE city = 'rome'";
+  Selection sel = seg->select(where_of(sql));
+  EXPECT_EQ(segment_rows(*seg, sel, {1, 3, 2}),
+            wire_rows(db_.execute(sql).rows));
 }
 
 TEST_F(SegmentTest, PkLookup) {
@@ -315,14 +323,14 @@ TEST(ColumnStoreManager, SnapshotAppendsTailAfterInsert) {
   EXPECT_NE(s1.get(), s3.get());
   EXPECT_EQ(s3->row_count(), 3u);
   EXPECT_EQ(s3->chunk_count(), 2u);
-  EXPECT_EQ(s3->materialize(2, {0, 1}),
-            (sql::Row{Value::int64(3), Value::int64(30)}));
+  EXPECT_EQ(segment_rows(*s3, {2}, {0, 1}),
+            wire_rows(db.execute("SELECT * FROM t WHERE id = 3").rows));
   EXPECT_EQ(s3->row_of_pk(3), std::optional<uint32_t>(2));
   // The old snapshot is still readable: in-flight scans drain on it.
   EXPECT_EQ(s1->row_count(), 2u);
   EXPECT_EQ(s1->select_all(), (Selection{0, 1}));
-  EXPECT_EQ(s1->materialize(1, {0, 1}),
-            (sql::Row{Value::int64(2), Value::int64(20)}));
+  EXPECT_EQ(segment_rows(*s1, {1}, {0, 1}),
+            wire_rows(db.execute("SELECT * FROM t WHERE id = 2").rows));
   EXPECT_FALSE(s1->row_of_pk(3).has_value());
   st = mgr.stats();
   EXPECT_EQ(st.builds, 1u);

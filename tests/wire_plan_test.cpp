@@ -1,13 +1,21 @@
-// The wire executor (Database::execute_select_wire) against its reference,
-// net::encode_result_set(execute_select(stmt)), on every plan shape, with
-// the column store off and on; plus the record codec it rests on: a heap
+// The executor's one output, Database::execute_select_wire, on every plan
+// shape with the column store off and on: each answer against a
+// brute-force plaintext oracle over the rows the test inserted, the
+// columnar answer against the row path's, and execute_select (a decode of
+// those bytes) re-encoding to exactly them, with the local columnar
+// counters it adds. Then the one answer decoder (ResultSet::wire_decode)
+// under seeded mutation, and the record codec it all rests on: a heap
 // record is the body of a wire row, and the non-allocating record walker
-// (Schema::split_record) accepts and rejects exactly what Schema::decode_row
-// does. A byte cap on the wire executor stops an oversized answer early.
+// (Schema::split_record) accepts and rejects exactly what
+// Schema::decode_row does. A byte cap on the wire executor stops an
+// oversized answer early.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <ostream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,11 +26,15 @@
 #include "tests/test_util.h"
 
 namespace wre::sql {
+
+// gtest prints a Value in a failure message as its SQL literal.
+void PrintTo(const Value& v, std::ostream* os) { *os << v.to_sql_literal(); }
+
 namespace {
 
 using wre::testing::TempDir;
 
-// ------------------------------------------------- Plans: wire == ResultSet
+// ------------------------------------- Plans: wire == ResultSet == oracle
 
 /// The parameter turns the column store on.
 class WirePlanTest : public ::testing::TestWithParam<bool> {
@@ -72,11 +84,14 @@ class WirePlanTest : public ::testing::TestWithParam<bool> {
     std::vector<Row> h_rows;
     for (uint64_t n = uniform(10, 40); n > 0; --n) h_rows.push_back(cells());
     db_->insert_batch("h", h_rows);
+    m_.rows.insert(m_.rows.end(), m_rows.begin(), m_rows.end());
+    h_.rows.insert(h_.rows.end(), h_rows.begin(), h_rows.end());
   }
 
   /// Two reserved id ranges landing in reverse, with every plan checked
   /// after each: pk order then runs backwards across column chunks.
-  void write_and_check() {
+  template <typename Check>
+  void write_and_check(Check check) {
     const int64_t low = next_id_;
     // The low range is the smaller, so its tail chunk stays unmerged.
     const int64_t low_n = static_cast<int64_t>(uniform(5, 15));
@@ -150,7 +165,8 @@ class WirePlanTest : public ::testing::TestWithParam<bool> {
     };
   }
 
-  /// The wire executor's bytes must equal the encoded ResultSet.
+  /// The wire executor's bytes must equal the encoded ResultSet, and the
+  /// answer the oracle's and the row path's.
   void check(const std::string& sql) {
     const SelectStmt stmt = std::get<SelectStmt>(parse_statement(sql));
     const ResultSet rs = db_->execute_select(stmt);
@@ -160,6 +176,7 @@ class WirePlanTest : public ::testing::TestWithParam<bool> {
     net::encode_result_set(rs, w);
     ASSERT_EQ(wire, w.bytes()) << sql;
     if (stmt.explain) return;
+    expect_oracle_answer(sql, stmt, rs);
     // The answer itself matches a row-path run.
     db_->set_columnar_enabled(false);
     const ResultSet ref = db_->execute_select(stmt);
@@ -170,14 +187,133 @@ class WirePlanTest : public ::testing::TestWithParam<bool> {
     EXPECT_EQ(rs.used_index, ref.used_index) << sql;
   }
 
+  /// execute_select's local counters, which the wire form does not carry:
+  /// with the column store on, every plan that reads rows (fetch or scan)
+  /// reports used_columnar and one columnar row per row it writes, and
+  /// index-only plans report neither. The row path never reports either.
+  void check_counters(const std::string& sql) {
+    const SelectStmt stmt = std::get<SelectStmt>(parse_statement(sql));
+    const ResultSet rs = db_->execute_select(stmt);
+    SelectStmt explain = stmt;
+    explain.explain = true;
+    const std::string plan =
+        db_->execute_select(explain).rows.at(0).at(0).as_text();
+    const bool reads_rows = GetParam() && !stmt.explain &&
+                            plan.find("index-only") == std::string::npos;
+    EXPECT_EQ(rs.used_columnar, reads_rows) << sql << " -- " << plan;
+    // COUNT(*) writes no rows, only its count.
+    const uint64_t written =
+        reads_rows && !stmt.count_star ? rs.rows.size() : 0;
+    EXPECT_EQ(rs.columnar_rows, written) << sql << " -- " << plan;
+    if (!stmt.explain) {
+      EXPECT_EQ(rs.used_columnar, plan.find("columnar") != std::string::npos)
+          << sql << " -- " << plan;
+    }
+  }
+
+  /// A table's rows as inserted, and its column names: what the plaintext
+  /// oracle reads.
+  struct PlainTable {
+    std::vector<std::string> names;
+    std::vector<Row> rows;
+  };
+
+  static size_t column_of(const PlainTable& t, const std::string& name) {
+    auto it = std::find(t.names.begin(), t.names.end(), to_lower(name));
+    if (it == t.names.end()) throw std::logic_error("oracle: no " + name);
+    return static_cast<size_t>(it - t.names.begin());
+  }
+
+  /// Value::sql_equals semantics: NULL and cross-type literals never match.
+  static bool satisfies(const Expr& e, const PlainTable& t, const Row& row) {
+    switch (e.kind) {
+      case Expr::Kind::kEquals:
+      case Expr::Kind::kIn: {
+        const Value& cell = row[column_of(t, e.column)];
+        return std::any_of(e.values.begin(), e.values.end(),
+                           [&](const Value& v) { return cell.sql_equals(v); });
+      }
+      case Expr::Kind::kAnd:
+        return std::all_of(
+            e.children.begin(), e.children.end(),
+            [&](const Expr& c) { return satisfies(c, t, row); });
+      case Expr::Kind::kOr:
+        return std::any_of(
+            e.children.begin(), e.children.end(),
+            [&](const Expr& c) { return satisfies(c, t, row); });
+    }
+    return false;
+  }
+
+  /// Brute force over every inserted row: the answer's columns, and every
+  /// match projected (all of them: LIMIT is left to the comparison).
+  ResultSet oracle(const SelectStmt& stmt) const {
+    const PlainTable& t = to_lower(stmt.table) == "m" ? m_ : h_;
+    ResultSet want;
+    std::vector<size_t> projection;
+    if (stmt.count_star) {
+      want.columns = {"count(*)"};
+    } else if (stmt.star) {
+      want.columns = t.names;
+      for (size_t i = 0; i < t.names.size(); ++i) projection.push_back(i);
+    } else {
+      for (const std::string& name : stmt.columns) {
+        projection.push_back(column_of(t, name));
+        want.columns.push_back(to_lower(name));
+      }
+    }
+    for (const Row& row : t.rows) {
+      if (stmt.where && !satisfies(*stmt.where, t, row)) continue;
+      Row& out = want.rows.emplace_back();
+      for (size_t i : projection) out.push_back(row[i]);
+    }
+    if (stmt.count_star) {
+      const uint64_t n = std::min<uint64_t>(want.rows.size(),
+                                            stmt.limit.value_or(UINT64_MAX));
+      want.rows = {{Value::int64(static_cast<int64_t>(n))}};
+    }
+    return want;
+  }
+
+  /// The answer equals the oracle's as a multiset of rows; under LIMIT n
+  /// it is any n of the matches (or all of them, if fewer).
+  void expect_oracle_answer(const std::string& sql, const SelectStmt& stmt,
+                            const ResultSet& rs) const {
+    ResultSet want = oracle(stmt);
+    EXPECT_EQ(rs.columns, want.columns) << sql;
+    std::vector<Row> got = rs.rows;
+    std::sort(got.begin(), got.end());
+    std::sort(want.rows.begin(), want.rows.end());
+    if (stmt.limit && !stmt.count_star) {
+      EXPECT_EQ(got.size(), std::min<size_t>(want.rows.size(), *stmt.limit))
+          << sql;
+      EXPECT_TRUE(std::includes(want.rows.begin(), want.rows.end(),
+                                got.begin(), got.end()))
+          << sql;
+    } else {
+      EXPECT_EQ(got, want.rows) << sql;
+    }
+  }
+
   TempDir dir_;
   std::mt19937_64 rng_;
   std::unique_ptr<Database> db_;
   int64_t next_id_ = 0;
+  PlainTable m_{{"id", "tag", "name", "payload", "zip"}, {}};
+  PlainTable h_{{"tag", "name", "payload"}, {}};
 };
 
 TEST_P(WirePlanTest, EveryPlanIsByteIdenticalToTheEncodedResultSet) {
-  for (int round = 0; round < 4; ++round) write_and_check();
+  for (int round = 0; round < 4; ++round) {
+    write_and_check([&](const std::string& sql) { check(sql); });
+  }
+}
+
+TEST_P(WirePlanTest, ColumnarCountersSurviveTheDecode) {
+  for (int round = 0; round < 2; ++round) {
+    write_and_check(
+        [&](const std::string& sql) { check_counters(sql); });
+  }
 }
 
 TEST_P(WirePlanTest, LimitZeroFetchesNothing) {
@@ -221,6 +357,116 @@ std::string ConfigName(const ::testing::TestParamInfo<bool>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Configs, WirePlanTest, ::testing::Bool(),
                          ConfigName);
+
+// ------------------------------------- The one answer decoder, mutated
+
+/// Decodes `body` with the sql decoder and through the net wrapper. Both
+/// must agree; a decoded answer must be well formed and re-encode to the
+/// bytes it was read from (but for used_index, which any nonzero byte
+/// sets). A wre::Error other than the expected type, or any other
+/// exception, escapes and fails the test. Returns whether it decoded.
+bool decodes(const Bytes& body) {
+  size_t pos = 0;
+  std::optional<ResultSet> rs;
+  try {
+    rs = ResultSet::wire_decode(body, pos);
+  } catch (const SqlError&) {
+  }
+  net::WireReader r(body);
+  bool net_decoded = true;
+  try {
+    (void)net::decode_result_set(r);
+  } catch (const NetworkError&) {
+    net_decoded = false;
+  }
+  EXPECT_EQ(net_decoded, rs.has_value()) << to_hex(body);
+  if (!rs) return false;
+  for (const Row& row : rs->rows) EXPECT_EQ(row.size(), rs->columns.size());
+  Bytes again;
+  rs->wire_encode(again);
+  EXPECT_EQ(again.size(), pos);
+  if (again.size() == pos && pos > 0) {
+    EXPECT_TRUE(std::equal(again.begin(), again.end() - 1, body.begin()))
+        << to_hex(body);
+  }
+  return true;
+}
+
+TEST(ResultMutation, MutatedAnswersDecodeOrFailTyped) {
+  TempDir dir("wre_result_mutation");
+  Database db(dir.str());
+  db.execute(
+      "CREATE TABLE m (id INTEGER PRIMARY KEY, tag INTEGER, name TEXT, "
+      "payload BLOB, zip INTEGER)");
+  db.execute("CREATE INDEX i_tag ON m (tag)");
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < 30; ++id) {
+    rows.push_back({Value::int64(id), Value::int64(id % 4),
+                    id % 7 == 0 ? Value::null()
+                                : Value::text("n" + std::to_string(id % 3)),
+                    Value::blob(Bytes(static_cast<size_t>(id), 0x5a)),
+                    Value::int64(10000 + id % 2)});
+  }
+  db.insert_batch("m", rows);
+
+  std::mt19937_64 rng(20190624);
+  auto below = [&](size_t n) {
+    return static_cast<size_t>(std::uniform_int_distribution<uint64_t>(
+        0, n - 1)(rng));
+  };
+  size_t decoded = 0;
+  size_t failed = 0;
+  for (const std::string sql : {
+           "SELECT id FROM m WHERE tag IN (1, 2)",         // index-only
+           "SELECT * FROM m WHERE tag IN (1, 2, 3)",       // fetch
+           "SELECT name, payload FROM m WHERE zip = 10001",  // scan
+           "SELECT COUNT(*) FROM m WHERE tag = 1",
+           "EXPLAIN SELECT * FROM m WHERE tag = 1",
+       }) {
+    SCOPED_TRACE(sql);
+    Bytes body;
+    db.execute_select_wire(std::get<SelectStmt>(parse_statement(sql)),
+                           &body);
+    ASSERT_TRUE(decodes(body));
+    size_t pos = 0;
+    const ResultSet valid = ResultSet::wire_decode(body, pos);
+    // The envelope: the column names and the row count ahead of the rows,
+    // and the counter trailer after them.
+    size_t head = 8;
+    for (const std::string& name : valid.columns) head += 4 + name.size();
+    ASSERT_LE(head + kResultTrailerBytes, body.size());
+    auto envelope_byte = [&] {
+      const size_t k = below(head + kResultTrailerBytes);
+      return k < head ? k : body.size() - kResultTrailerBytes + (k - head);
+    };
+    for (int i = 0; i < 600; ++i) {
+      Bytes mutant = body;
+      switch (below(3)) {
+        case 0: {  // flip 1-4 bits; half the mutants only in the envelope
+          const bool in_envelope = below(2) == 0;
+          for (size_t flips = 1 + below(4); flips > 0; --flips) {
+            const size_t at =
+                in_envelope ? envelope_byte() : below(body.size());
+            mutant[at] ^= static_cast<uint8_t>(1u << below(8));
+          }
+          break;
+        }
+        case 1:  // truncate
+          mutant.resize(below(body.size()));
+          break;
+        default:  // append 1-64 bytes
+          for (size_t n = 1 + below(64); n > 0; --n) {
+            mutant.push_back(static_cast<uint8_t>(below(256)));
+          }
+          break;
+      }
+      (decodes(mutant) ? decoded : failed)++;
+    }
+  }
+  // Both verdicts occur, so the sweep reaches past the first check.
+  EXPECT_GT(decoded, 500u);
+  EXPECT_GT(failed, 500u);
+}
 
 // ----------------------------------------------- Record codec and walker
 
