@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "bench/bench_common.h"
@@ -295,38 +296,77 @@ ScanDataset build_scan_table(sql::Database& db, int64_t records,
   return ds;
 }
 
-/// Runs `sql` `iters` times, reporting qps, rows/s and the per-query
-/// latency tail under `name`. Returns the result set of the first run so
-/// callers can cross-check paths.
-sql::ResultSet run_scan_pass(bench::JsonReport& report,
-                             const std::string& name, sql::Database& db,
-                             const std::string& sql, int64_t iters) {
-  sql::ResultSet first = db.execute(sql);  // warm + reference result
-  std::vector<double> query_ms;
-  query_ms.reserve(static_cast<size_t>(iters));
-  size_t rows = 0;
-  Timer timer;
-  for (int64_t i = 0; i < iters; ++i) {
-    Timer one;
-    auto rs = db.execute(sql);
-    query_ms.push_back(one.elapsed_millis());
-    rows += rs.rows.size();
+/// Every scan and wire pass runs this many rounds, round-robin across the
+/// passes, so each pass's samples spread over the whole run rather than one
+/// window of a noisy host.
+constexpr int kRounds = 5;
+
+/// One timed query shape: `once` runs it once and returns the rows it
+/// produced (0 where only bytes are timed).
+struct Pass {
+  std::string name;
+  bool columnar;
+  int64_t iters;
+  std::function<size_t()> once;
+  std::vector<std::pair<std::string, double>> facts;  // reported verbatim
+};
+
+/// Runs every pass `iters` times per round for kRounds rounds and reports
+/// each under its name: qps and rows/s over all rounds, the latency tail
+/// over all samples, and as latency_ms_p50 the median of the rounds' p50s,
+/// with their quartiles.
+void run_passes(bench::JsonReport& report, sql::Database& db,
+                std::vector<Pass> passes) {
+  struct Samples {
+    std::vector<double> ms;
+    std::vector<double> round_p50s;
+    size_t rows = 0;
+    double seconds = 0;
+  };
+  std::vector<Samples> samples(passes.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t p = 0; p < passes.size(); ++p) {
+      db.set_columnar_enabled(passes[p].columnar);
+      std::vector<double> ms;
+      Timer timer;
+      for (int64_t i = 0; i < passes[p].iters; ++i) {
+        Timer one;
+        samples[p].rows += passes[p].once();
+        ms.push_back(one.elapsed_millis());
+      }
+      samples[p].seconds += timer.elapsed_seconds();
+      samples[p].round_p50s.push_back(bench::LatencySummary::of(ms).p50);
+      samples[p].ms.insert(samples[p].ms.end(), ms.begin(), ms.end());
+    }
   }
-  double seconds = timer.elapsed_seconds();
-  double qps = seconds > 0 ? static_cast<double>(iters) / seconds : 0;
-  double rows_per_sec = seconds > 0 ? static_cast<double>(rows) / seconds : 0;
-  auto lat = bench::LatencySummary::of(std::move(query_ms));
-  std::printf(
-      "%-34s %9.0f qps  %12.0f rows/s  p50 %7.3f ms  p99 %7.3f ms\n",
-      name.c_str(), qps, rows_per_sec, lat.p50, lat.p99);
-  std::vector<std::pair<std::string, double>> metrics{
-      {"qps", qps},
-      {"rows_per_sec", rows_per_sec},
-      {"result_rows", static_cast<double>(first.rows.size())},
-      {"seconds", seconds}};
-  lat.append_metrics("latency_ms_", &metrics);
-  report.add(name, std::move(metrics));
-  return first;
+  for (size_t p = 0; p < passes.size(); ++p) {
+    Samples& sp = samples[p];
+    const double seconds = sp.seconds;
+    const double runs = static_cast<double>(passes[p].iters * kRounds);
+    const double qps = seconds > 0 ? runs / seconds : 0;
+    const double rows_per_sec =
+        seconds > 0 ? static_cast<double>(sp.rows) / seconds : 0;
+    std::sort(sp.round_p50s.begin(), sp.round_p50s.end());
+    auto quartile = [&](size_t q) {
+      return sp.round_p50s[q * (sp.round_p50s.size() - 1) / 4];
+    };
+    auto lat = bench::LatencySummary::of(std::move(sp.ms));
+    lat.p50 = quartile(2);
+    std::printf(
+        "%-34s %9.0f qps  p50 %7.3f ms [%.3f, %.3f]  p99 %7.3f ms\n",
+        passes[p].name.c_str(), qps, lat.p50, quartile(1), quartile(3),
+        lat.p99);
+    std::vector<std::pair<std::string, double>> metrics{{"qps", qps}};
+    if (sp.rows > 0) metrics.emplace_back("rows_per_sec", rows_per_sec);
+    metrics.insert(metrics.end(), passes[p].facts.begin(),
+                   passes[p].facts.end());
+    metrics.emplace_back("seconds", seconds);
+    metrics.emplace_back("rounds", kRounds);
+    lat.append_metrics("latency_ms_", &metrics);
+    metrics.emplace_back("latency_ms_p50_q1", quartile(1));
+    metrics.emplace_back("latency_ms_p50_q3", quartile(3));
+    report.add(passes[p].name, std::move(metrics));
+  }
 }
 
 std::string in_list_sql(const std::string& column,
@@ -384,29 +424,21 @@ int run_scan_bench(const bench::Args& args) {
   const std::string q_index_fetch =
       "SELECT * FROM main WHERE " + in_list_sql("name_tag", ds.name_tags, 32);
 
-  auto star_row =
-      run_scan_pass(report, "scan/select_star/row", db, q_star, star_iters);
-  auto eq_row =
-      run_scan_pass(report, "scan/predicate_eq/row", db, q_eq, scan_iters);
-  auto in_row =
-      run_scan_pass(report, "scan/predicate_in/row", db, q_in, scan_iters);
-  auto fetch_row = run_scan_pass(report, "scan/index_fetch/row", db,
-                                 q_index_fetch, scan_iters);
-
-  // Same queries against the column store. The first columnar execution
-  // builds the segment (a cost the qps numbers amortize away after warmup,
-  // exactly like the buffer pool on the row side); every result must be
-  // byte-identical to the row path.
-  db.set_columnar_enabled(true);
-  auto star_col = run_scan_pass(report, "scan/select_star/columnar", db,
-                                q_star, star_iters);
-  auto eq_col =
-      run_scan_pass(report, "scan/predicate_eq/columnar", db, q_eq, scan_iters);
-  auto in_col =
-      run_scan_pass(report, "scan/predicate_in/columnar", db, q_in, scan_iters);
-  auto fetch_col = run_scan_pass(report, "scan/index_fetch/columnar", db,
-                                 q_index_fetch, scan_iters);
-
+  // Reference answers, which also warm both paths. The first columnar
+  // execution builds the segment; every columnar answer must be identical
+  // to the row path's.
+  auto reference = [&](const std::string& sql, bool columnar) {
+    db.set_columnar_enabled(columnar);
+    return db.execute(sql);
+  };
+  const sql::ResultSet star_row = reference(q_star, false);
+  const sql::ResultSet eq_row = reference(q_eq, false);
+  const sql::ResultSet in_row = reference(q_in, false);
+  const sql::ResultSet fetch_row = reference(q_index_fetch, false);
+  const sql::ResultSet star_col = reference(q_star, true);
+  const sql::ResultSet eq_col = reference(q_eq, true);
+  const sql::ResultSet in_col = reference(q_in, true);
+  const sql::ResultSet fetch_col = reference(q_index_fetch, true);
   require_identical("select_star", star_row, star_col);
   require_identical("predicate_eq", eq_row, eq_col);
   require_identical("predicate_in", in_row, in_col);
@@ -420,85 +452,101 @@ int run_scan_bench(const bench::Args& args) {
 
   // The remote serving shapes: what a wre_server spends per select_star
   // response, for a full scan and for the plan a tag scan runs (an indexed
-  // IN probe on the tag column, rows fetched by pk). Every pass times
+  // IN probe on the tag column, rows fetched by pk). Every wire pass times
   // execute_select_wire, the call the server serves from: the row path
   // encodes heap records, the columnar path encodes straight from the
   // packed columns (late materialization — no Value is ever built).
-  {
-    sql::SelectStmt star_stmt;
-    star_stmt.star = true;
-    star_stmt.table = "main";
-    std::vector<uint64_t> fetch_tags;
-    for (size_t i = 0; i < 32; ++i) {
-      fetch_tags.push_back(static_cast<uint64_t>(ds.name_tags[i]));
-    }
-    const sql::SelectStmt fetch_stmt =
-        core::tag_scan_stmt("main", "name_tag", fetch_tags, /*star=*/true);
-    // Returns the response payload, or empty bytes after a FATAL.
-    auto wire_pass = [&](const char* name, const sql::SelectStmt& stmt,
-                         bool columnar, int64_t iters) {
-      db.set_columnar_enabled(columnar);
-      Bytes first;
-      db.execute_select_wire(stmt, &first);
-      Bytes reuse;  // execute_select_wire appends: a serving loop reuses its
-                    // response buffer, so the bench does too
-      std::vector<double> ms;
-      Timer timer;
-      for (int64_t i = 0; i < iters; ++i) {
-        Timer one;
-        reuse.clear();
-        db.execute_select_wire(stmt, &reuse);
-        ms.push_back(one.elapsed_millis());
-        if (reuse != first) {
-          std::fprintf(stderr, "FATAL: %s: response changed between runs\n",
-                       name);
-          return Bytes();
-        }
-      }
-      double secs = timer.elapsed_seconds();
-      double qps = secs > 0 ? static_cast<double>(iters) / secs : 0;
-      auto lat = bench::LatencySummary::of(std::move(ms));
-      std::printf("%-34s %9.0f qps  p50 %7.3f ms  p99 %7.3f ms\n", name, qps,
-                  lat.p50, lat.p99);
-      std::vector<std::pair<std::string, double>> metrics{
-          {"qps", qps},
-          {"response_bytes", static_cast<double>(first.size())},
-          {"seconds", secs}};
-      lat.append_metrics("latency_ms_", &metrics);
-      report.add(name, std::move(metrics));
-      return first;
-    };
-    // Identity is over the logical result. The trailer of executor
-    // counters (rows_affected, index_probes, heap_fetches as u64, used_index
-    // as u8) legitimately differs by plan: the heap scan reports
-    // heap_fetches, the columnar scan reports none.
-    auto same_rows = [](const Bytes& row_bytes, const Bytes& col_bytes) {
-      constexpr size_t kTrailer = sql::kResultTrailerBytes;
-      return row_bytes.size() >= kTrailer &&
-             row_bytes.size() == col_bytes.size() &&
-             std::equal(row_bytes.begin(), row_bytes.end() - kTrailer,
-                        col_bytes.begin());
-    };
-    const Bytes star_row_bytes =
-        wire_pass("scan/select_star/row_wire", star_stmt, false, star_iters);
-    const Bytes star_col_bytes = wire_pass("scan/select_star/columnar_wire",
-                                           star_stmt, true, star_iters);
-    const Bytes fetch_row_bytes = wire_pass("scan/index_fetch/row_wire",
-                                            fetch_stmt, false, scan_iters);
-    const Bytes fetch_col_bytes = wire_pass("scan/index_fetch/columnar_wire",
-                                            fetch_stmt, true, scan_iters);
-    if (!same_rows(star_row_bytes, star_col_bytes) ||
-        !same_rows(fetch_row_bytes, fetch_col_bytes)) {
-      std::fprintf(stderr,
-                   "FATAL: columnar wire encoding diverges from the row "
-                   "path (select_star %zu vs %zu bytes, index_fetch %zu vs "
-                   "%zu bytes)\n",
-                   star_col_bytes.size(), star_row_bytes.size(),
-                   fetch_col_bytes.size(), fetch_row_bytes.size());
-      return 1;
-    }
-    std::printf("wire cross-path check: responses byte-identical\n");
+  sql::SelectStmt star_stmt;
+  star_stmt.star = true;
+  star_stmt.table = "main";
+  std::vector<uint64_t> fetch_tags;
+  for (size_t i = 0; i < 32; ++i) {
+    fetch_tags.push_back(static_cast<uint64_t>(ds.name_tags[i]));
   }
+  const sql::SelectStmt fetch_stmt =
+      core::tag_scan_stmt("main", "name_tag", fetch_tags, /*star=*/true);
+  auto wire_reference = [&](const sql::SelectStmt& stmt, bool columnar) {
+    db.set_columnar_enabled(columnar);
+    Bytes out;
+    db.execute_select_wire(stmt, &out);
+    return out;
+  };
+  const Bytes star_row_bytes = wire_reference(star_stmt, false);
+  const Bytes star_col_bytes = wire_reference(star_stmt, true);
+  const Bytes fetch_row_bytes = wire_reference(fetch_stmt, false);
+  const Bytes fetch_col_bytes = wire_reference(fetch_stmt, true);
+  // Identity is over the logical result. The trailer of executor
+  // counters (rows_affected, index_probes, heap_fetches as u64, used_index
+  // as u8) legitimately differs by plan: the heap scan reports
+  // heap_fetches, the columnar scan reports none.
+  auto same_rows = [](const Bytes& row_bytes, const Bytes& col_bytes) {
+    constexpr size_t kTrailer = sql::kResultTrailerBytes;
+    return row_bytes.size() >= kTrailer &&
+           row_bytes.size() == col_bytes.size() &&
+           std::equal(row_bytes.begin(), row_bytes.end() - kTrailer,
+                      col_bytes.begin());
+  };
+  if (!same_rows(star_row_bytes, star_col_bytes) ||
+      !same_rows(fetch_row_bytes, fetch_col_bytes)) {
+    std::fprintf(stderr,
+                 "FATAL: columnar wire encoding diverges from the row "
+                 "path (select_star %zu vs %zu bytes, index_fetch %zu vs "
+                 "%zu bytes)\n",
+                 star_col_bytes.size(), star_row_bytes.size(),
+                 fetch_col_bytes.size(), fetch_row_bytes.size());
+    return 1;
+  }
+  std::printf("wire cross-path check: responses byte-identical\n");
+
+  auto scan_pass = [&](const char* name, const std::string& sql,
+                       bool columnar, int64_t iters,
+                       const sql::ResultSet& ref) {
+    return Pass{name, columnar, iters,
+                [&db, &sql] { return db.execute(sql).rows.size(); },
+                {{"result_rows", static_cast<double>(ref.rows.size())}}};
+  };
+  // execute_select_wire appends: a serving loop reuses its response
+  // buffer, so the bench does too. Each response must equal the reference.
+  Bytes reuse;
+  auto wire_pass = [&](const char* name, const sql::SelectStmt& stmt,
+                       bool columnar, int64_t iters, const Bytes& ref) {
+    return Pass{name, columnar, iters,
+                [&db, &stmt, &ref, &reuse, name]() -> size_t {
+                  reuse.clear();
+                  db.execute_select_wire(stmt, &reuse);
+                  if (reuse != ref) {
+                    std::fprintf(stderr,
+                                 "FATAL: %s: response changed between runs\n",
+                                 name);
+                    std::exit(1);
+                  }
+                  return 0;
+                },
+                {{"response_bytes", static_cast<double>(ref.size())}}};
+  };
+  run_passes(
+      report, db,
+      {scan_pass("scan/select_star/row", q_star, false, star_iters, star_row),
+       scan_pass("scan/predicate_eq/row", q_eq, false, scan_iters, eq_row),
+       scan_pass("scan/predicate_in/row", q_in, false, scan_iters, in_row),
+       scan_pass("scan/index_fetch/row", q_index_fetch, false, scan_iters,
+                 fetch_row),
+       scan_pass("scan/select_star/columnar", q_star, true, star_iters,
+                 star_col),
+       scan_pass("scan/predicate_eq/columnar", q_eq, true, scan_iters,
+                 eq_col),
+       scan_pass("scan/predicate_in/columnar", q_in, true, scan_iters,
+                 in_col),
+       scan_pass("scan/index_fetch/columnar", q_index_fetch, true, scan_iters,
+                 fetch_col),
+       wire_pass("scan/select_star/row_wire", star_stmt, false, star_iters,
+                 star_row_bytes),
+       wire_pass("scan/select_star/columnar_wire", star_stmt, true,
+                 star_iters, star_col_bytes),
+       wire_pass("scan/index_fetch/row_wire", fetch_stmt, false, scan_iters,
+                 fetch_row_bytes),
+       wire_pass("scan/index_fetch/columnar_wire", fetch_stmt, true,
+                 scan_iters, fetch_col_bytes)});
 
   if (auto* store = db.column_store()) {
     auto stats = store->stats();

@@ -27,7 +27,7 @@ PlaintextDistribution PlaintextDistribution::from_probabilities(
   dist.min_p_ = 1.0;
   dist.max_p_ = 0.0;
   for (const auto& [m, p] : probabilities) {
-    if (p <= 0) {
+    if (!(p > 0)) {  // NaN too
       throw WreError("PlaintextDistribution: non-positive probability for '" +
                      m + "'");
     }

@@ -515,17 +515,28 @@ void EncryptedConnection::collect_ids(sql::ResultSet&& server,
   }
 }
 
+EncryptedQueryResult EncryptedConnection::tag_search(
+    const TableState& ts, const std::string& table, const std::string& column,
+    const std::vector<crypto::Tag>& tags, bool star,
+    std::span<const Recheck> rechecks) {
+  const std::string tag_col = tag_column(column);
+  EncryptedQueryResult result;
+  result.sql = tag_scan_sql(table, tag_col, tags, star);
+  result.tags_in_query = tags.size();
+  if (tags.empty()) return result;  // matches no row: skip the round trip
+  sql::ResultSet server = transport_->tag_scan(table, tag_col, tags, star);
+  if (star) {
+    decrypt_and_filter(ts, std::move(server), rechecks, &result);
+  } else {
+    collect_ids(std::move(server), &result);
+  }
+  return result;
+}
+
 EncryptedQueryResult EncryptedConnection::select_ids(
     const std::string& table, const std::string& column,
     const std::string& value) {
-  auto tags = search_tags_cached(codec_column(state(table), column), value);
-  const std::string tag_col = tag_column(column);
-  EncryptedQueryResult result;
-  result.sql = tag_scan_sql(table, tag_col, *tags, /*star=*/false);
-  result.tags_in_query = tags->size();
-  collect_ids(transport_->tag_scan(table, tag_col, *tags, /*star=*/false),
-              &result);
-  return result;
+  return select_ids_in(table, column, {value});
 }
 
 EncryptedQueryResult EncryptedConnection::select_ids_in(
@@ -534,7 +545,8 @@ EncryptedQueryResult EncryptedConnection::select_ids_in(
   if (values.empty()) {
     throw WreError("select_ids_in: need at least one value");
   }
-  const RowCodec::Column& col = codec_column(state(table), column);
+  const TableState& ts = state(table);
+  const RowCodec::Column& col = codec_column(ts, column);
   // Union of every value's expansion, one round trip. Duplicate tags are
   // harmless (the server's IN probe dedups matches), but dropping them
   // keeps the wire fan-out at the true union size.
@@ -545,14 +557,7 @@ EncryptedQueryResult EncryptedConnection::select_ids_in(
   }
   std::sort(tags.begin(), tags.end());
   tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
-
-  const std::string tag_col = tag_column(column);
-  EncryptedQueryResult result;
-  result.sql = tag_scan_sql(table, tag_col, tags, /*star=*/false);
-  result.tags_in_query = tags.size();
-  collect_ids(transport_->tag_scan(table, tag_col, tags, /*star=*/false),
-              &result);
-  return result;
+  return tag_search(ts, table, column, tags, /*star=*/false, {});
 }
 
 EncryptedQueryResult EncryptedConnection::select_star_and(
@@ -606,21 +611,12 @@ EncryptedQueryResult EncryptedConnection::select_star_range(
     tags.push_back(range.range_prf->range_tag(static_cast<uint32_t>(b)));
   }
 
-  const std::string tag_col = tag_column(column);
-  EncryptedQueryResult result;
-  result.sql = tag_scan_sql(table, tag_col, tags, /*star=*/true);
-  result.tags_in_query = tags.size();
-  if (tags.empty()) return result;  // empty range
-
   // Bucket-granularity overshoot is trimmed on the decrypted value.
   const Recheck recheck{*ts.logical.index_of(column), [&](const Value& v) {
                           return !v.is_null() && v.as_int64() >= lo &&
                                  v.as_int64() <= hi;
                         }};
-  decrypt_and_filter(
-      ts, transport_->tag_scan(table, tag_col, tags, /*star=*/true),
-      {&recheck, 1}, &result);
-  return result;
+  return tag_search(ts, table, column, tags, /*star=*/true, {&recheck, 1});
 }
 
 EncryptedQueryResult EncryptedConnection::select_star(
@@ -628,21 +624,13 @@ EncryptedQueryResult EncryptedConnection::select_star(
     const std::string& value) {
   const TableState& ts = state(table);
   auto tags = search_tags_cached(codec_column(ts, column), value);
-  const std::string tag_col = tag_column(column);
-  EncryptedQueryResult result;
-  result.sql = tag_scan_sql(table, tag_col, *tags, /*star=*/true);
-  result.tags_in_query = tags->size();
-
   // Client-side filtering: drop bucketized false positives (and the
   // cryptographically negligible tag-collision ones) by comparing the
   // decrypted value against the query.
   const Recheck recheck{*ts.logical.index_of(column), [&](const Value& v) {
                           return !v.is_null() && v.as_text() == value;
                         }};
-  decrypt_and_filter(
-      ts, transport_->tag_scan(table, tag_col, *tags, /*star=*/true),
-      {&recheck, 1}, &result);
-  return result;
+  return tag_search(ts, table, column, *tags, /*star=*/true, {&recheck, 1});
 }
 
 EncryptedConnection::ColumnDrift EncryptedConnection::column_drift(

@@ -139,8 +139,8 @@ class EncryptedConnection {
   void insert(const std::string& table, const sql::Row& row);
 
   /// Encrypts and inserts many logical rows through the parallel bulk-ingest
-  /// pipeline (see ingest_pipeline.h): tags and payloads are computed across
-  /// a worker pool, then written in input order via the batched insert path.
+  /// pipeline (see ingest_pipeline.h): tags and payloads are computed on
+  /// worker threads, then written in input order via the batched insert path.
   /// One-shot convenience over IngestPipeline; streaming callers that ingest
   /// chunk by chunk should hold an IngestPipeline so record indices (and the
   /// randomness stream) continue across chunks.
@@ -340,6 +340,15 @@ class EncryptedConnection {
   /// WreError on a row that is not one cell wide.
   static void collect_ids(sql::ResultSet&& server,
                           EncryptedQueryResult* result);
+  /// The one tag search behind select_ids_in, select_star and
+  /// select_star_range: reports the rewritten SQL and the tag fan-out, then
+  /// (unless `tags` is empty, which matches no row) runs the tag scan and
+  /// either filters the SELECT * answer by `rechecks` or collects the ids.
+  EncryptedQueryResult tag_search(const TableState& ts,
+                                  const std::string& table,
+                                  const std::string& column,
+                                  const std::vector<crypto::Tag>& tags,
+                                  bool star, std::span<const Recheck> rechecks);
 
   std::unique_ptr<DbTransport> owned_transport_;  // only the Database& ctor
   DbTransport* transport_;

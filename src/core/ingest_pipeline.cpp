@@ -1,7 +1,8 @@
 #include "src/core/ingest_pipeline.h"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
+#include <future>
 #include <span>
 #include <thread>
 
@@ -47,26 +48,10 @@ IngestPipeline::IngestPipeline(EncryptedConnection& conn, std::string table,
   workers_.reserve(threads_);
   for (unsigned t = 0; t < threads_; ++t) {
     workers_.push_back(std::make_unique<Worker>(Worker{ts.codec.clone()}));
-    free_workers_.push_back(workers_.back().get());
   }
-  if (threads_ > 1) pool_ = std::make_unique<util::ThreadPool>(threads_);
 }
 
 IngestPipeline::~IngestPipeline() = default;
-
-IngestPipeline::Worker* IngestPipeline::acquire_worker() {
-  std::lock_guard<std::mutex> lk(workers_mu_);
-  // Never empty: the pool runs at most threads_ tasks at once and there are
-  // exactly threads_ contexts.
-  Worker* w = free_workers_.back();
-  free_workers_.pop_back();
-  return w;
-}
-
-void IngestPipeline::release_worker(Worker* w) {
-  std::lock_guard<std::mutex> lk(workers_mu_);
-  free_workers_.push_back(w);
-}
 
 std::vector<sql::Row> IngestPipeline::encrypt_batch(
     Worker& w, const std::vector<sql::Row>& rows, size_t begin, size_t end,
@@ -102,91 +87,63 @@ IngestStats IngestPipeline::ingest(const std::vector<sql::Row>& rows) {
   stats.batches = nbatches;
   const uint64_t base = next_index_;
 
-  // With a pool, workers encrypt every batch ahead of the writer; without
-  // one, the writer encrypts each batch inline just before writing it.
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::vector<sql::Row>> done;
-    std::vector<char> ready;
-    size_t first_error;
-    std::exception_ptr error;
-    size_t outstanding;
-    double encrypt_seconds = 0;
-  } sh;
-  if (pool_) {
-    sh.done.resize(nbatches);
-    sh.ready.assign(nbatches, 0);
-    sh.first_error = nbatches;
-    sh.outstanding = nbatches;
-    Timer enc_timer;
-    for (size_t b = 0; b < nbatches; ++b) {
-      const size_t begin = b * batch;
-      const size_t end = std::min(rows.size(), begin + batch);
-      pool_->submit([this, &rows, &sh, enc_timer, b, begin, end, base] {
-        std::vector<sql::Row> physical;
-        std::exception_ptr err;
-        Worker* w = acquire_worker();
-        try {
-          physical = encrypt_batch(*w, rows, begin, end, base + begin);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        release_worker(w);
-        std::lock_guard<std::mutex> lk(sh.mu);
-        if (err) {
-          if (b < sh.first_error) {
-            sh.first_error = b;
-            sh.error = err;
+  // With more than one thread, workers encrypt every batch ahead of the
+  // writer; with one, the writer encrypts each batch inline just before
+  // writing it. Everything the workers touch is declared before `threads`,
+  // whose destructors stop and join them on every way out of this function.
+  struct Encrypted {
+    std::vector<sql::Row> rows;
+    double done_at;  // seconds since the workers started
+  };
+  std::vector<std::promise<Encrypted>> encrypted;
+  std::atomic<size_t> next_batch{0};
+  const Timer enc_timer;
+  std::vector<std::jthread> threads;
+  if (threads_ > 1) {
+    encrypted.resize(nbatches);
+    const size_t nthreads = std::min<size_t>(workers_.size(), nbatches);
+    for (size_t t = 0; t < nthreads; ++t) {
+      threads.emplace_back([&, t](std::stop_token stop) {
+        size_t b;
+        while (!stop.stop_requested() &&
+               (b = next_batch.fetch_add(1)) < nbatches) {
+          const size_t begin = b * batch;
+          const size_t end = std::min(rows.size(), begin + batch);
+          try {
+            auto physical =
+                encrypt_batch(*workers_[t], rows, begin, end, base + begin);
+            encrypted[b].set_value(
+                {std::move(physical), enc_timer.elapsed_seconds()});
+          } catch (...) {
+            encrypted[b].set_exception(std::current_exception());
           }
-        } else {
-          sh.done[b] = std::move(physical);
-          sh.ready[b] = 1;
         }
-        if (--sh.outstanding == 0) {
-          sh.encrypt_seconds = enc_timer.elapsed_seconds();
-        }
-        sh.cv.notify_all();
       });
     }
   }
 
   // This thread is the single writer, draining batches strictly in input
-  // order; drift counts only rows whose batch was written.
-  try {
-    for (size_t b = 0; b < nbatches; ++b) {
-      const size_t begin = b * batch;
-      const size_t end = std::min(rows.size(), begin + batch);
-      std::vector<sql::Row> physical;
-      if (pool_) {
-        std::unique_lock<std::mutex> lk(sh.mu);
-        sh.cv.wait(lk, [&] { return sh.ready[b] || sh.first_error <= b; });
-        if (sh.first_error <= b) break;
-        physical = std::move(sh.done[b]);
-      } else {
-        Timer enc_timer;
-        physical = encrypt_batch(*workers_.front(), rows, begin, end,
-                                 base + begin);
-        stats.encrypt_seconds += enc_timer.elapsed_seconds();
-      }
-      Timer write_timer;
-      out.insert_batch(table_, physical);
-      stats.write_seconds += write_timer.elapsed_seconds();
-      ts.codec.count_written(std::span(rows).subspan(begin, end - begin));
-      next_index_ += end - begin;
+  // order: the first failing batch's error surfaces from its future, after
+  // every earlier batch was written. Drift counts only written rows.
+  for (size_t b = 0; b < nbatches; ++b) {
+    const size_t begin = b * batch;
+    const size_t end = std::min(rows.size(), begin + batch);
+    std::vector<sql::Row> physical;
+    if (threads.empty()) {
+      Timer inline_timer;
+      physical =
+          encrypt_batch(*workers_.front(), rows, begin, end, base + begin);
+      stats.encrypt_seconds += inline_timer.elapsed_seconds();
+    } else {
+      Encrypted done = encrypted[b].get_future().get();
+      physical = std::move(done.rows);
+      stats.encrypt_seconds = std::max(stats.encrypt_seconds, done.done_at);
     }
-  } catch (...) {
-    // A failure must not leave workers touching `sh` (stack memory) after
-    // we unwind.
-    if (pool_) pool_->wait_idle();
-    throw;
-  }
-
-  if (pool_) {
-    pool_->wait_idle();
-    std::lock_guard<std::mutex> lk(sh.mu);
-    stats.encrypt_seconds = sh.encrypt_seconds;
-    if (sh.error) std::rethrow_exception(sh.error);
+    Timer write_timer;
+    out.insert_batch(table_, physical);
+    stats.write_seconds += write_timer.elapsed_seconds();
+    ts.codec.count_written(std::span(rows).subspan(begin, end - begin));
+    next_index_ += end - begin;
   }
   stats.total_seconds = total.elapsed_seconds();
   return stats;

@@ -1,6 +1,6 @@
-// Parallel bulk-ingest pipeline: encrypt record batches across a worker
-// pool, then drain them — in input order — through the SQL layer's batched
-// insert path.
+// Parallel bulk-ingest pipeline: encrypt record batches on worker threads,
+// then drain them — in input order — through the SQL layer's batched insert
+// path.
 //
 // The paper's evaluation treats database creation time as a first-class
 // cost (Section VI-B: 10M records, ~9x slower than plaintext, dominated by
@@ -16,23 +16,26 @@
 //     owns private PRF/AES state for every column and encodes exactly like
 //     EncryptedConnection::insert, while the large immutable salt-allocator
 //     tables and range bucketizers are shared read-only;
+//   - with more than one thread, each ingest() call starts one std::jthread
+//     per codec clone (at most one per batch). A worker claims the next
+//     batch from an atomic counter and publishes its encrypted rows, or its
+//     exception, through that batch's std::promise;
 //   - workers only encrypt; the storage engine stays single-threaded — the
-//     caller's thread is the single writer, whose one loop drains encrypted
-//     batches in order through Table::insert_batch (with one thread it
-//     encrypts each batch inline, with no pool) and counts drift for each
-//     batch written.
+//     caller's thread is the single writer, whose one loop takes each
+//     batch's future in input order, writes it through Table::insert_batch
+//     (with one thread it encrypts each batch inline, with no workers) and
+//     counts drift for each batch written. Leaving ingest() stops and joins
+//     the workers.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/crypto/hmac_sha256.h"
 #include "src/sql/schema.h"
 #include "src/util/bytes.h"
-#include "src/util/thread_pool.h"
 
 namespace wre::core {
 
@@ -40,7 +43,7 @@ class EncryptedConnection;
 
 struct IngestOptions {
   /// Worker threads. 0 = one per hardware thread; 1 = encrypt inline on the
-  /// caller's thread (no pool), still using the batched write path.
+  /// caller's thread (no workers), still using the batched write path.
   unsigned threads = 0;
   /// Rows per work unit handed to a worker / to Table::insert_batch.
   size_t batch_rows = 512;
@@ -99,9 +102,6 @@ class IngestPipeline {
  private:
   struct Worker;  // a worker's row-codec clone (ingest_pipeline.cpp)
 
-  Worker* acquire_worker();
-  void release_worker(Worker* w);
-
   /// Encrypts rows [begin, end) of `rows` into physical rows, drawing each
   /// record's randomness from its global index.
   std::vector<sql::Row> encrypt_batch(Worker& w,
@@ -120,10 +120,7 @@ class IngestPipeline {
   Bytes nonce_;  // stream nonce mixed into every record seed
   uint64_t next_index_ = 0;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::mutex workers_mu_;            // guards the freelist below
-  std::vector<Worker*> free_workers_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null when threads_ == 1
+  std::vector<std::unique_ptr<Worker>> workers_;  // threads_ codec clones
 };
 
 }  // namespace wre::core

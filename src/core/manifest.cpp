@@ -45,6 +45,16 @@ class Reader {
 
   double f64() { return std::bit_cast<double>(u64()); }
 
+  /// An element count, each element at least `min_bytes` long: an inflated
+  /// count is rejected before anyone reserves for it.
+  uint32_t count(size_t min_bytes) {
+    uint32_t n = u32();
+    if (n > (data_.size() - pos_) / min_bytes) {
+      throw WreError("manifest: count overruns blob");
+    }
+    return n;
+  }
+
   std::string str() {
     uint32_t len = u32();
     need(len);
@@ -124,19 +134,29 @@ TableManifest deserialize_manifest(ByteView data) {
 
   TableManifest out;
 
-  uint32_t ncols = in.u32();
+  // Minimum encoded sizes bound every count below: a string is 4 bytes
+  // before its text, a double 8.
+  uint32_t ncols = in.count(4 + 1 + 1);
   std::vector<sql::Column> cols;
   cols.reserve(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
     sql::Column col;
     col.name = in.str();
-    col.type = static_cast<sql::ValueType>(in.u8());
+    auto type = in.u8();
+    if (type > static_cast<uint8_t>(sql::ValueType::kBlob)) {
+      throw WreError("manifest: bad column type");
+    }
+    col.type = static_cast<sql::ValueType>(type);
     col.primary_key = in.u8() != 0;
     cols.push_back(std::move(col));
   }
-  out.logical_schema = sql::Schema(std::move(cols));
+  try {
+    out.logical_schema = sql::Schema(std::move(cols));
+  } catch (const SqlError& e) {
+    throw WreError(std::string("manifest: ") + e.what());
+  }
 
-  uint32_t nspecs = in.u32();
+  uint32_t nspecs = in.count(4 + 1 + 8 + 1);
   for (uint32_t i = 0; i < nspecs; ++i) {
     EncryptedColumnSpec spec;
     spec.column = in.str();
@@ -155,10 +175,10 @@ TableManifest deserialize_manifest(ByteView data) {
     out.specs.push_back(std::move(spec));
   }
 
-  uint32_t ndists = in.u32();
+  uint32_t ndists = in.count(4 + 4);
   for (uint32_t i = 0; i < ndists; ++i) {
     std::string column = in.str();
-    uint32_t support = in.u32();
+    uint32_t support = in.count(4 + 8);
     std::map<std::string, double> probs;
     for (uint32_t j = 0; j < support; ++j) {
       std::string m = in.str();
@@ -169,14 +189,14 @@ TableManifest deserialize_manifest(ByteView data) {
         PlaintextDistribution::from_probabilities(std::move(probs)));
   }
 
-  uint32_t nranges = in.u32();
+  uint32_t nranges = in.count(4 + 8 + 8 + 4 + 4);
   for (uint32_t i = 0; i < nranges; ++i) {
     RangeColumnSpec spec;
     spec.column = in.str();
     spec.domain_lo = static_cast<int64_t>(in.u64());
     spec.domain_hi = static_cast<int64_t>(in.u64());
     spec.buckets = in.u32();
-    uint32_t ncuts = in.u32();
+    uint32_t ncuts = in.count(8);
     spec.uppers.reserve(ncuts);
     for (uint32_t j = 0; j < ncuts; ++j) {
       spec.uppers.push_back(static_cast<int64_t>(in.u64()));

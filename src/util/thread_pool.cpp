@@ -33,16 +33,6 @@ void ThreadPool::submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [this] { return queue_.empty() && running_ == 0; });
-}
-
-size_t ThreadPool::queued() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -52,14 +42,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping, and the backlog is drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++running_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

@@ -1,15 +1,14 @@
-// A small fixed-size worker pool for CPU-bound fan-out (bulk-ingest
-// encryption). Deliberately minimal: FIFO queue, no futures, no work
-// stealing — callers coordinate through wait_idle() or their own state.
+// A small fixed-size worker pool: the server's request workers.
+// Deliberately minimal: FIFO queue, no futures, no work stealing — callers
+// coordinate through their own state.
 //
 // Shutdown contract: the destructor stops accepting new work, *finishes*
 // every task already queued, then joins the workers. Nothing submitted
-// before destruction is ever dropped, so a pipeline that dies mid-flight
-// loses no rows (the concurrency stress test pins this down).
+// before destruction is ever dropped, so a server that stops finishes every
+// request it accepted (the concurrency stress test pins this down).
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -34,23 +33,12 @@ class ThreadPool {
   /// Throws Error if the pool is shutting down.
   void submit(std::function<void()> task);
 
-  /// Blocks until the queue is empty and every worker is idle.
-  void wait_idle();
-
-  /// Number of worker threads.
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Tasks currently queued (excludes running ones); for tests/introspection.
-  size_t queued() const;
-
  private:
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;  // workers: queue non-empty or stopping
-  std::condition_variable idle_cv_;  // wait_idle: queue empty and none running
   std::deque<std::function<void()>> queue_;
-  size_t running_ = 0;  // tasks dequeued but not yet finished
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

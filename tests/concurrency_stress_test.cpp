@@ -42,27 +42,15 @@ using wre::testing::TempDir;
 // ------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPoolStress, ManySmallTasksAllRun) {
-  util::ThreadPool pool(4);
   std::atomic<int> count{0};
   constexpr int kTasks = 5000;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), kTasks);
-  EXPECT_EQ(pool.queued(), 0u);
-}
-
-TEST(ThreadPoolStress, WaitIdleFromManyRounds) {
-  util::ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 40; ++i) {
+  {
+    util::ThreadPool pool(4);
+    for (int i = 0; i < kTasks; ++i) {
       pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
     }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (round + 1) * 40);
-  }
+  }  // the destructor drains the queue
+  EXPECT_EQ(count.load(), kTasks);
 }
 
 // The shutdown contract: destruction with work still queued completes the
@@ -85,20 +73,21 @@ TEST(ThreadPoolStress, DestructionDrainsQueuedWork) {
 }
 
 TEST(ThreadPoolStress, ConcurrentSubmitters) {
-  util::ThreadPool pool(4);
   std::atomic<int> count{0};
   constexpr int kPerProducer = 500;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        pool.submit(
-            [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  pool.wait_idle();
+  {
+    util::ThreadPool pool(4);
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 4; ++p) {
+      producers.emplace_back([&] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          pool.submit(
+              [&count] { count.fetch_add(1, std::memory_order_relaxed); });
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+  }  // the destructor drains the queue
   EXPECT_EQ(count.load(), 4 * kPerProducer);
 }
 

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <filesystem>
+#include <optional>
+#include <random>
 
 #include "src/core/encrypted_client.h"
 #include "src/core/manifest.h"
@@ -97,6 +102,106 @@ struct ManifestFixture {
     db.checkpoint();
   }
 };
+
+// The manifest is AES-CTR without a MAC, so the server can flip any of its
+// bytes. Every mutant must decode into a well-formed manifest or throw
+// WreError: never another exception type, and never an allocation sized by
+// an inflated count.
+std::optional<TableManifest> decode_typed(const Bytes& blob) {
+  try {
+    return deserialize_manifest(blob);
+  } catch (const WreError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(ManifestMutation, MutatedManifestsDecodeOrFailTyped) {
+  TableManifest m = demo_manifest();
+  m.range_specs = {RangeColumnSpec("pop", 0, 1000, 4, {10, 100, 500, 1000})};
+  const Bytes valid = serialize_manifest(m);
+  ASSERT_TRUE(decode_typed(valid).has_value());
+
+  size_t decoded = 0;
+  size_t failed = 0;
+  auto check = [&](const Bytes& mutant) {
+    SCOPED_TRACE(to_hex(mutant));
+    std::optional<TableManifest> back = decode_typed(mutant);
+    if (!back) {
+      ++failed;
+      return;
+    }
+    ++decoded;
+    for (const Column& col : back->logical_schema.columns()) {
+      EXPECT_LE(static_cast<uint8_t>(col.type),
+                static_cast<uint8_t>(ValueType::kBlob));
+    }
+    // Well formed: what decoded re-encodes and decodes to the same bytes.
+    const Bytes again = serialize_manifest(*back);
+    EXPECT_EQ(serialize_manifest(deserialize_manifest(again)), again);
+  };
+
+  // Structure-aware mutants: inflated counts and every type byte.
+  auto with_u32 = [&](size_t at, uint32_t v) {
+    Bytes mutant = valid;
+    store_le32(mutant.data() + at, v);
+    return mutant;
+  };
+  const size_t ncuts_at = valid.size() - 8 * m.range_specs[0].uppers.size() - 4;
+  for (uint32_t count : {0xffffffffu, 1u << 27, 1u << 16}) {
+    EXPECT_FALSE(decode_typed(with_u32(1, count))) << "ncols " << count;
+    EXPECT_FALSE(decode_typed(with_u32(ncuts_at, count))) << "ncuts " << count;
+  }
+  // A probability the flipped bits turn into NaN passes `p <= 0` and the
+  // sum check alike, so it must be rejected by name.
+  Bytes quarter(8);
+  store_le64(quarter.data(), std::bit_cast<uint64_t>(0.25));
+  const auto prob_at = std::search(valid.begin(), valid.end(),
+                                   quarter.begin(), quarter.end());
+  ASSERT_NE(prob_at, valid.end());
+  Bytes nan_prob = valid;
+  store_le64(nan_prob.data() + (prob_at - valid.begin()),
+             std::bit_cast<uint64_t>(std::nan("")));
+  EXPECT_FALSE(decode_typed(nan_prob));
+
+  size_t type_at = 1 + 4;
+  for (const Column& col : m.logical_schema.columns()) {
+    type_at += 4 + col.name.size();
+    for (int type = 0; type < 256; ++type) {
+      Bytes mutant = valid;
+      mutant[type_at] = static_cast<uint8_t>(type);
+      check(mutant);
+    }
+    type_at += 2;
+  }
+
+  // Seeded random mutants: bit flips, truncation, appended bytes.
+  std::mt19937_64 rng(20190624);
+  auto below = [&](size_t n) {
+    return static_cast<size_t>(
+        std::uniform_int_distribution<uint64_t>(0, n - 1)(rng));
+  };
+  for (int i = 0; i < 3000; ++i) {
+    Bytes mutant = valid;
+    switch (below(3)) {
+      case 0:  // flip 1-4 bits
+        for (size_t flips = 1 + below(4); flips > 0; --flips) {
+          mutant[below(valid.size())] ^= static_cast<uint8_t>(1u << below(8));
+        }
+        break;
+      case 1:  // truncate
+        mutant.resize(below(valid.size()));
+        break;
+      default:  // append 1-16 bytes
+        for (size_t n = 1 + below(16); n > 0; --n) {
+          mutant.push_back(static_cast<uint8_t>(below(256)));
+        }
+    }
+    check(mutant);
+  }
+  // Both outcomes occur, so the loop exercises both branches.
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(failed, 100u);
+}
 
 TEST(Manifest, OpenTableWithWrongSecretFailsCleanly) {
   ManifestFixture f;

@@ -342,5 +342,73 @@ TEST(ParallelIngest, WorkerErrorsPropagate) {
   EXPECT_LE(db.table("t").row_count(), 40u);
 }
 
+// A batch that fails mid-stream: on the inline path and with workers alike,
+// exactly the batches before it are written, later batches are discarded,
+// the record index and drift advance only past written rows, and the next
+// ingest() continues from there — byte for byte as if the failing call had
+// held only the written rows.
+TEST(ParallelIngest, MidStreamFailureKeepsOnlyEarlierBatches) {
+  constexpr size_t kBatchRows = 8;
+  constexpr size_t kFailingBatch = 2;  // of 5
+  Schema schema({Column{"id", ValueType::kInt64, true},
+                 Column{"name", ValueType::kText}});
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 40; ++i) {
+    rows.push_back({Value::int64(i),
+                    Value::text(names()[static_cast<size_t>(i) % 8])});
+  }
+  rows[kFailingBatch * kBatchRows + 3][1] = Value::text("mallory");  // unseen
+  std::vector<Row> more;
+  for (int64_t i = 100; i < 110; ++i) {
+    more.push_back({Value::int64(i), Value::text(names()[1])});
+  }
+  const size_t kept = kFailingBatch * kBatchRows;
+
+  auto physical_rows = [](sql::Database& db) {
+    std::vector<Row> out;
+    db.table("t").scan([&](int64_t, const Row& row) { out.push_back(row); });
+    return out;
+  };
+  // One pipeline per run: `first` is ingested (and may fail), then `more`.
+  auto run = [&](unsigned threads, const std::vector<Row>& first,
+                 bool first_fails) {
+    TempDir dir("ingest_midstream");
+    auto db = std::make_unique<sql::Database>(dir.str());
+    EncryptedConnection conn(*db, test_secret());
+    std::map<std::string, PlaintextDistribution> dists;
+    dists.emplace("name", dist_over(names()));
+    conn.create_table("t", schema, {{"name", SaltMethod::kPoisson, 50}},
+                      dists);
+    IngestOptions options;
+    options.threads = threads;
+    options.batch_rows = kBatchRows;
+    options.stream_nonce = test_nonce();
+    IngestPipeline pipeline(conn, "t", options);
+    if (first_fails) {
+      EXPECT_THROW(pipeline.ingest(first), WreError);
+    } else {
+      pipeline.ingest(first);
+    }
+    EXPECT_EQ(db->table("t").row_count(), kept);
+    EXPECT_EQ(pipeline.next_index(), kept);
+    EXPECT_EQ(conn.column_drift("t", "name").observed_rows, kept);
+
+    pipeline.ingest(more);
+    EXPECT_EQ(db->table("t").row_count(), kept + more.size());
+    EXPECT_EQ(pipeline.next_index(), kept + more.size());
+    EXPECT_EQ(conn.column_drift("t", "name").observed_rows,
+              kept + more.size());
+    return physical_rows(*db);
+  };
+
+  const std::vector<Row> written(rows.begin(),
+                                 rows.begin() + static_cast<ptrdiff_t>(kept));
+  const std::vector<Row> expected = run(1, written, false);
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(run(threads, rows, true), expected);
+  }
+}
+
 }  // namespace
 }  // namespace wre::core
